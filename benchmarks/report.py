@@ -31,9 +31,8 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=20)
-    p.add_argument("--workloads", default=",".join(workloads.WORKLOADS))
     args = p.parse_args()
-    for name in args.workloads.split(","):
+    for name in workloads.WORKLOADS:
         plain = run(name, args.seed, args.seconds, 0)
         traced = run(name, args.seed, args.seconds, 1)
         m = traced["metrics"]
@@ -45,14 +44,15 @@ def main() -> int:
             print(f"  {key} = {metric['value']:.6g} {metric['unit']}")
         for key in KEY_COUNTERS:
             print(f"  {key} = {m[key]['value']:.6g} {m[key]['unit']}")
-        busy = [(m[f"{span}.total_s"]["value"], m[f"{span}.self_s"]["value"],
-                 m[f"{span}.calls"]["value"], span)
-                for span in sorted({k.rsplit(".", 1)[0] for k in m if k.endswith(".calls")})]
-        wall = m["cli.main.total_s"]["value"]
-        for total, self_s, calls, span in sorted(busy, reverse=True):
+        spans = sorted({k.rsplit(".", 1)[0] for k in m if k.endswith(".calls_per_trial")})
+        busy = [(m[f"{span}.total_us_per_trial"]["value"],
+                 m[f"{span}.self_us_per_trial"]["value"],
+                 m[f"{span}.calls_per_trial"]["value"], span) for span in spans]
+        wall = m["cli.main.total_us_per_trial"]["value"]
+        for total, self_us, calls, span in sorted(busy, reverse=True):
             if calls:
-                print(f"  {span:30s} calls {calls:>8d}  busy {total / wall:6.1%}  "
-                      f"self {self_s / wall:6.1%} of traced wall")
+                print(f"  {span:30s} calls/trial {calls:10.4g}  busy {total / wall:6.1%}  "
+                      f"self {self_us / wall:6.1%} of traced wall")
     return 0
 
 

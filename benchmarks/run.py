@@ -214,30 +214,33 @@ def csv_column(records, column) -> list:
 def per_layer(ops, tracer, spans, workload):
     """Span statistics and counters of the traced ops, plus tracing overhead.
 
-    qsearch.queries_per_detection comes from the CSVs of the first
-    workload.min_ops ops, traced or not, so it repeats exactly for one seed.
+    Span statistics and `qcore.amp_bytes_computed` are per trial of the
+    traced ops; `qsearch.bbht_success_ratio` and `qsearch.budget_giveups` are
+    taken over the same ops, with one detection per trial.  The CSV counters
+    come from the first workload.min_ops ops, traced or not, so they repeat
+    exactly for one seed.
     """
     traced = [r for r in ops if r["traced"]]
     untraced = [r for r in ops if not r["traced"]]
-    metrics = tracer.span_stats(spans)
-    c = tracer.counts
     trials = sum(r["op"].trials for r in traced)
-    detections = max(c["detections"], 1)
-    cf_evals = csv_column(traced, "mean_cf_evals")
-    queries = csv_column(ops[:workload.min_ops], "mean_grover_queries")
+    metrics = tracer.span_stats(spans, trials)
+    c = tracer.counts
+    first = ops[:workload.min_ops]
+
+    def per_detection(column):
+        values = csv_column(first, column)
+        return statistics.fmean(values) if values else 0.0, "1/detection"
+
     metrics.update({
-        "mud.cf_evals_per_detection": (statistics.fmean(cf_evals) if cf_evals else 0.0,
-                                       "1/detection"),
-        "qsearch.queries_per_detection": (statistics.fmean(queries) if queries else 0.0,
-                                          "1/detection"),
-        "qsearch.rounds_per_detection": (c["rounds"] / detections, "1/detection"),
-        "qsearch.verifications_per_detection": (c["verifications"] / detections,
-                                                "1/detection"),
+        "mud.cf_evals_per_detection": per_detection("mean_cf_evals"),
+        "qsearch.queries_per_detection": per_detection("mean_grover_queries"),
+        "qsearch.rounds_per_detection": per_detection("mean_threshold_rounds"),
+        "qsearch.verifications_per_detection": per_detection("mean_verification_queries"),
         "qsearch.bbht_success_ratio": (c["bbht_succeeded"] / max(c["bbht_calls"], 1),
                                        "ratio"),
-        "qsearch.budget_giveups": ((c["bbht_calls"] - c["bbht_succeeded"]) / detections,
+        "qsearch.budget_giveups": ((c["bbht_calls"] - c["bbht_succeeded"]) / trials,
                                    "1/detection"),
-        "qcore.amp_bytes_computed": (c["amp_bytes"] / max(trials, 1), "B/trial"),
+        "qcore.amp_bytes_computed": (c["amp_bytes"] / trials, "B/trial"),
         "trace.overhead_ratio": (1.0 - rate(traced) / rate(untraced), "ratio"),
     })
     return metrics

@@ -21,6 +21,10 @@ import workloads
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
 OUT_DIR = os.path.join(BENCH_DIR, "out")
+# cli.main self time as a share of op wall time: under 1% on ber-* and
+# qmud-agree, about 7% on bsc, whose per-bit loop in qchannel.run_demo is
+# not a span of its own
+MAX_CLI_SELF_SHARE = 0.15
 
 
 def run(workload, seed, trace, cwd=ROOT, seconds=1, check=True):
@@ -44,7 +48,6 @@ def spec():
 def test_spec_lists_the_workloads_the_runner_knows(spec):
     assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
     assert [w["why"] for w in spec["workloads"]] == [w.why for w in workloads.WORKLOADS.values()]
-    assert set(tracer.ALL_WORKLOADS) == set(workloads.WORKLOADS)
 
 
 @pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
@@ -57,11 +60,11 @@ def test_traced_run_covers_every_assigned_span(workload, spec):
         {m["name"]: m["unit"] for m in spec["per_layer"]}
 
     for span, (assigned, _) in tracer.SPANS.items():
-        calls = metrics[f"{span}.calls"]["value"]
+        calls = metrics[f"{span}.calls_per_trial"]["value"]
         if workload in assigned:
             assert calls > 0, f"{span} recorded no calls on {workload}"
-        total = metrics[f"{span}.total_s"]["value"]
-        assert metrics[f"{span}.self_s"]["value"] <= total + 1e-9
+        total = metrics[f"{span}.total_us_per_trial"]["value"]
+        assert metrics[f"{span}.self_us_per_trial"]["value"] <= total + 1e-3
 
     spans = np.load(os.path.join(OUT_DIR, f"trace-{workload}.npz"))
     dur = spans["end"] - spans["start"]
@@ -72,6 +75,9 @@ def test_traced_run_covers_every_assigned_span(workload, spec):
         wall = spans["op_end"][op_id] - spans["op_start"][op_id]
         covered = dur[top].sum() / wall
         assert 1.0 - max(overhead, 0.01) <= covered <= 1.0 + 1e-9, (op_id, covered)
+        # the layer spans under cli.main must account for the op
+        cli_self = spans["self"][top].sum() / wall
+        assert cli_self <= MAX_CLI_SELF_SHARE, (op_id, cli_self)
 
 
 @pytest.mark.parametrize("workload", ["ber-mf", "bsc"])
@@ -90,7 +96,8 @@ def test_refuses_to_run_without_the_program():
     os.makedirs(bare)
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), bare)
     shutil.copytree(BENCH_DIR, os.path.join(bare, "benchmarks"),
-                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+                    # no test files, so a later pytest run does not collect them
+                    ignore=shutil.ignore_patterns("out", "__pycache__", "test_*.py"))
     done = run("ber-mf", seed=1, trace=0, cwd=bare, check=False)
     assert done.returncode != 0
     assert '"correct"' not in done.stdout

@@ -23,7 +23,9 @@ from time import perf_counter
 
 import numpy as np
 
-ALL_WORKLOADS = ("ber-mf", "ber-ml", "qmud-agree", "bsc")
+import workloads
+
+ALL_WORKLOADS = tuple(workloads.WORKLOADS)
 
 # Span name -> (workloads on which it must record calls, end-to-end metric it
 # should move).  The span name is "<module>.<attribute path>" under qmudsim.
@@ -55,24 +57,21 @@ SPANS = {
 P90_SPANS = ("qsearch.maximum_search", "mud.CostFunction.table")
 NO_TAIL_SPANS = ("cli.main", "mud.ber_sweep", "mud.qmud_agreement")
 
-STAT_UNITS = {"calls": "count", "total_s": "s", "self_s": "s",
+# Call counts and busy times are divided by the trials of the traced ops, so
+# they do not grow with the number of ops that fit into a run; percentiles
+# are per call.
+STAT_UNITS = {"calls_per_trial": "1/trial", "total_us_per_trial": "us/trial",
+              "self_us_per_trial": "us/trial",
               "p50_us": "us", "p90_us": "us", "p99_us": "us"}
 
 
 def stat_keys(name: str) -> list:
     """Statistics reported for one span name."""
     tail = [] if name in NO_TAIL_SPANS else ["p90_us"] if name in P90_SPANS else ["p99_us"]
-    return ["calls", "total_s", "self_s", "p50_us"] + tail
+    return ["calls_per_trial", "total_us_per_trial", "self_us_per_trial", "p50_us"] + tail
 
 
-COUNTERS = ("detections", "rounds", "verifications", "bbht_calls",
-            "bbht_succeeded", "amp_bytes")
-
-
-def _count_search(counts, args, kwargs, result):
-    counts["detections"] += 1
-    counts["rounds"] += result.iterations_used
-    counts["verifications"] += result.verification_queries
+COUNTERS = ("bbht_calls", "bbht_succeeded", "amp_bytes")
 
 
 def _count_bbht(counts, args, kwargs, result):
@@ -89,7 +88,6 @@ def _count_amp_bytes(position, keyword):
 
 
 HOOKS = {
-    "qsearch.maximum_search": _count_search,
     "qsearch.bbht_search": _count_bbht,
     "qcore.apply_unitary": _count_amp_bytes(1, "s"),
     "qcore.measure": _count_amp_bytes(0, "s"),
@@ -177,15 +175,19 @@ class Tracer:
                 "parent": parent, "op": np.frombuffer(self.op, dtype=np.int32),
                 "start": start, "end": end, "self": dur - child}
 
-    def span_stats(self, spans: dict) -> dict:
-        """"<span>.<stat>" -> (value, unit) for every span name."""
+    def span_stats(self, spans: dict, trials: int) -> dict:
+        """"<span>.<stat>" -> (value, unit) for every span name.
+
+        `trials` is the number of trials the traced ops ran.
+        """
         dur = spans["end"] - spans["start"]
         stats = {}
         for name_id, name in enumerate(self.names):
             sel = spans["name_id"] == name_id
             d = dur[sel]
-            values = {"calls": d.size, "total_s": d.sum(),
-                      "self_s": spans["self"][sel].sum()}
+            values = {"calls_per_trial": d.size / trials,
+                      "total_us_per_trial": d.sum() * 1e6 / trials,
+                      "self_us_per_trial": spans["self"][sel].sum() * 1e6 / trials}
             for key in stat_keys(name)[3:]:
                 q = float(key[1:3])
                 values[key] = np.percentile(d, q) * 1e6 if d.size else 0.0
