@@ -42,6 +42,9 @@ def main() -> int:
               f"{traced['attempted']})")
         for key, metric in plain["metrics"].items():
             print(f"  {key} = {metric['value']:.6g} {metric['unit']}")
+        with open(os.path.join(BENCH_DIR, "out", f"result-{name}-trace0.json")) as fh:
+            wall = json.load(fh)["wall_trials_per_s"]
+        print(f"  wall_trials_per_s = {wall:.6g} trials/s (not scaled to host speed)")
         for key in KEY_COUNTERS:
             print(f"  {key} = {m[key]['value']:.6g} {m[key]['unit']}")
         spans = sorted({k.rsplit(".", 1)[0] for k in m if k.endswith(".calls_per_trial")})

@@ -4,12 +4,27 @@
 
 Runs from the root of a source checkout and imports qmudsim from its `src/`.
 Set-up (imports, workload preparation, one small untimed warm-up call) is
-timed in this process and, in untraced runs, in four fresh processes started
-one after another; `setup_s` is their median.  The timed loop then runs CLI calls ("ops"), each
-with its own seed, until `--seconds` of op time have passed and at least the
-workload's minimum op count has run.  Each op's output is checked afterwards,
+timed in this process and, in untraced runs, in eight fresh processes started
+one after another; each time is scaled to the reference host speed (below) by
+reference slices timed right after it, and `setup_s` is their median.  The
+timed loop then runs CLI calls ("ops"), each with its own seed, until
+`--seconds` of op time have passed and at least the workload's minimum op
+count has run.  Each op's output is checked afterwards,
 outside the timed region, and op 0 is run again to check that its output
 files are byte-identical.
+
+On a shared host the CPU speed drifts by 10-30% over seconds to minutes, more
+than the regression bound on throughput.  Untraced runs therefore sample the
+host's speed during each op: a SIGALRM timer interrupts the op every
+SLICE_INTERVAL_S and its handler times one reference slice, a fixed mix of
+pure-Python and numpy work that runs no qmudsim code.  The handler's time is
+taken out of the op's time.  `norm_trials_per_s` is each op's trials per second
+scaled by (mean slice time during the op) / REFERENCE_SLICE_S, i.e. the op's
+rate on a host that runs the slice in REFERENCE_SLICE_S: a slower program
+reads lower, a host that is slower for everything does not.  The plain
+wall-clock rate is kept in the printout and the result record as
+`wall_trials_per_s`.  Traced runs take no slices, so spans hold program time
+only.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 alternates untraced and
 traced ops: traced ops give the per-layer spans and counters, and the two
@@ -36,6 +51,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 
@@ -49,8 +65,58 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join("benchmarks", "out")
-SETUP_PROBES = 4
+SETUP_PROBES = 8
 PROBE_TIMEOUT_S = 60
+SLICE_INTERVAL_S = 0.05
+SETUP_SLICES = 10
+# median time of reference_slice() on a 2.1 GHz Xeon VM (2 vCPUs, shared host)
+REFERENCE_SLICE_S = 0.0021
+
+
+_SLICE_RNG = np.random.default_rng(12345)
+_SLICE_SMALL = np.ones(16)
+_SLICE_VEC = np.ones(1024, dtype=complex)
+
+
+def reference_slice() -> float:
+    """Seconds taken by a fixed mix of interpreter, small-array and 1024-amplitude
+    numpy work, roughly the kinds of work the workloads do; no qmudsim code."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(10_000):
+        acc += i * i
+    for _ in range(200):
+        _ = _SLICE_SMALL * 2.0 + _SLICE_SMALL
+        int(_SLICE_RNG.integers(0, 2))
+    for _ in range(30):
+        vec = _SLICE_VEC * (1 + 1j)
+        vec.sum()
+        np.abs(vec)
+    return time.perf_counter() - t0
+
+
+class SpeedSampler:
+    """Times reference slices from a SIGALRM timer while an op runs."""
+
+    def __init__(self):
+        self.slices = []
+        self.spent = 0.0
+
+    def _tick(self, signum, frame):
+        t0 = time.perf_counter()
+        self.slices.append(reference_slice())
+        self.spent += time.perf_counter() - t0
+
+    @contextlib.contextmanager
+    def sampling(self):
+        self.slices, self.spent = [], 0.0
+        previous = signal.signal(signal.SIGALRM, self._tick)
+        signal.setitimer(signal.ITIMER_REAL, SLICE_INTERVAL_S, SLICE_INTERVAL_S)
+        try:
+            yield self
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def parse_args(argv):
@@ -104,14 +170,24 @@ def set_up(workload_name, tag):
     return cli, mud, workload, work_dir
 
 
-def probe_setup(args) -> float:
-    """Set-up time of a fresh process running this script in probe mode."""
+def setup_time() -> tuple:
+    """(wall seconds since this script started, the same at the reference
+    host speed, scaled by SETUP_SLICES reference slices timed right after)."""
+    wall = time.perf_counter() - _T0
+    reference_slice()  # warm-up
+    speed = statistics.fmean(reference_slice() for _ in range(SETUP_SLICES))
+    return wall, wall * REFERENCE_SLICE_S / speed
+
+
+def probe_setup(args) -> tuple:
+    """Set-up times of a fresh process running this script in probe mode."""
     cmd = [sys.executable, os.path.join("benchmarks", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", "0", "--setup-probe"]
     done = subprocess.run(cmd, capture_output=True, text=True,
                           timeout=PROBE_TIMEOUT_S, check=True)
-    return float(done.stdout.strip().splitlines()[-1])
+    wall, norm = done.stdout.strip().splitlines()[-1].split()
+    return float(wall), float(norm)
 
 
 def read_outputs(paths) -> dict:
@@ -147,18 +223,28 @@ def run_ops(args, cli, workload, work_dir, tracer):
     i = 0
     # a traced run needs at least one untraced and one traced op
     min_ops = max(workload.min_ops, 2 if tracer is not None else 1)
+    sampler = SpeedSampler() if tracer is None else None
+    reference_slice()  # warm-up
     while timed < args.seconds or i < min_ops:
         op = workload.make_op(workloads.op_seed(args.seed, i), work_dir, False)
         traced = tracer is not None and i % 2 == 1
-        ctx = tracer.installed(i) if traced else contextlib.nullcontext()
+        if sampler is not None:
+            ctx = sampler.sampling()
+        else:
+            ctx = tracer.installed(i) if traced else contextlib.nullcontext()
         with ctx:
             t0 = time.perf_counter()
             code, console = call_cli(cli, op.argv)
             t1 = time.perf_counter()
-        outputs = read_outputs(op.outputs) if code == 0 else {}
-        ops.append({"op": op, "code": code, "console": console, "start": t0,
-                    "end": t1, "traced": traced, "outputs": outputs})
-        timed += t1 - t0
+        rec = {"op": op, "code": code, "console": console, "start": t0, "end": t1,
+               "traced": traced, "outputs": read_outputs(op.outputs) if code == 0 else {},
+               "op_s": t1 - t0}
+        if sampler is not None:
+            # an op shorter than the timer interval gets one slice just after it
+            rec["op_s"] -= sampler.spent
+            rec["slice_s"] = statistics.fmean(sampler.slices or [reference_slice()])
+        ops.append(rec)
+        timed += rec["op_s"]
         i += 1
     return ops
 
@@ -191,14 +277,20 @@ def digest(outputs: dict) -> str:
     return h.hexdigest()
 
 
-def rate(records) -> float:
-    return statistics.median(r["op"].trials / (r["end"] - r["start"]) for r in records)
+def wall_rate(records) -> float:
+    return statistics.median(r["op"].trials / r["op_s"] for r in records)
+
+
+def norm_rate(records) -> float:
+    """Median over ops of trials/s at the reference host speed."""
+    return statistics.median(r["op"].trials / r["op_s"] * r["slice_s"] / REFERENCE_SLICE_S
+                             for r in records)
 
 
 def end_to_end(ops, setups):
     return {
-        "trials_per_s": (rate(ops), "trials/s"),
-        "setup_s": (statistics.median(setups), "s"),
+        "norm_trials_per_s": (norm_rate(ops), "trials/s"),
+        "setup_s": (statistics.median(norm for _, norm in setups), "s"),
         "peak_rss_mib": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MiB"),
     }
 
@@ -241,7 +333,7 @@ def per_layer(ops, tracer, spans, workload):
         "qsearch.budget_giveups": ((c["bbht_calls"] - c["bbht_succeeded"]) / trials,
                                    "1/detection"),
         "qcore.amp_bytes_computed": (c["amp_bytes"] / trials, "B/trial"),
-        "trace.overhead_ratio": (1.0 - rate(traced) / rate(untraced), "ratio"),
+        "trace.overhead_ratio": (1.0 - wall_rate(traced) / wall_rate(untraced), "ratio"),
     })
     return metrics
 
@@ -254,11 +346,11 @@ def main(argv=None) -> int:
                          f"choose from {sorted(workloads.WORKLOADS)}")
     if args.setup_probe:
         set_up(args.workload, "probe")
-        print(time.perf_counter() - _T0)
+        print(*setup_time())
         return 0
 
     cli, mud, workload, work_dir = set_up(args.workload, "run")
-    setups = [time.perf_counter() - _T0]
+    setups = [setup_time()]
     tracer = tracing.Tracer() if args.trace else None
     if tracer is None:
         setups += [probe_setup(args) for _ in range(SETUP_PROBES)]
@@ -282,8 +374,12 @@ def main(argv=None) -> int:
         "environment": environment(args.seed), "src_line_counts": line_counts(),
         "ops": len(ops), "failed": failed, "fail_ratio": failed / len(ops),
         "op0_output_sha256": digest(ops[0]["outputs"]),
-        "op_seconds": [r["end"] - r["start"] for r in ops],
+        "op_seconds": [r["op_s"] for r in ops],
+        "setup_wall_s": [wall for wall, _ in setups],
+        "setup_norm_s": [norm for _, norm in setups],
         "op_trials": [r["op"].trials for r in ops],
+        "op_reference_slice_s": [r.get("slice_s") for r in ops],
+        "wall_trials_per_s": wall_rate(ops),
         "problems": {i: r["problems"] for i, r in enumerate(ops) if r["problems"]},
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }
@@ -293,6 +389,7 @@ def main(argv=None) -> int:
 
     print(f"workload {args.workload}  seed {args.seed}  trace {args.trace}  "
           f"ops {len(ops)}  failed {failed}  fail_ratio {failed / len(ops)} ops/ops")
+    print(f"  wall_trials_per_s = {record['wall_trials_per_s']} trials/s (not normalised)")
     for i, problems in record["problems"].items():
         print(f"  op {i} failed: {'; '.join(problems)}")
     for name, m in record["metrics"].items():

@@ -88,6 +88,8 @@ def test_same_seed_gives_same_output_bytes(workload, spec):
     assert first_record["op0_output_sha256"] == second_record["op0_output_sha256"]
     assert list(first["metrics"]) == [m["name"] for m in spec["end_to_end"]]
     assert all(v["value"] > 0 for v in first["metrics"].values())
+    # every untraced op was scaled by host-speed slices taken while it ran
+    assert all(t > 0 for t in first_record["op_reference_slice_s"])
 
 
 def test_refuses_to_run_without_the_program():

@@ -30,26 +30,26 @@ ALL_WORKLOADS = tuple(workloads.WORKLOADS)
 # Span name -> (workloads on which it must record calls, end-to-end metric it
 # should move).  The span name is "<module>.<attribute path>" under qmudsim.
 SPANS = {
-    "cli.main": (ALL_WORKLOADS, "trials_per_s"),
-    "cdma.sample_channel": (("ber-mf", "ber-ml", "qmud-agree"), "trials_per_s"),
-    "cdma.synthesize_received": (("ber-mf", "ber-ml", "qmud-agree"), "trials_per_s"),
-    "cdma.matched_filter_bank": (("ber-mf",), "trials_per_s"),
-    "mud.ber_sweep": (("ber-mf", "ber-ml"), "trials_per_s"),
-    "mud.mf_detect": (("ber-mf",), "trials_per_s"),
-    "mud.qmud_agreement": (("qmud-agree",), "trials_per_s"),
-    "mud.CostFunction.evaluate": (("ber-ml",), "trials_per_s"),
-    "mud.exhaustive_ml_detect": (("ber-ml",), "trials_per_s"),
-    "mud.make_mls_cost": (("ber-ml", "qmud-agree"), "trials_per_s"),
+    "cli.main": (ALL_WORKLOADS, "norm_trials_per_s"),
+    "cdma.sample_channel": (("ber-mf", "ber-ml", "qmud-agree"), "norm_trials_per_s"),
+    "cdma.synthesize_received": (("ber-mf", "ber-ml", "qmud-agree"), "norm_trials_per_s"),
+    "cdma.matched_filter_bank": (("ber-mf",), "norm_trials_per_s"),
+    "mud.ber_sweep": (("ber-mf", "ber-ml"), "norm_trials_per_s"),
+    "mud.mf_detect": (("ber-mf",), "norm_trials_per_s"),
+    "mud.qmud_agreement": (("qmud-agree",), "norm_trials_per_s"),
+    "mud.CostFunction.evaluate": (("ber-ml",), "norm_trials_per_s"),
+    "mud.exhaustive_ml_detect": (("ber-ml",), "norm_trials_per_s"),
+    "mud.make_mls_cost": (("ber-ml", "qmud-agree"), "norm_trials_per_s"),
     "mud.CostFunction.table": (("qmud-agree",), "peak_rss_mib"),
     "qsearch.maximum_search": (("qmud-agree",), "qsearch.queries_per_detection"),
     "qsearch.bbht_search": (("qmud-agree",), "qsearch.queries_per_detection"),
-    "qsearch.grover_iterate": (("qmud-agree",), "trials_per_s"),
-    "qcore.apply_unitary": (("qmud-agree", "bsc"), "trials_per_s"),
-    "qcore.measure": (("qmud-agree", "bsc"), "trials_per_s"),
-    "qcore.basis_state": (("qmud-agree", "bsc"), "trials_per_s"),
-    "qcore.uniform_superposition": (("qmud-agree",), "trials_per_s"),
-    "qchannel.transmit_quantum": (("bsc",), "trials_per_s"),
-    "qchannel.transmit_classical": (("bsc",), "trials_per_s"),
+    "qsearch.grover_iterate": (("qmud-agree",), "norm_trials_per_s"),
+    "qcore.apply_unitary": (("qmud-agree", "bsc"), "norm_trials_per_s"),
+    "qcore.measure": (("qmud-agree", "bsc"), "norm_trials_per_s"),
+    "qcore.basis_state": (("qmud-agree", "bsc"), "norm_trials_per_s"),
+    "qcore.uniform_superposition": (("qmud-agree",), "norm_trials_per_s"),
+    "qchannel.transmit_quantum": (("bsc",), "norm_trials_per_s"),
+    "qchannel.transmit_classical": (("bsc",), "norm_trials_per_s"),
 }
 
 # Spans with about one call per op or per detection get too few samples in a
