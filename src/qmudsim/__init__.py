@@ -11,4 +11,4 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-from . import cdma, cli, config, errors, mud, qchannel, qcore, qsearch  # noqa: F401,E402
+from . import cdma, config, errors, mud, qchannel, qcore, qsearch  # noqa: F401,E402

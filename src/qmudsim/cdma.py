@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -111,6 +112,18 @@ class CdmaScenario:
         """(K, N_c) array of chip sequences."""
         return np.stack([sig.chips for sig in self.signatures])
 
+    @functools.cached_property
+    def _padded_chips(self):
+        """Signatures with N_c zeros on each side, flattened, and the flat
+        position of chip t of user k; reading τ positions earlier gives
+        s_k[t − τ], or zero where t − τ falls outside [0, N_c)."""
+        n = self.n_chips
+        padded = np.zeros((self.k_users, 3 * n))
+        padded[:, n:2 * n] = self.signature_matrix
+        position = (3 * n * np.arange(self.k_users)[:, None] + n
+                    + np.arange(n))
+        return padded.ravel(), position
+
 
 @dataclass(frozen=True, eq=False)
 class ReceivedFrame:
@@ -209,29 +222,48 @@ def sample_channel(scenario: CdmaScenario,
     return ChannelState(amplitude=amplitude, phase=phase, delay=delay)
 
 
+def delay_aligned(scenario: CdmaScenario, delay):
+    """Each user's signature shifted by its chip delay, split at the window.
+
+    Returns (current, spill), each of shape (..., K, N_c) for delays of shape
+    (..., K): current[..., k, t] = s_k[t − τ_k] for t >= τ_k and spill[..., k,
+    t] = s_k[t − τ_k + N_c] for t < τ_k, zero elsewhere.  The current symbol
+    drives the first, the previous symbol spills in through the second.
+    """
+    n_chips = scenario.n_chips
+    delay = np.asarray(delay)
+    # floor division by N_c is zero exactly for delays in [0, N_c)
+    if np.count_nonzero(delay // n_chips):
+        raise ValueError("delays must be in [0, n_chips)")
+    padded, position = scenario._padded_chips
+    index = position - delay[..., None]
+    return padded[index], padded[index + n_chips]
+
+
+def synthesize(scenario: CdmaScenario, gains, delay, bits,
+               prev_bits) -> np.ndarray:
+    """Noiseless chip samples, shape (..., N_c), for broadcast (..., K) inputs.
+
+    sample[t] = sum_k a_k·(b_k·s_k[t−τ_k] + b_k^{prev}·s_k[t−τ_k+N_c]) with
+    s_k zero outside [0, N_c); the previous bits fill the leading τ_k chips.
+    """
+    current, spill = delay_aligned(scenario, delay)
+    gains = np.asarray(gains)
+    return (np.matmul((gains * bits)[..., None, :], current)
+            + np.matmul((gains * prev_bits)[..., None, :], spill))[..., 0, :]
+
+
 def synthesize_received(scenario: CdmaScenario, channel: ChannelState,
                         bits, prev_bits,
                         rng: Optional[np.random.Generator]) -> ReceivedFrame:
-    """Generate one received symbol window.
-
-    sample[t] = sum_k a_k·(b_k·s_k[t−τ_k] + b_k^{prev}·s_k[t−τ_k+N_c]) + n[t]
-    with s_k zero outside [0, N_c); the previous bits fill the leading τ_k
-    chips.  Noise is complex Gaussian with variance sigma² per sample;
-    rng may be None only when sigma² = 0.
+    """Generate one received symbol window: synthesize() plus complex
+    Gaussian noise of variance sigma² per sample; rng may be None only when
+    sigma² = 0.
     """
     k_users, n_chips = scenario.k_users, scenario.n_chips
     b = _check_bipolar("bits", bits, k_users)
     b_prev = _check_bipolar("prev_bits", prev_bits, k_users)
-    if np.any(channel.delay >= n_chips):
-        raise ValueError("delays must be < n_chips")
-    gains = channel.gains
-    t = np.arange(n_chips)
-    samples = np.zeros(n_chips, dtype=np.complex128)
-    for k in range(k_users):
-        tau = int(channel.delay[k])
-        rolled = np.roll(scenario.signatures[k].chips, tau)
-        coeff = np.where(t >= tau, b[k], b_prev[k])
-        samples += gains[k] * coeff * rolled
+    samples = synthesize(scenario, channel.gains, channel.delay, b, b_prev)
     sigma2 = scenario.noise_variance
     if sigma2 > 0:
         if rng is None:
@@ -253,13 +285,8 @@ def matched_filter_bank(frame: ReceivedFrame, scenario: CdmaScenario,
     if frame.samples.size != scenario.n_chips:
         raise ShapeError(
             f"frame has {frame.samples.size} samples, expected {scenario.n_chips}")
-    y = np.empty(scenario.k_users, dtype=np.complex128)
-    for k in range(scenario.k_users):
-        tau = int(channel.delay[k])
-        chips = scenario.signatures[k].chips
-        n_used = scenario.n_chips - tau
-        y[k] = np.dot(frame.samples[tau:], chips[:n_used])
-    return MfOutputs(y=y)
+    current, _ = delay_aligned(scenario, channel.delay)
+    return MfOutputs(y=current @ frame.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,6 +45,8 @@ def _open_out(path):
 
 
 def cmd_grover(args) -> int:
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     if args.scaling:
         return _grover_scaling(args)
     n = args.n
@@ -132,8 +133,9 @@ def cmd_ber(args) -> int:
     detector = cfg["detector"]
     if detector not in mud.DETECTORS:
         raise ConfigError(f"detector must be one of {mud.DETECTORS}")
-    seed = args.seed if args.seed_given else int(cfg.get("seed", config.DEFAULT_SEED))
     try:
+        seed = (args.seed if args.seed is not None
+                else int(cfg.get("seed", config.DEFAULT_SEED)))
         ebn0_list = [float(v) for v in cfg["ebn0_db_list"].split(",") if v.strip()]
         trials = int(cfg["trials"])
         scenario = cdma.make_scenario(
@@ -148,19 +150,16 @@ def cmd_ber(args) -> int:
         raise ConfigError(str(exc)) from exc
     if not ebn0_list:
         raise ConfigError("ebn0_db_list is empty")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if detector != "mf" and scenario.k_users > mud.EXHAUSTIVE_K_LIMIT:
+        raise ConfigError(f"detector {detector} supports at most "
+                          f"k_users = {mud.EXHAUSTIVE_K_LIMIT}")
 
-    master = np.random.default_rng(seed)
-    point_rngs = master.spawn(len(ebn0_list))
-
-    def run_point(i):
-        return mud.ber_sweep(scenario, detector, [ebn0_list[i]], trials,
-                             point_rngs[i]).points[0]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            points = list(pool.map(run_point, range(len(ebn0_list))))
-    else:
-        points = [run_point(i) for i in range(len(ebn0_list))]
+    point_rngs = np.random.default_rng(seed).spawn(len(ebn0_list))
+    points = [mud.ber_sweep(scenario, detector, [ebn0_db], trials,
+                            point_rng).points[0]
+              for ebn0_db, point_rng in zip(ebn0_list, point_rngs)]
     curve = mud.BerCurve(detector=detector, points=tuple(points))
 
     fh = _open_out(args.out)
@@ -235,12 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qmudsim",
         description="DS-CDMA quantum-assisted detection experiments")
 
-    def add_common(sub):
-        sub.add_argument("--seed", type=int, default=config.DEFAULT_SEED,
-                         help=f"RNG seed (default {config.DEFAULT_SEED})")
+    def add_common(sub, seed_default=config.DEFAULT_SEED,
+                   seed_help=f"RNG seed (default {config.DEFAULT_SEED})"):
+        sub.add_argument("--seed", type=int, default=seed_default,
+                         help=seed_help)
         sub.add_argument("--out", default=None, help="output file path")
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for independent sweep points")
 
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -261,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = subs.add_parser("ber", help="Monte-Carlo BER sweep from a config file")
     b.add_argument("--config", required=True, help="flat key=value config file")
-    add_common(b)
+    add_common(b, seed_default=None,
+               seed_help="RNG seed (default: the config's seed key, else "
+                         f"{config.DEFAULT_SEED})")
     b.set_defaults(func=cmd_ber)
 
     c = subs.add_parser("bsc", help="zero-capacity flip-channel demo")
@@ -283,12 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv_list = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv_list)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    args.seed_given = "--seed" in argv_list
     try:
         if args.command == "grover" and not args.scaling and args.n is None:
             parser.error("grover requires --n")

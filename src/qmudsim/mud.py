@@ -27,28 +27,16 @@ EXHAUSTIVE_K_LIMIT = 20
 DETECTORS = ("mf", "ml_exhaustive", "qmud")
 
 
-@dataclass(frozen=True, eq=False)
-class Hypothesis:
-    """Bipolar bit vector and its register index m.
+def bits_from_index(m: int, k_users: int) -> np.ndarray:
+    """±1 vector for hypothesis index m.
 
     Bit k of m is 0 exactly when user k sent +1 (little-endian, user k on
     bit k), matching the register convention of the quantum modules.
     """
-
-    bits: np.ndarray
-    index: int
-
-
-def bits_from_index(m: int, k_users: int) -> np.ndarray:
-    """±1 vector for hypothesis index m."""
     if not 0 <= m < (1 << k_users):
         raise ValueError(f"index {m} outside [0, {1 << k_users})")
     set_bits = (m >> np.arange(k_users)) & 1
     return (1 - 2 * set_bits).astype(np.int8)
-
-
-def hypothesis_from_index(m: int, k_users: int) -> Hypothesis:
-    return Hypothesis(bits=bits_from_index(m, k_users), index=m)
 
 
 def index_from_bits(bits) -> int:
@@ -69,15 +57,15 @@ def all_bit_vectors(k_users: int) -> np.ndarray:
 class CostFunction:
     """Score map over hypothesis indices; higher means more likely.
 
-    `evaluate` counts every call.  `table` caches one vectorized evaluation
-    of all indices for building oracle diagonals and does not touch the
-    counter; quantum-detector reports count diagonal constructions per
-    threshold round instead.
+    `table_fn` builds the scores of all 2^K indices at once; `table` calls it
+    on first use, caches the result, and does not touch the counter, so
+    quantum-detector reports count oracle-diagonal constructions per
+    threshold round instead.  `evaluate` reads scores from the table and
+    counts one evaluation per index read.
     """
 
-    def __init__(self, fn: Callable[[int], float], k_users: int, kind: str,
-                 table_fn: Optional[Callable[[], np.ndarray]] = None):
-        self._fn = fn
+    def __init__(self, table_fn: Callable[[], np.ndarray], k_users: int,
+                 kind: str):
         self._table_fn = table_fn
         self._table: Optional[np.ndarray] = None
         self.k_users = k_users
@@ -88,20 +76,22 @@ class CostFunction:
     def n_hypotheses(self) -> int:
         return 1 << self.k_users
 
-    def evaluate(self, m: int) -> float:
-        self.evaluations += 1
-        return float(self._fn(m))
-
-    __call__ = evaluate
+    def evaluate(self, m):
+        """Score of index m, or scores of an index array; counted."""
+        m = np.asarray(m)
+        if np.any((m < 0) | (m >= self.n_hypotheses)):
+            raise ValueError(f"index outside [0, {self.n_hypotheses})")
+        scores = self.table()[m]
+        self.evaluations += m.size
+        return scores
 
     def table(self) -> np.ndarray:
         if self._table is None:
-            if self._table_fn is not None:
-                self._table = np.asarray(self._table_fn(), dtype=float)
-            else:
-                self._table = np.fromiter(
-                    (self._fn(m) for m in range(self.n_hypotheses)),
-                    dtype=float, count=self.n_hypotheses)
+            table = np.asarray(self._table_fn(), dtype=float)
+            if table.shape != (self.n_hypotheses,):
+                raise ValueError(f"table of shape {table.shape}, expected "
+                                 f"({self.n_hypotheses},)")
+            self._table = table
         return self._table
 
 
@@ -121,24 +111,6 @@ class DetectionReport:
     correct: Optional[bool] = None
 
 
-def _reconstruction_parts(frame: ReceivedFrame, scenario: CdmaScenario,
-                          channel: ChannelState):
-    """Split the noiseless window into per-user current rows and a
-    previous-symbol constant, so the image of bits b is b @ rows + const."""
-    n_chips = scenario.n_chips
-    t = np.arange(n_chips)
-    gains = channel.gains
-    rows = np.zeros((scenario.k_users, n_chips), dtype=np.complex128)
-    const = np.zeros(n_chips, dtype=np.complex128)
-    for k in range(scenario.k_users):
-        tau = int(channel.delay[k])
-        rolled = np.roll(scenario.signatures[k].chips, tau)
-        current = (t >= tau).astype(float)
-        rows[k] = gains[k] * current * rolled
-        const += gains[k] * frame.prev_bits[k] * (1.0 - current) * rolled
-    return rows, const
-
-
 def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
                   channel: ChannelState, kind: str = "mls_chip") -> CostFunction:
     """Maximum-likelihood score under white Gaussian chip noise.
@@ -151,44 +123,20 @@ def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
     """
     if kind not in ("mls_chip", "mls_mf"):
         raise ValueError(f"unknown cost kind {kind!r}")
-    rows, const = _reconstruction_parts(frame, scenario, channel)
-
-    if kind == "mls_chip":
-        target = frame.samples
-
-        def images():
-            return all_bit_vectors(scenario.k_users) @ rows + const
-    else:
-        target = cdma.matched_filter_bank(frame, scenario, channel).y
-        mf_rows = np.zeros((scenario.k_users, scenario.n_chips))
-        for k in range(scenario.k_users):
-            tau = int(channel.delay[k])
-            chips = scenario.signatures[k].chips
-            mf_rows[k, tau:] = chips[:scenario.n_chips - tau]
-
-        def images():
-            chip_images = all_bit_vectors(scenario.k_users) @ rows + const
-            return chip_images @ mf_rows.T
 
     def table_fn():
-        diff = images() - target
+        images = cdma.synthesize(scenario, channel.gains, channel.delay,
+                                 all_bit_vectors(scenario.k_users),
+                                 frame.prev_bits)
+        target = frame.samples
+        if kind == "mls_mf":
+            current, _ = cdma.delay_aligned(scenario, channel.delay)
+            images = images @ current.T
+            target = cdma.matched_filter_bank(frame, scenario, channel).y
+        diff = images - target
         return -np.sum(diff.real**2 + diff.imag**2, axis=1)
 
-    def fn(m):
-        b = bits_from_index(m, scenario.k_users).astype(float)
-        image = b @ rows + const
-        if kind == "mls_mf":
-            image = image @ mf_rows.T
-        diff = image - target
-        return -float(np.sum(diff.real**2 + diff.imag**2))
-
-    return CostFunction(fn, scenario.k_users, kind, table_fn=table_fn)
-
-
-def mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
-             channel: ChannelState, m: int, kind: str = "mls_chip") -> float:
-    """One-off score of hypothesis m; see make_mls_cost."""
-    return make_mls_cost(frame, scenario, channel, kind=kind).evaluate(m)
+    return CostFunction(table_fn, scenario.k_users, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +194,13 @@ def _sample_hypothesis_outputs(scenario: CdmaScenario, m: int, n_mc: int,
         tau = np.zeros((n_mc, k_users), dtype=int)
     prev = rng.choice((-1.0, 1.0), size=(n_mc, k_users))
 
-    t = np.arange(n_chips)
-    samples = np.zeros((n_mc, n_chips), dtype=np.complex128)
-    aligned = np.empty((k_users, n_mc, n_chips))
-    for k in range(k_users):
-        chips = scenario.signatures[k].chips
-        shift = (t[None, :] - tau[:, k, None]) % n_chips
-        base = chips[shift]
-        current = t[None, :] >= tau[:, k, None]
-        coeff = np.where(current, bits[k], prev[:, k, None])
-        samples += gains[:, k, None] * coeff * base
-        aligned[k] = np.where(current, base, 0.0)
+    samples = cdma.synthesize(scenario, gains, tau, bits, prev)
     if scenario.noise_variance > 0:
         scale = math.sqrt(scenario.noise_variance / 2.0)
         samples = samples + scale * (rng.standard_normal((n_mc, n_chips))
                                      + 1j * rng.standard_normal((n_mc, n_chips)))
-    return np.einsum("nt,knt->nk", samples, aligned)
+    current, _ = cdma.delay_aligned(scenario, tau)
+    return (current @ samples[..., None])[..., 0]
 
 
 def empirical_cost(scenario: CdmaScenario, y_observed: MfOutputs, m: int,
@@ -286,10 +225,13 @@ def empirical_cost(scenario: CdmaScenario, y_observed: MfOutputs, m: int,
 def make_empirical_cf(scenario: CdmaScenario, y_observed: MfOutputs,
                       n_mc: int, rng: np.random.Generator,
                       grid: Optional[QuantGrid] = None) -> CostFunction:
-    """CostFunction wrapper around empirical_cost (uniform prior over m)."""
-    def fn(m):
-        return empirical_cost(scenario, y_observed, m, n_mc, rng, grid=grid)
-    return CostFunction(fn, scenario.k_users, "empirical")
+    """CostFunction wrapper around empirical_cost (uniform prior over m).
+
+    The table draws n_mc realizations per index, in index order."""
+    def table_fn():
+        return [empirical_cost(scenario, y_observed, m, n_mc, rng, grid=grid)
+                for m in range(1 << scenario.k_users)]
+    return CostFunction(table_fn, scenario.k_users, "empirical")
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +253,7 @@ def exhaustive_ml_detect(cf: CostFunction, k_users: int,
     if k_users > EXHAUSTIVE_K_LIMIT:
         raise SizeError(f"exhaustive search capped at K={EXHAUSTIVE_K_LIMIT}")
     start = cf.evaluations
-    scores = np.fromiter((cf.evaluate(m) for m in range(1 << k_users)),
-                         dtype=float, count=1 << k_users)
+    scores = cf.evaluate(np.arange(1 << k_users))
     best = int(np.argmax(scores))
     detected = bits_from_index(best, k_users)
     return DetectionReport(detected_bits=detected,
@@ -398,8 +339,9 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k = scenario_template.k_users
+    ebn0_db_list = list(ebn0_db_list)
     points = []
-    point_rngs = rng.spawn(len(list(ebn0_db_list)))
+    point_rngs = rng.spawn(len(ebn0_db_list))
     for ebn0_db, point_rng in zip(ebn0_db_list, point_rngs):
         scenario = cdma.with_noise_variance(
             scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmudsim import cdma
 from qmudsim.errors import ConfigError, ShapeError
@@ -117,6 +119,59 @@ class TestSynthesizeReceived:
         ch = fixed_channel([1], [0])
         with pytest.raises(ValueError):
             cdma.synthesize_received(sc, ch, [1], [1], None)
+
+    def test_delay_out_of_window_rejected(self):
+        sc = cdma.make_scenario("walsh", 1, 4, 0.0)
+        with pytest.raises(ValueError):
+            cdma.synthesize_received(sc, fixed_channel([1], [4]), [1], [1], None)
+        with pytest.raises(ValueError):
+            cdma.delay_aligned(sc, [-1])
+
+
+class TestBatchedModel:
+    """delay_aligned and synthesize against per-user, per-frame references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k_users=st.integers(1, 5), n_chips=st.integers(1, 12),
+           batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_delay_aligned_matches_roll_and_mask(self, k_users, n_chips,
+                                                 batch, seed):
+        rng = np.random.default_rng(seed)
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, 0.0,
+                                seed=seed)
+        delay = rng.integers(0, n_chips, size=(batch, k_users))
+        current, spill = cdma.delay_aligned(sc, delay)
+        assert current.shape == spill.shape == (batch, k_users, n_chips)
+        t = np.arange(n_chips)
+        for i in range(batch):
+            for k in range(k_users):
+                tau = delay[i, k]
+                rolled = np.roll(sc.signatures[k].chips, tau)
+                np.testing.assert_array_equal(current[i, k],
+                                              np.where(t >= tau, rolled, 0.0))
+                np.testing.assert_array_equal(spill[i, k],
+                                              np.where(t >= tau, 0.0, rolled))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k_users=st.integers(1, 5), n_chips=st.integers(1, 12),
+           trials=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_batched_synthesize_matches_per_frame_calls(self, k_users, n_chips,
+                                                        trials, seed):
+        rng = np.random.default_rng(seed)
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=seed)
+        channels = [cdma.sample_channel(sc, rng) for _ in range(trials)]
+        bits = rng.choice((-1, 1), size=(trials, k_users))
+        prev = rng.choice((-1, 1), size=(trials, k_users))
+        batched = cdma.synthesize(sc, np.stack([c.gains for c in channels]),
+                                  np.stack([c.delay for c in channels]),
+                                  bits, prev)
+        assert batched.shape == (trials, n_chips)
+        for i, ch in enumerate(channels):
+            frame = cdma.synthesize_received(sc, ch, bits[i], prev[i], None)
+            np.testing.assert_allclose(batched[i], frame.samples,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestMatchedFilterBank:

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -56,6 +59,14 @@ class TestGroverCommand:
     def test_marked_out_of_range(self):
         assert cli.main(["grover", "--n", "16", "--marked", "17"]) == 2
 
+    def test_zero_trials_rejected(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert cli.main(["grover", "--n", "16", "--trials", "0",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert cli.main(["grover", "--scaling", "--n", "64",
+                         "--scaling-max-exp", "7", "--trials", "0"]) == 2
+
     def test_scaling_mode(self, tmp_path):
         out = tmp_path / "scaling.csv"
         rc = cli.main(["grover", "--scaling", "--n", "64",
@@ -78,15 +89,6 @@ class TestBerCommand:
         assert cli.main(["ber", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = tmp_path / "ber.cfg"
-        cfg.write_text(BER_CONFIG)
-        out1, out4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-        assert cli.main(["ber", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert cli.main(["ber", "--config", str(cfg), "--out", str(out4),
-                         "--threads", "4"]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
-
     def test_manifest_written(self, tmp_path):
         cfg = tmp_path / "ber.cfg"
         cfg.write_text(BER_CONFIG)
@@ -105,6 +107,32 @@ class TestBerCommand:
                          "--seed", "1234"]) == 0
         assert cli.main(["ber", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_seed_flag_equals_form_overrides_config(self, tmp_path):
+        cfg = tmp_path / "ber.cfg"
+        cfg.write_text(BER_CONFIG)
+        spaced, joined = tmp_path / "s.csv", tmp_path / "j.csv"
+        assert cli.main(["ber", "--config", str(cfg), "--out", str(spaced),
+                         "--seed", "1234"]) == 0
+        assert cli.main(["ber", "--config", str(cfg), "--out", str(joined),
+                         "--seed=1234"]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        manifest = json.loads(
+            (tmp_path / "j.csv.manifest.json").read_text())
+        assert manifest["config"]["seed"] == 1234
+
+    def test_zero_trials_rejected(self, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(BER_CONFIG.replace("trials = 500", "trials = 0"))
+        assert cli.main(["ber", "--config", str(cfg)]) == 2
+
+    def test_k_above_exhaustive_limit_rejected(self, tmp_path):
+        for detector in ("ml_exhaustive", "qmud"):
+            cfg = tmp_path / f"{detector}.cfg"
+            cfg.write_text("signature_kind = random_bipolar\nk_users = 21\n"
+                           "n_chips = 32\ndetector = " + detector + "\n"
+                           "ebn0_db_list = 0\ntrials = 1\n")
+            assert cli.main(["ber", "--config", str(cfg)]) == 2, detector
 
     def test_noiseless_ml_column_zero(self, tmp_path):
         cfg = tmp_path / "clean.cfg"
@@ -178,3 +206,16 @@ class TestSeedDefault:
                          "--seed", str(config.DEFAULT_SEED),
                          "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_without_runpy_warning(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qmudsim.cli",
+             "bsc", "--p", "0", "--bits", "10"],
+            env=env, capture_output=True, text=True, timeout=120)
+        # -W error turns the runpy warning into a failing exit
+        assert done.returncode == 0, done.stderr

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qmudsim import cdma, mud, qsearch
@@ -27,12 +29,10 @@ def walsh2_frame():
 
 class TestHypothesisIndexing:
     def test_index_zero_is_all_plus(self):
-        h = mud.hypothesis_from_index(0, 3)
-        np.testing.assert_array_equal(h.bits, [1, 1, 1])
+        np.testing.assert_array_equal(mud.bits_from_index(0, 3), [1, 1, 1])
 
     def test_index_five_sets_users_0_and_2(self):
-        h = mud.hypothesis_from_index(5, 3)
-        np.testing.assert_array_equal(h.bits, [-1, 1, -1])
+        np.testing.assert_array_equal(mud.bits_from_index(5, 3), [-1, 1, -1])
 
     def test_round_trip_all_indices_k10(self):
         for m in range(1 << 10):
@@ -40,9 +40,9 @@ class TestHypothesisIndexing:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            mud.hypothesis_from_index(8, 3)
+            mud.bits_from_index(8, 3)
         with pytest.raises(ValueError):
-            mud.hypothesis_from_index(-1, 3)
+            mud.bits_from_index(-1, 3)
 
     def test_bits_validated(self):
         with pytest.raises(ValueError):
@@ -82,18 +82,32 @@ class TestMlsCost:
         expected = -float(np.sum(np.abs(frame.samples) ** 2))
         np.testing.assert_allclose(cf.table(), np.full(4, expected))
 
-    def test_table_matches_per_index_evaluation(self):
-        rng = np.random.default_rng(2)
-        sc = cdma.make_scenario("random_bipolar", 3, 8, 0.2,
+    @settings(max_examples=40, deadline=None)
+    @given(k_users=st.integers(1, 4), n_chips=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_table_matches_per_index_evaluation(self, k_users, n_chips, seed):
+        # Reference: score each hypothesis against its own noiseless frame
+        # and matched-filter outputs, one synthesize_received call per index.
+        rng = np.random.default_rng(seed)
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, 0.2,
                                 sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=5)
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=seed)
         ch = cdma.sample_channel(sc, rng)
-        frame = cdma.synthesize_received(sc, ch, [1, -1, 1], [-1, 1, 1], rng)
-        for kind in ("mls_chip", "mls_mf"):
+        bits = rng.choice((-1, 1), size=k_users)
+        prev = rng.choice((-1, 1), size=k_users)
+        frame = cdma.synthesize_received(sc, ch, bits, prev, rng)
+        y = cdma.matched_filter_bank(frame, sc, ch).y
+        sc_clean = cdma.with_noise_variance(sc, 0.0)
+        chip_ref, mf_ref = [], []
+        for m in range(1 << k_users):
+            image = cdma.synthesize_received(
+                sc_clean, ch, mud.bits_from_index(m, k_users), prev, None)
+            chip_ref.append(-np.sum(np.abs(frame.samples - image.samples) ** 2))
+            y_m = cdma.matched_filter_bank(image, sc_clean, ch).y
+            mf_ref.append(-np.sum(np.abs(y - y_m) ** 2))
+        for kind, ref in (("mls_chip", chip_ref), ("mls_mf", mf_ref)):
             cf = mud.make_mls_cost(frame, sc, ch, kind=kind)
-            per_index = np.array([mud.mls_cost(frame, sc, ch, m, kind=kind)
-                                  for m in range(8)])
-            np.testing.assert_allclose(cf.table(), per_index, atol=1e-10)
+            np.testing.assert_allclose(cf.table(), ref, rtol=1e-12, atol=1e-12)
 
     def test_chip_and_mf_kinds_agree_on_argmax_synchronous(self):
         # Nonsingular Gram + synchronous + clean frames: both forms peak at
@@ -119,11 +133,11 @@ class TestMlsCost:
                       lambda x: x ** 3]
         for _ in range(100):
             table = rng.standard_normal(16)
-            cf = mud.CostFunction(lambda m, t=table: t[m], 4, "mls_chip")
+            cf = mud.CostFunction(lambda t=table: t, 4, "mls_chip")
             base = mud.exhaustive_ml_detect(cf, 4)
             for f in transforms:
-                warped = mud.CostFunction(
-                    lambda m, t=table, f=f: float(f(t[m])), 4, "mls_chip")
+                warped = mud.CostFunction(lambda t=table, f=f: f(t), 4,
+                                          "mls_chip")
                 out = mud.exhaustive_ml_detect(warped, 4)
                 np.testing.assert_array_equal(out.detected_bits,
                                               base.detected_bits)
@@ -229,13 +243,26 @@ class TestExhaustiveDetect:
     def test_counter_exact_for_k8(self):
         rng = np.random.default_rng(7)
         table = rng.standard_normal(256)
-        cf = mud.CostFunction(lambda m: table[m], 8, "mls_chip")
+        cf = mud.CostFunction(lambda: table, 8, "mls_chip")
         report = mud.exhaustive_ml_detect(cf, 8)
         assert report.cf_evaluations == 256
         assert cf.evaluations == 256
 
+    def test_evaluate_reads_the_table_and_counts_each_index(self):
+        table = np.arange(8.0)
+        cf = mud.CostFunction(lambda: table, 3, "mls_chip")
+        assert cf.evaluate(5) == 5.0
+        np.testing.assert_array_equal(cf.evaluate([7, 0]), [7.0, 0.0])
+        assert cf.evaluations == 3
+        with pytest.raises(ValueError):
+            cf.evaluate(8)
+        with pytest.raises(ValueError):
+            cf.evaluate(-1)
+        with pytest.raises(ValueError):
+            mud.CostFunction(lambda: np.zeros(7), 3, "mls_chip").table()
+
     def test_constant_cost_ties_to_index_zero(self):
-        cf = mud.CostFunction(lambda m: 1.0, 3, "mls_chip")
+        cf = mud.CostFunction(lambda: np.ones(8), 3, "mls_chip")
         report = mud.exhaustive_ml_detect(cf, 3)
         np.testing.assert_array_equal(report.detected_bits, [1, 1, 1])
 
@@ -251,7 +278,7 @@ class TestExhaustiveDetect:
             assert report.correct
 
     def test_k_guard(self):
-        cf = mud.CostFunction(lambda m: 0.0, 21, "mls_chip")
+        cf = mud.CostFunction(lambda: np.zeros(1 << 21), 21, "mls_chip")
         with pytest.raises(SizeError):
             mud.exhaustive_ml_detect(cf, 21)
 
@@ -267,14 +294,14 @@ class TestQmudDetect:
             assert report.correct
 
     def test_constant_cost_accepts_any_hypothesis(self):
-        cf = mud.CostFunction(lambda m: 2.5, 3, "mls_chip")
+        cf = mud.CostFunction(lambda: np.full(8, 2.5), 3, "mls_chip")
         report = mud.qmud_detect(cf, 3, np.random.default_rng(10))
         assert report.detected_bits.shape == (3,)
         assert report.cf_evaluations >= 1  # threshold rounds attempted
 
     def test_round_count_reported_as_cf_evaluations(self):
         rng = np.random.default_rng(11)
-        cf = mud.CostFunction(lambda m: float(m), 6, "mls_chip")
+        cf = mud.CostFunction(lambda: np.arange(64.0), 6, "mls_chip")
         report = mud.qmud_detect(cf, 6, rng)
         rounds = report.cf_evaluations
         assert rounds >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures
@@ -343,6 +370,15 @@ class TestBerSweep:
         record = json.loads(lines[0])
         assert set(record) == {"ebn0_db", "trial", "true_bits", "detected_bits",
                                "bit_errors", "cf_evaluations", "grover_queries"}
+
+    def test_generator_of_points(self):
+        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
+        from_list = mud.ber_sweep(sc, "mf", [0.0, 2.0], 50,
+                                  np.random.default_rng(19))
+        from_gen = mud.ber_sweep(sc, "mf", (db for db in (0.0, 2.0)), 50,
+                                 np.random.default_rng(19))
+        assert len(from_gen.points) == 2
+        assert from_gen.points == from_list.points
 
     def test_detector_validated(self):
         sc = cdma.make_scenario("walsh", 1, 2, 0.0)
