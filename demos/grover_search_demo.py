@@ -13,7 +13,7 @@ from qmudsim import qsearch
 rng = np.random.default_rng(2)
 
 N = 64
-oracle = qsearch.MarkingOracle(6, lambda i: i == 42)
+oracle = qsearch.MarkingOracle(np.arange(N) == 42)
 k_star = qsearch.optimal_iterations(N, 1)
 print(f"search space N={N}, one marked index, optimal steps k* = {k_star}\n")
 print(" k   predicted   measured")
@@ -24,7 +24,7 @@ for k in range(k_star + 3):
     print(f"{k:2d}   {predicted:.4f}      {measured:.4f}{marker}")
 
 print("\n== fixed-count search with known M ==")
-rep = qsearch.grover_search(qsearch.MarkingOracle(6, lambda i: i == 42), 1, rng)
+rep = qsearch.grover_search(qsearch.MarkingOracle(np.arange(N) == 42), 1, rng)
 print(f"found index {rep.found} after {rep.iterations_used} steps "
       f"({rep.grover_queries} oracle queries, verified classically)")
 
@@ -34,13 +34,13 @@ for marked in (1, 4, 16):
     mask[rng.choice(N, size=marked, replace=False)] = True
     queries = []
     for _ in range(2000):
-        o = qsearch.MarkingOracle.from_mask(mask)
+        o = qsearch.MarkingOracle(mask)
         queries.append(qsearch.bbht_search(o, rng).grover_queries)
     print(f"M={marked:2d}: mean queries {np.mean(queries):5.2f}   "
           f"(√(N/M) = {np.sqrt(N / marked):.2f})")
 
 print("\n== existence testing ==")
-empty = qsearch.MarkingOracle(6, lambda i: False)
-something = qsearch.MarkingOracle(6, lambda i: i == 7)
+empty = qsearch.MarkingOracle(np.zeros(N, dtype=bool))
+something = qsearch.MarkingOracle(np.arange(N) == 7)
 print("any marked in empty oracle?  ", qsearch.existence_test(empty, rng, 3))
 print("any marked when one exists?  ", qsearch.existence_test(something, rng, 3))

@@ -21,7 +21,7 @@ for exp in range(6, 13):
     mask[n // 2] = True
     total = 0.0
     for _ in range(trials):
-        oracle = qsearch.MarkingOracle.from_mask(mask)
+        oracle = qsearch.MarkingOracle(mask)
         rep = qsearch.bbht_search(oracle, rng)
         total += rep.grover_queries + rep.verification_queries
     sizes.append(n)

@@ -127,24 +127,25 @@ class CdmaScenario:
 
 @dataclass(frozen=True, eq=False)
 class ReceivedFrame:
-    """One symbol observation window plus the transmitted truth for scoring."""
+    """Symbol observation windows plus the transmitted truth for scoring."""
 
-    samples: np.ndarray    # N_c complex chip-rate samples
-    true_bits: np.ndarray  # ±1 per user
-    prev_bits: np.ndarray  # ±1 per user, previous symbol (spill-in hook)
+    samples: np.ndarray    # (..., N_c) complex chip-rate samples
+    true_bits: np.ndarray  # (..., K) ±1 per user
+    prev_bits: np.ndarray  # (..., K) ±1 per user, previous symbol (spill-in)
 
 
 @dataclass(frozen=True, eq=False)
 class MfOutputs:
-    """Matched-filter bank output, one complex value per user."""
+    """Matched-filter bank output, one complex value per user: (..., K)."""
 
     y: np.ndarray
 
 
 def _check_bipolar(name: str, bits, k_users: int) -> np.ndarray:
     arr = np.asarray(bits)
-    if arr.shape != (k_users,):
-        raise ShapeError(f"{name} must have length {k_users}, got {arr.shape}")
+    if arr.shape[-1:] != (k_users,):
+        raise ShapeError(f"{name} must have {k_users} users on its last "
+                         f"axis, got shape {arr.shape}")
     if not np.all(np.abs(arr) == 1):
         raise ValueError(f"{name} entries must be ±1")
     return arr.astype(float)
@@ -191,9 +192,18 @@ def ebn0_db_to_noise_variance(ebn0_db: float) -> float:
 
     Per-bit energy is E[A²] times the unit signature energy, i.e. 1 for both
     gain models, and the unit-energy matched filter passes the chip noise
-    variance through unchanged, so Eb/N0 = 1/sigma².
+    variance through unchanged, so Eb/N0 = 1/sigma².  +inf dB is the
+    noiseless channel; NaN, −inf and other values whose variance overflows
+    are rejected.
     """
-    return 10.0 ** (-ebn0_db / 10.0)
+    try:
+        sigma2 = 10.0 ** (-float(ebn0_db) / 10.0)
+    except OverflowError:
+        sigma2 = float("inf")
+    if not np.isfinite(sigma2):
+        raise ConfigError(f"Eb/N0 of {ebn0_db!r} dB gives no finite noise "
+                          "variance")
+    return sigma2
 
 
 def with_noise_variance(scenario: CdmaScenario, sigma2: float) -> CdmaScenario:
@@ -201,24 +211,25 @@ def with_noise_variance(scenario: CdmaScenario, sigma2: float) -> CdmaScenario:
     return dataclasses.replace(scenario, noise_variance=sigma2)
 
 
-def sample_channel(scenario: CdmaScenario,
-                   rng: np.random.Generator) -> ChannelState:
+def sample_channel(scenario: CdmaScenario, rng: np.random.Generator,
+                   shape: tuple = ()) -> ChannelState:
     """Draw per-user (A, α, τ) independently per the scenario's model.
 
+    Each array has shape `shape + (K,)`, one channel per leading index.
     Rayleigh gains are scaled so E[A²] = 1; the fixed model pins a_k = 1.
     Delays are uniform over chip offsets in asynchronous mode, else 0.
     """
-    k = scenario.k_users
+    size = tuple(shape) + (scenario.k_users,)
     if scenario.gain_model == GAIN_RAYLEIGH:
-        amplitude = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=k)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        amplitude = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=size)
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
     else:
-        amplitude = np.ones(k)
-        phase = np.zeros(k)
+        amplitude = np.ones(size)
+        phase = np.zeros(size)
     if scenario.sync_mode == CHIP_ASYNC:
-        delay = rng.integers(0, scenario.n_chips, size=k)
+        delay = rng.integers(0, scenario.n_chips, size=size)
     else:
-        delay = np.zeros(k, dtype=int)
+        delay = np.zeros(size, dtype=int)
     return ChannelState(amplitude=amplitude, phase=phase, delay=delay)
 
 
@@ -256,21 +267,21 @@ def synthesize(scenario: CdmaScenario, gains, delay, bits,
 def synthesize_received(scenario: CdmaScenario, channel: ChannelState,
                         bits, prev_bits,
                         rng: Optional[np.random.Generator]) -> ReceivedFrame:
-    """Generate one received symbol window: synthesize() plus complex
-    Gaussian noise of variance sigma² per sample; rng may be None only when
-    sigma² = 0.
+    """Generate received symbol windows: synthesize() plus complex Gaussian
+    noise of variance sigma² per sample; rng may be None only when
+    sigma² = 0.  Broadcasts over leading trial dims of the (..., K) channel
+    and bit arrays, giving samples of shape (..., N_c).
     """
-    k_users, n_chips = scenario.k_users, scenario.n_chips
-    b = _check_bipolar("bits", bits, k_users)
-    b_prev = _check_bipolar("prev_bits", prev_bits, k_users)
+    b = _check_bipolar("bits", bits, scenario.k_users)
+    b_prev = _check_bipolar("prev_bits", prev_bits, scenario.k_users)
     samples = synthesize(scenario, channel.gains, channel.delay, b, b_prev)
     sigma2 = scenario.noise_variance
     if sigma2 > 0:
         if rng is None:
             raise ValueError("rng required when noise_variance > 0")
         scale = np.sqrt(sigma2 / 2.0)
-        samples = samples + scale * (rng.standard_normal(n_chips)
-                                     + 1j * rng.standard_normal(n_chips))
+        samples = samples + scale * (rng.standard_normal(samples.shape)
+                                     + 1j * rng.standard_normal(samples.shape))
     return ReceivedFrame(samples=samples,
                          true_bits=np.asarray(bits).copy(),
                          prev_bits=np.asarray(prev_bits).copy())
@@ -281,12 +292,14 @@ def matched_filter_bank(frame: ReceivedFrame, scenario: CdmaScenario,
     """Correlate the window against each user's delay-aligned signature.
 
     y_k = sum_t samples[t]·s_k[t−τ_k]; delays are known to the receiver.
+    Broadcasts over leading trial dims: (..., N_c) samples and (..., K)
+    delays give (..., K) outputs.
     """
-    if frame.samples.size != scenario.n_chips:
-        raise ShapeError(
-            f"frame has {frame.samples.size} samples, expected {scenario.n_chips}")
+    if frame.samples.shape[-1:] != (scenario.n_chips,):
+        raise ShapeError(f"frame has samples of shape {frame.samples.shape}, "
+                         f"expected (..., {scenario.n_chips})")
     current, _ = delay_aligned(scenario, channel.delay)
-    return MfOutputs(y=current @ frame.samples)
+    return MfOutputs(y=(current @ frame.samples[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,22 +26,29 @@ from . import __version__, cdma, config, mud, qchannel, qsearch
 from .errors import ConfigError
 
 
-def _write_manifest(out_path: str, subcommand: str, resolved: dict) -> None:
+def _emit(args, write, subcommand: str, resolved: dict) -> None:
+    """Call write(fh) on --out, or on stdout without --out; with --out, also
+    write the JSON manifest of the resolved configuration next to it."""
+    if args.out is None:
+        write(sys.stdout)
+        return
+    with open(args.out, "w", newline="") as fh:
+        write(fh)
     manifest = {
         "subcommand": subcommand,
         "config": resolved,
         "version": __version__,
-        "out": str(out_path),
+        "out": str(args.out),
     }
-    with open(str(out_path) + ".manifest.json", "w") as fh:
+    with open(str(args.out) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout
-    return open(path, "w", newline="")
+def _check_search_space(n_qubits: int) -> None:
+    if n_qubits > config.MAX_QUBITS:
+        raise ConfigError(f"search space 2^{n_qubits} exceeds "
+                          f"2^{config.MAX_QUBITS} states")
 
 
 def cmd_grover(args) -> int:
@@ -52,33 +59,26 @@ def cmd_grover(args) -> int:
     n = args.n
     if n < 2 or n & (n - 1):
         raise ConfigError(f"--n must be a power of 2 >= 2, got {n}")
+    _check_search_space(n.bit_length() - 1)
     if not 1 <= args.marked <= n:
         raise ConfigError(f"--marked must be in [1, {n}], got {args.marked}")
-    n_qubits = n.bit_length() - 1
-    rng = np.random.default_rng(args.seed)
-    marked = set(range(args.marked))
-    oracle = qsearch.MarkingOracle(n_qubits, lambda i: i in marked)
     k_max = args.k_max
     if k_max is None:
         k_max = qsearch.optimal_iterations(n, args.marked)
-    rows = []
+    if k_max < 0:
+        raise ConfigError(f"--k-max must be >= 0, got {k_max}")
+    rng = np.random.default_rng(args.seed)
+    mask = np.zeros(n, dtype=bool)
+    mask[:args.marked] = True
+    oracle = qsearch.MarkingOracle(mask)
+    rows = [["k", "predicted_success", "measured_success", "trials"]]
     for k in range(k_max + 1):
         predicted = qsearch.success_probability(n, args.marked, k)
         measured = qsearch.measured_success_rate(oracle, k, args.trials, rng)
-        rows.append((k, predicted, measured))
-    fh = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "predicted_success", "measured_success", "trials"])
-        for k, predicted, measured in rows:
-            writer.writerow([k, repr(predicted), repr(measured), args.trials])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-    if args.out:
-        _write_manifest(args.out, "grover", {
-            "n": n, "marked": args.marked, "trials": args.trials,
-            "k_max": k_max, "seed": args.seed})
+        rows.append([k, repr(predicted), repr(measured), args.trials])
+    _emit(args, lambda fh: csv.writer(fh).writerows(rows), "grover", {
+        "n": n, "marked": args.marked, "trials": args.trials,
+        "k_max": k_max, "seed": args.seed})
     return 0
 
 
@@ -89,30 +89,23 @@ def _grover_scaling(args) -> int:
         raise ConfigError(f"--n must be a power of 2 >= 2, got {n_min}")
     exponents = range(n_min.bit_length() - 1,
                       max(n_min.bit_length() - 1, args.scaling_max_exp) + 1)
-    fh = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean_grover_queries", "mean_verifications",
-                         "exhaustive_evaluations", "trials"])
-        for exp in exponents:
-            n_states = 1 << exp
-            mask = np.zeros(n_states, dtype=bool)
-            mask[:args.marked] = True
-            g_sum = v_sum = 0.0
-            for _ in range(args.trials):
-                oracle = qsearch.MarkingOracle.from_mask(mask)
-                rep = qsearch.bbht_search(oracle, rng)
-                g_sum += rep.grover_queries
-                v_sum += rep.verification_queries
-            writer.writerow([n_states, repr(g_sum / args.trials),
-                             repr(v_sum / args.trials), n_states, args.trials])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-    if args.out:
-        _write_manifest(args.out, "grover-scaling", {
-            "n_min": n_min, "max_exp": args.scaling_max_exp,
-            "marked": args.marked, "trials": args.trials, "seed": args.seed})
+    _check_search_space(exponents[-1])
+    rows = [["n", "mean_grover_queries", "mean_verifications",
+             "exhaustive_evaluations", "trials"]]
+    for exp in exponents:
+        n_states = 1 << exp
+        mask = np.zeros(n_states, dtype=bool)
+        mask[:args.marked] = True
+        g_sum = v_sum = 0.0
+        for _ in range(args.trials):
+            rep = qsearch.bbht_search(qsearch.MarkingOracle(mask), rng)
+            g_sum += rep.grover_queries
+            v_sum += rep.verification_queries
+        rows.append([n_states, repr(g_sum / args.trials),
+                     repr(v_sum / args.trials), n_states, args.trials])
+    _emit(args, lambda fh: csv.writer(fh).writerows(rows), "grover-scaling", {
+        "n_min": n_min, "max_exp": args.scaling_max_exp,
+        "marked": args.marked, "trials": args.trials, "seed": args.seed})
     return 0
 
 
@@ -156,22 +149,11 @@ def cmd_ber(args) -> int:
         raise ConfigError(f"detector {detector} supports at most "
                           f"k_users = {mud.EXHAUSTIVE_K_LIMIT}")
 
-    point_rngs = np.random.default_rng(seed).spawn(len(ebn0_list))
-    points = [mud.ber_sweep(scenario, detector, [ebn0_db], trials,
-                            point_rng).points[0]
-              for ebn0_db, point_rng in zip(ebn0_list, point_rngs)]
-    curve = mud.BerCurve(detector=detector, points=tuple(points))
-
-    fh = _open_out(args.out)
-    try:
-        curve.write_csv(fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-    if args.out:
-        resolved = dict(cfg)
-        resolved["seed"] = seed
-        _write_manifest(args.out, "ber", resolved)
+    curve = mud.ber_sweep(scenario, detector, ebn0_list, trials,
+                          np.random.default_rng(seed))
+    resolved = dict(cfg)
+    resolved["seed"] = seed
+    _emit(args, curve.write_csv, "ber", resolved)
     return 0
 
 
@@ -185,9 +167,7 @@ def cmd_bsc(args) -> int:
     print(report.format_table())
     print(report.to_json())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-        _write_manifest(args.out, "bsc", {
+        _emit(args, lambda fh: fh.write(report.to_json() + "\n"), "bsc", {
             "p": args.p, "bits": args.bits, "seed": args.seed})
     return 0
 
@@ -207,25 +187,17 @@ def cmd_qmud_agree(args) -> int:
     print(f"agreement {result.agreement:.4f} over {result.trials} trials; "
           f"mean grover queries {result.mean_grover_queries:.1f} "
           f"vs {result.exhaustive_evaluations} exhaustive evaluations")
-    fh = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["k_users", "trials", "ebn0_db", "agreement",
-                         "mean_grover_queries", "mean_verification_queries",
-                         "mean_threshold_rounds", "exhaustive_evaluations"])
-        writer.writerow([result.k_users, result.trials, repr(result.ebn0_db),
-                         repr(result.agreement),
-                         repr(result.mean_grover_queries),
-                         repr(result.mean_verification_queries),
-                         repr(result.mean_threshold_rounds),
-                         result.exhaustive_evaluations])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-    if args.out:
-        _write_manifest(args.out, "qmud-agree", {
-            "k": args.k, "n_chips": args.n_chips, "trials": args.trials,
-            "ebn0": args.ebn0, "seed": args.seed})
+    rows = [["k_users", "trials", "ebn0_db", "agreement",
+             "mean_grover_queries", "mean_verification_queries",
+             "mean_threshold_rounds", "exhaustive_evaluations"],
+            [result.k_users, result.trials, repr(result.ebn0_db),
+             repr(result.agreement), repr(result.mean_grover_queries),
+             repr(result.mean_verification_queries),
+             repr(result.mean_threshold_rounds),
+             result.exhaustive_evaluations]]
+    _emit(args, lambda fh: csv.writer(fh).writerows(rows), "qmud-agree", {
+        "k": args.k, "n_chips": args.n_chips, "trials": args.trials,
+        "ebn0": args.ebn0, "seed": args.seed})
     return 0
 
 

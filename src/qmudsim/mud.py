@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cdma, qsearch
 from .cdma import CdmaScenario, ChannelState, MfOutputs, ReceivedFrame
-from .errors import SizeError
+from .errors import ConfigError, SizeError
 
 EXHAUSTIVE_K_LIMIT = 20
 
@@ -179,28 +179,12 @@ def quantize_mf(y: np.ndarray, grid: QuantGrid) -> np.ndarray:
 def _sample_hypothesis_outputs(scenario: CdmaScenario, m: int, n_mc: int,
                                rng: np.random.Generator) -> np.ndarray:
     """(n_mc, K) filter outputs for bits(m) over random channel/noise/prev draws."""
-    k_users, n_chips = scenario.k_users, scenario.n_chips
-    bits = bits_from_index(m, k_users).astype(float)
-    if scenario.gain_model == cdma.GAIN_RAYLEIGH:
-        amp = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=(n_mc, k_users))
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_mc, k_users))
-    else:
-        amp = np.ones((n_mc, k_users))
-        phase = np.zeros((n_mc, k_users))
-    gains = amp * np.exp(1j * phase)
-    if scenario.sync_mode == cdma.CHIP_ASYNC:
-        tau = rng.integers(0, n_chips, size=(n_mc, k_users))
-    else:
-        tau = np.zeros((n_mc, k_users), dtype=int)
-    prev = rng.choice((-1.0, 1.0), size=(n_mc, k_users))
-
-    samples = cdma.synthesize(scenario, gains, tau, bits, prev)
-    if scenario.noise_variance > 0:
-        scale = math.sqrt(scenario.noise_variance / 2.0)
-        samples = samples + scale * (rng.standard_normal((n_mc, n_chips))
-                                     + 1j * rng.standard_normal((n_mc, n_chips)))
-    current, _ = cdma.delay_aligned(scenario, tau)
-    return (current @ samples[..., None])[..., 0]
+    channel = cdma.sample_channel(scenario, rng, (n_mc,))
+    prev = rng.choice((-1.0, 1.0), size=(n_mc, scenario.k_users))
+    frame = cdma.synthesize_received(scenario, channel,
+                                     bits_from_index(m, scenario.k_users),
+                                     prev, rng)
+    return cdma.matched_filter_bank(frame, scenario, channel).y
 
 
 def empirical_cost(scenario: CdmaScenario, y_observed: MfOutputs, m: int,
@@ -263,9 +247,7 @@ def exhaustive_ml_detect(cf: CostFunction, k_users: int,
 
 
 def qmud_detect(cf: CostFunction, k_users: int, rng: np.random.Generator,
-                true_bits=None,
-                search_cfg: qsearch.SearchConfig = qsearch.MAXIMUM_SEARCH_CONFIG,
-                ) -> DetectionReport:
+                true_bits=None) -> DetectionReport:
     """Quantum-assisted detection via threshold maximum search.
 
     The K-qubit register holds all 2^K hypotheses at once; each threshold
@@ -274,7 +256,7 @@ def qmud_detect(cf: CostFunction, k_users: int, rng: np.random.Generator,
     above-threshold set.  Returns the incumbent even when the final rounds
     exhaust their budgets.
     """
-    report = qsearch.maximum_search(cf.table(), k_users, rng, cfg=search_cfg)
+    report = qsearch.maximum_search(cf.table(), k_users, rng)
     detected = bits_from_index(report.found, k_users)
     return DetectionReport(detected_bits=detected,
                            cf_evaluations=report.iterations_used,
@@ -325,7 +307,6 @@ class BerCurve:
 
 def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
               trials: int, rng: np.random.Generator,
-              search_cfg: qsearch.SearchConfig = qsearch.MAXIMUM_SEARCH_CONFIG,
               trace_fh=None) -> BerCurve:
     """Monte-Carlo bit-error-rate sweep for one detector.
 
@@ -340,11 +321,13 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
         raise ValueError("trials must be >= 1")
     k = scenario_template.k_users
     ebn0_db_list = list(ebn0_db_list)
+    # convert every point first, so a bad Eb/N0 fails before any trial runs
+    sigma2_list = [cdma.ebn0_db_to_noise_variance(e) for e in ebn0_db_list]
     points = []
     point_rngs = rng.spawn(len(ebn0_db_list))
-    for ebn0_db, point_rng in zip(ebn0_db_list, point_rngs):
-        scenario = cdma.with_noise_variance(
-            scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
+    for ebn0_db, sigma2, point_rng in zip(ebn0_db_list, sigma2_list,
+                                          point_rngs):
+        scenario = cdma.with_noise_variance(scenario_template, sigma2)
         bit_errors = 0
         cf_total = 0.0
         grover_total = 0.0
@@ -362,8 +345,7 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
                 report = exhaustive_ml_detect(cf, k, true_bits=bits)
             else:
                 cf = make_mls_cost(frame, scenario, channel)
-                report = qmud_detect(cf, k, point_rng, true_bits=bits,
-                                     search_cfg=search_cfg)
+                report = qmud_detect(cf, k, point_rng, true_bits=bits)
             errors = int(np.sum(report.detected_bits != bits))
             bit_errors += errors
             cf_total += report.cf_evaluations
@@ -393,7 +375,11 @@ def analytic_bpsk_ber(ebn0_db: float) -> float:
 
 @dataclass(frozen=True)
 class AgreementResult:
-    """Quantum-assisted vs exhaustive detection over random instances."""
+    """Quantum-assisted vs exhaustive detection over random instances.
+
+    `redraws` counts the instances drawn again because they had no unique
+    maximum.
+    """
 
     k_users: int
     trials: int
@@ -403,17 +389,17 @@ class AgreementResult:
     mean_verification_queries: float
     mean_threshold_rounds: float
     exhaustive_evaluations: int
+    redraws: int
 
 
 def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
-                   trials: int, rng: np.random.Generator,
-                   search_cfg: qsearch.SearchConfig = qsearch.MAXIMUM_SEARCH_CONFIG,
-                   ) -> AgreementResult:
+                   trials: int, rng: np.random.Generator) -> AgreementResult:
     """Fraction of random noisy instances where the quantum-assisted detector
     lands on the exhaustive argmax.
 
     Instances without a unique maximizer (ties at float precision) are
-    redrawn so agreement is well defined.
+    redrawn so agreement is well defined, at most `trials` times in total;
+    one more tie raises ConfigError.
     """
     k = scenario_template.k_users
     scenario = cdma.with_noise_variance(
@@ -423,6 +409,7 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     verify_total = 0.0
     rounds_total = 0.0
     done = 0
+    redraws = 0
     while done < trials:
         channel = cdma.sample_channel(scenario, rng)
         bits = rng.choice((-1, 1), size=k)
@@ -432,9 +419,14 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
         table = cf.table()
         order = np.sort(table)
         if order[-1] == order[-2]:  # no unique argmax; redraw
+            redraws += 1
+            if redraws > trials:
+                raise ConfigError(
+                    f"at Eb/N0 {ebn0_db!r} dB, {redraws} instances had no "
+                    f"unique maximum (at most {trials} redraws allowed)")
             continue
         best = int(np.argmax(table))
-        report = qsearch.maximum_search(table, k, rng, cfg=search_cfg)
+        report = qsearch.maximum_search(table, k, rng)
         agree += int(report.found == best)
         grover_total += report.grover_queries
         verify_total += report.verification_queries
@@ -445,4 +437,5 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
                            mean_grover_queries=grover_total / trials,
                            mean_verification_queries=verify_total / trials,
                            mean_threshold_rounds=rounds_total / trials,
-                           exhaustive_evaluations=1 << k)
+                           exhaustive_evaluations=1 << k,
+                           redraws=redraws)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,57 +45,40 @@ MAXIMUM_SEARCH_CONFIG = SearchConfig(growth_factor=1.33, budget_factor=1.8)
 
 
 class MarkingOracle:
-    """Predicate over basis-state indices, applied as a phase flip.
+    """Boolean mask over basis-state indices, applied as a phase flip.
 
     `query_count` increments once per application to the register;
-    `verification_count` once per classical predicate check.  In simulation
-    the predicate is evaluated over all indices once and cached as the
-    diagonal of the flip operator.
+    `verification_count` once per classical check of one index.  The flip
+    operator's diagonal is built from the mask on first use.
     """
 
-    def __init__(self, n_qubits: int, predicate: Callable[[int], bool]):
+    def __init__(self, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        n_qubits = mask.size.bit_length() - 1
+        if mask.ndim != 1 or n_qubits < 0 or mask.size != 1 << n_qubits:
+            raise ShapeError(
+                f"mask of shape {mask.shape} is not 1-D of power-of-2 length")
         self.n_qubits = n_qubits
-        self.predicate = predicate
+        self.mask = mask
         self.query_count = 0
         self.verification_count = 0
-        self._mask: Optional[np.ndarray] = None
         self._diag: Optional[qcore.DiagonalUnitary] = None
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "MarkingOracle":
-        """Build from a boolean marked-index mask of power-of-2 length."""
-        mask = np.asarray(mask, dtype=bool)
-        n = mask.size.bit_length() - 1
-        if mask.size != 1 << n:
-            raise ShapeError(f"mask length {mask.size} is not a power of 2")
-        oracle = cls(n, lambda i: bool(mask[i]))
-        oracle._mask = mask
-        return oracle
 
     @property
     def n_states(self) -> int:
         return 1 << self.n_qubits
 
-    @property
-    def marked_mask(self) -> np.ndarray:
-        if self._mask is None:
-            self._mask = np.fromiter(
-                (bool(self.predicate(i)) for i in range(self.n_states)),
-                dtype=bool, count=self.n_states)
-        return self._mask
-
     def apply_to(self, s: qcore.StateVector) -> qcore.StateVector:
         """Flip the sign of marked amplitudes; one oracle query."""
         if self._diag is None:
-            self._diag = qcore.DiagonalUnitary(
-                np.where(self.marked_mask, -1.0, 1.0))
+            self._diag = qcore.DiagonalUnitary(np.where(self.mask, -1.0, 1.0))
         self.query_count += 1
         return qcore.apply_unitary(self._diag, s)
 
     def verify(self, index: int) -> bool:
         """Classical check of one index; counted separately from queries."""
         self.verification_count += 1
-        return bool(self.predicate(index))
+        return bool(self.mask[index])
 
 
 @dataclass(frozen=True)
@@ -198,8 +181,7 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
 
 
 def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
-                   confidence_rounds: int,
-                   cfg: SearchConfig = DEFAULT_CONFIG) -> bool:
+                   confidence_rounds: int) -> bool:
     """One-sided test of whether any index is marked.
 
     True is always correct (the hit is verified); False is wrong with a
@@ -209,34 +191,25 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
     if confidence_rounds < 1:
         raise ValueError("confidence_rounds must be >= 1")
     for _ in range(confidence_rounds):
-        if bbht_search(oracle, rng, cfg).succeeded:
+        if bbht_search(oracle, rng).succeeded:
             return True
     return False
 
 
-def maximum_search(cost: Union[Callable[[int], float], np.ndarray],
-                   n_qubits: int, rng: np.random.Generator,
-                   cfg: SearchConfig = MAXIMUM_SEARCH_CONFIG) -> SearchReport:
-    """Locate an index maximizing `cost` by iterated threshold search.
+def maximum_search(table: np.ndarray, n_qubits: int,
+                   rng: np.random.Generator) -> SearchReport:
+    """Locate an index maximizing a score table by iterated threshold search.
 
     Keeps a best-so-far threshold t seeded from one random sample, then
-    repeatedly searches the oracle "cost(m) > t" with the randomized
-    schedule; every verified hit raises the threshold.  Stops after
-    cfg.max_failures consecutive rounds find nothing and returns the
-    incumbent.  Ties are kept by the first index found.
-
-    `cost` may be a callable on indices or a precomputed value table; the
-    callable is evaluated once per basis state to build each round's flip
-    diagonal (the table is cached across rounds).
+    repeatedly searches the oracle mask "table > t" with the randomized
+    schedule of MAXIMUM_SEARCH_CONFIG; every verified hit raises the
+    threshold.  Stops after max_failures consecutive rounds find nothing and
+    returns the incumbent.  Ties are kept by the first index found.
     """
     n_states = 1 << n_qubits
-    if isinstance(cost, np.ndarray):
-        table = np.asarray(cost, dtype=float)
-        if table.shape != (n_states,):
-            raise ShapeError(f"cost table must have shape ({n_states},)")
-    else:
-        table = np.fromiter((cost(i) for i in range(n_states)),
-                            dtype=float, count=n_states)
+    table = np.asarray(table, dtype=float)
+    if table.shape != (n_states,):
+        raise ShapeError(f"cost table must have shape ({n_states},)")
 
     incumbent = int(rng.integers(0, n_states))
     threshold = table[incumbent]
@@ -244,10 +217,10 @@ def maximum_search(cost: Union[Callable[[int], float], np.ndarray],
     verify_total = 0
     rounds = 0
     failures = 0
-    while failures < cfg.max_failures:
-        oracle = MarkingOracle.from_mask(table > threshold)
+    while failures < MAXIMUM_SEARCH_CONFIG.max_failures:
+        oracle = MarkingOracle(table > threshold)
         rounds += 1
-        rep = bbht_search(oracle, rng, cfg)
+        rep = bbht_search(oracle, rng, MAXIMUM_SEARCH_CONFIG)
         grover_total += rep.grover_queries
         verify_total += rep.verification_queries
         if rep.succeeded:
@@ -276,4 +249,4 @@ def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
         s = grover_iterate(oracle, s)
     p = qcore.probabilities(s)
     outcomes = rng.choice(oracle.n_states, size=trials, p=p / p.sum())
-    return float(np.mean(oracle.marked_mask[outcomes]))
+    return float(np.mean(oracle.mask[outcomes]))

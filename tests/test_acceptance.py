@@ -23,7 +23,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_grover_success_curve():
     """N=64, M=1: measured success matches sin²((2k+1)·asin(1/8)) ± 0.02."""
     rng = np.random.default_rng(101)
-    oracle = qsearch.MarkingOracle(6, lambda i: i == 21)
+    oracle = qsearch.MarkingOracle(np.arange(64) == 21)
     t0 = time.perf_counter()
     worst = 0.0
     for k in range(13):
@@ -51,7 +51,7 @@ def test_criterion_2_query_scaling():
         mask[n_states // 3] = True
         total = 0.0
         for _ in range(trials):
-            oracle = qsearch.MarkingOracle.from_mask(mask)
+            oracle = qsearch.MarkingOracle(mask)
             rep = qsearch.bbht_search(oracle, rng)
             total += rep.grover_queries + rep.verification_queries
         sizes.append(n_states)
@@ -75,7 +75,7 @@ def test_criterion_3_single_shot_failure_scaling():
         n_qubits = n_states.bit_length() - 1
         mask = np.zeros(n_states, dtype=bool)
         mask[:marked] = True
-        oracle = qsearch.MarkingOracle.from_mask(mask)
+        oracle = qsearch.MarkingOracle(mask)
         rate = qsearch.measured_success_rate(oracle, 0, trials, rng)
         p = marked / n_states
         sigma = math.sqrt(p * (1 - p) / trials)

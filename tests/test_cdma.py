@@ -173,6 +173,22 @@ class TestBatchedModel:
             np.testing.assert_allclose(batched[i], frame.samples,
                                        rtol=1e-12, atol=1e-12)
 
+        channel = cdma.sample_channel(sc, rng, (trials,))
+        assert (channel.amplitude.shape == channel.phase.shape
+                == channel.delay.shape == (trials, k_users))
+        frames = cdma.synthesize_received(sc, channel, bits, prev, None)
+        y = cdma.matched_filter_bank(frames, sc, channel).y
+        assert y.shape == (trials, k_users)
+        for i in range(trials):
+            ch = cdma.ChannelState(channel.amplitude[i], channel.phase[i],
+                                   channel.delay[i])
+            frame = cdma.synthesize_received(sc, ch, bits[i], prev[i], None)
+            np.testing.assert_allclose(frames.samples[i], frame.samples,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                y[i], cdma.matched_filter_bank(frame, sc, ch).y,
+                rtol=1e-12, atol=1e-12)
+
 
 class TestMatchedFilterBank:
     def test_walsh_two_user_outputs(self):
@@ -320,3 +336,8 @@ class TestEbn0Conversion:
         assert cdma.ebn0_db_to_noise_variance(0.0) == pytest.approx(1.0)
         assert cdma.ebn0_db_to_noise_variance(10.0) == pytest.approx(0.1)
         assert cdma.ebn0_db_to_noise_variance(float("inf")) == 0.0
+
+    @pytest.mark.parametrize("ebn0_db", [float("nan"), float("-inf"), -4000.0])
+    def test_no_finite_noise_variance_rejected(self, ebn0_db):
+        with pytest.raises(ConfigError):
+            cdma.ebn0_db_to_noise_variance(ebn0_db)

@@ -67,6 +67,24 @@ class TestGroverCommand:
         assert cli.main(["grover", "--scaling", "--n", "64",
                          "--scaling-max-exp", "7", "--trials", "0"]) == 2
 
+    def test_negative_k_max_rejected(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert cli.main(["grover", "--n", "16", "--k-max", "-3",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_search_space_above_register_limit_rejected(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert cli.main(["grover", "--scaling", "--n", "33554432",
+                         "--scaling-max-exp", "25", "--trials", "1",
+                         "--out", str(out)]) == 2
+        assert cli.main(["grover", "--scaling", "--n", "64",
+                         "--scaling-max-exp", "25", "--trials", "1",
+                         "--out", str(out)]) == 2
+        assert cli.main(["grover", "--n", "33554432", "--trials", "1",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_scaling_mode(self, tmp_path):
         out = tmp_path / "scaling.csv"
         rc = cli.main(["grover", "--scaling", "--n", "64",
@@ -144,6 +162,16 @@ class TestBerCommand:
         rows = read_csv(out)
         assert float(rows[1][1]) == 0.0
 
+    def test_ebn0_without_finite_noise_variance_rejected(self, tmp_path):
+        for ebn0 in ("nan", "-inf", "0,nan"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(BER_CONFIG.replace("ebn0_db_list = 0,4",
+                                              f"ebn0_db_list = {ebn0}"))
+            out = tmp_path / "bad.csv"
+            assert cli.main(["ber", "--config", str(cfg),
+                             "--out", str(out)]) == 2, ebn0
+            assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BER_CONFIG + "mystery = 1\n")
@@ -194,6 +222,25 @@ class TestQmudAgreeCommand:
 
     def test_k_validated(self):
         assert cli.main(["qmud-agree", "--k", "0"]) == 2
+
+    def test_nan_ebn0_rejected(self, tmp_path):
+        out = tmp_path / "agree.csv"
+        assert cli.main(["qmud-agree", "--k", "3", "--trials", "2",
+                         "--ebn0", "nan", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_all_tied_instances_stop_after_trials_redraws(self):
+        # At -400 dB every score ties at float precision, so each instance
+        # is redrawn; a subprocess bounds the run if the redraws never stop.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "qmudsim.cli", "qmud-agree", "--k", "4",
+             "--trials", "3", "--ebn0", "-400"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "ConfigError" in done.stderr and "4 instances" in done.stderr
 
 
 class TestSeedDefault:

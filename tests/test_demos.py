@@ -1,0 +1,22 @@
+"""Smoke test of the demos that build a MarkingOracle: each runs to exit 0.
+
+The remaining demos take about 30 s together and are left to manual runs.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("demo", ["grover_search_demo.py",
+                                  "query_scaling_demo.py"])
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qmudsim import cdma, mud, qsearch
-from qmudsim.errors import SizeError
+from qmudsim.errors import ConfigError, SizeError
 
 
 def fixed_channel(gains, delays):
@@ -315,6 +315,16 @@ class TestQmudDetect:
         result = mud.qmud_agreement(sc, 8.0, 300, rng)
         assert result.agreement >= 0.98
         assert result.mean_grover_queries < result.exhaustive_evaluations
+
+    def test_tie_redraws_counted_and_capped(self):
+        sc = cdma.make_scenario("random_bipolar", 4, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+        result = mud.qmud_agreement(sc, 8.0, 20, np.random.default_rng(14))
+        assert result.redraws == 0
+        # every score ties at float precision at -400 dB
+        with pytest.raises(ConfigError, match="4 instances"):
+            mud.qmud_agreement(sc, -400.0, 3, np.random.default_rng(14))
 
 
 class TestBerSweep:
