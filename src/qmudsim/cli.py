@@ -87,6 +87,8 @@ def _grover_scaling(args) -> int:
     n_min = args.n if args.n else 64
     if n_min < 2 or n_min & (n_min - 1):
         raise ConfigError(f"--n must be a power of 2 >= 2, got {n_min}")
+    if not 1 <= args.marked <= n_min:
+        raise ConfigError(f"--marked must be in [1, {n_min}], got {args.marked}")
     exponents = range(n_min.bit_length() - 1,
                       max(n_min.bit_length() - 1, args.scaling_max_exp) + 1)
     _check_search_space(exponents[-1])

@@ -59,8 +59,8 @@ class CostFunction:
 
     `table_fn` builds the scores of all 2^K indices at once; `table` calls it
     on first use, caches the result, and does not touch the counter, so
-    quantum-detector reports count oracle-diagonal constructions per
-    threshold round instead.  `evaluate` reads scores from the table and
+    quantum-detector reports count oracle masks (one per threshold round)
+    instead.  `evaluate` reads scores from the table and
     counts one evaluation per index read.
     """
 
@@ -100,7 +100,7 @@ class DetectionReport:
     """One detection outcome with its work accounting.
 
     `cf_evaluations` is exact call count for classical detectors and the
-    number of oracle-diagonal constructions (threshold rounds) for the
+    number of oracle masks built (one per threshold round) for the
     quantum-assisted detector; `grover_queries` is 0 for classical
     detectors.  `correct` is None when the true bits were not supplied.
     """
@@ -251,9 +251,9 @@ def qmud_detect(cf: CostFunction, k_users: int, rng: np.random.Generator,
     """Quantum-assisted detection via threshold maximum search.
 
     The K-qubit register holds all 2^K hypotheses at once; each threshold
-    round compiles the score table into one oracle diagonal (counted once
-    per round in cf_evaluations) and the randomized search amplifies the
-    above-threshold set.  Returns the incumbent even when the final rounds
+    round compiles the score table into one oracle mask (counted once per
+    round in cf_evaluations) and the randomized search amplifies the
+    above-threshold set, sampled in closed form by qsearch.bbht_search.  Returns the incumbent even when the final rounds
     exhaust their budgets.
     """
     report = qsearch.maximum_search(cf.table(), k_users, rng)

@@ -5,6 +5,14 @@ a known number of marked items, the randomized growing-schedule search for an
 unknown count (giving up on a query budget), one-sided existence testing, and
 threshold-driven maximum finding.  Every oracle application to the register
 is counted; classical verifications are counted separately.
+
+The fixed-count search and `measured_success_rate` evolve a state vector step
+by step.  The randomized search samples each round's measurement from its
+closed form instead: the oracle is a ±1 diagonal and the start state is
+uniform, so after j steps the outcome is marked with probability
+sin²((2j+1)θ), θ = asin(√(M/N)), and uniform within the marked or unmarked
+set (Boyer–Brassard–Høyer–Tapp, quant-ph/9605034).  The j queries are still
+counted one per step.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ class MarkingOracle:
 
     `query_count` increments once per application to the register;
     `verification_count` once per classical check of one index.  The flip
-    operator's diagonal is built from the mask on first use.
+    operator's diagonal and the marked / unmarked index sets are built from
+    the mask on first use.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -63,6 +72,7 @@ class MarkingOracle:
         self.query_count = 0
         self.verification_count = 0
         self._diag: Optional[qcore.DiagonalUnitary] = None
+        self._index_sets: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def n_states(self) -> int:
@@ -74,6 +84,13 @@ class MarkingOracle:
             self._diag = qcore.DiagonalUnitary(np.where(self.mask, -1.0, 1.0))
         self.query_count += 1
         return qcore.apply_unitary(self._diag, s)
+
+    def index_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(marked, unmarked) basis-state indices in increasing order."""
+        if self._index_sets is None:
+            self._index_sets = (np.flatnonzero(self.mask),
+                                np.flatnonzero(~self.mask))
+        return self._index_sets
 
     def verify(self, index: int) -> bool:
         """Classical check of one index; counted separately from queries."""
@@ -148,13 +165,16 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
     amplification steps, measures, and classically verifies; on failure m
     grows by cfg.growth_factor up to sqrt(N).  Gives up (succeeded=False,
     not an error) once cfg.budget_factor * sqrt(N) queries are spent, which
-    covers the case of zero marked items.
+    covers the case of zero marked items.  Each round counts its j oracle
+    queries and draws the measured index from the closed-form distribution
+    after j steps (see the module docstring), so no register is built.
     """
     n_states = oracle.n_states
     sqrt_n = math.sqrt(n_states)
     budget = math.ceil(cfg.budget_factor * sqrt_n)
     g0, v0 = oracle.query_count, oracle.verification_count
-    uniform = qcore.uniform_superposition(oracle.n_qubits)
+    marked, unmarked = oracle.index_sets()
+    theta = math.asin(math.sqrt(marked.size / n_states))
 
     def report(found, succeeded):
         return SearchReport(found=found,
@@ -168,11 +188,13 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
     while True:
         j = int(rng.integers(0, math.ceil(m)))
         j = min(j, budget - used)
-        s = uniform
-        for _ in range(j):
-            s = grover_iterate(oracle, s)
+        oracle.query_count += j
         used += j
-        outcome = qcore.measure(s, rng).outcome
+        # sin² is exactly 0 for M = 0 and exactly 1 in the first (j = 0)
+        # round for M = N, so neither draws from an empty index set.
+        hit = rng.random() < math.sin((2 * j + 1) * theta) ** 2
+        pool = marked if hit else unmarked
+        outcome = int(pool[rng.integers(0, pool.size)])
         if oracle.verify(outcome):
             return report(outcome, True)
         if used >= budget:
@@ -240,13 +262,13 @@ def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
                           rng: np.random.Generator) -> float:
     """Fraction of measurements hitting a marked index after k iterations.
 
-    Evolves the register once and samples `trials` measurements from the
-    resulting distribution; statistics are identical to re-preparing the
-    state per trial.
+    Evolves the register once and draws the outcome counts of `trials`
+    measurements as one multinomial sample, so memory is O(N) for any
+    `trials`; statistics are identical to re-preparing the state per trial.
     """
     s = qcore.uniform_superposition(oracle.n_qubits)
     for _ in range(k):
         s = grover_iterate(oracle, s)
     p = qcore.probabilities(s)
-    outcomes = rng.choice(oracle.n_states, size=trials, p=p / p.sum())
-    return float(np.mean(oracle.mask[outcomes]))
+    counts = rng.multinomial(trials, p / p.sum())
+    return float(counts[oracle.mask].sum() / trials)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qmudsim import cli
 
@@ -83,6 +84,14 @@ class TestGroverCommand:
                          "--out", str(out)]) == 2
         assert cli.main(["grover", "--n", "33554432", "--trials", "1",
                          "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("marked", ["-1", "0", "65"])
+    def test_scaling_marked_out_of_range(self, marked, tmp_path):
+        out = tmp_path / "g.csv"
+        assert cli.main(["grover", "--scaling", "--n", "64",
+                         "--scaling-max-exp", "7", "--marked", marked,
+                         "--trials", "5", "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_scaling_mode(self, tmp_path):

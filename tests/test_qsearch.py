@@ -1,17 +1,84 @@
-"""Grover-family search: amplification step, schedules, query accounting."""
+"""Grover-family search: amplification step, schedules, query accounting.
+
+`reference_bbht_search` is the randomized search evolved on a state vector,
+one `grover_iterate` per oracle query; `qsearch.bbht_search` samples the
+same measurement from its closed form and is tested against it.
+"""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qmudsim import qcore, qsearch
 from qmudsim.errors import ShapeError
+
+# Fixed-seed equivalence tests reject at this p-value.
+EQUIVALENCE_ALPHA = 1e-3
 
 
 def oracle_marking(n_qubits, indices):
     return qsearch.MarkingOracle(
         np.isin(np.arange(1 << n_qubits), list(indices)))
+
+
+def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
+    """State-vector BBHT: the schedule of qsearch.bbht_search, with each
+    round's j steps applied to a register and the outcome measured from it."""
+    n_states = oracle.n_states
+    sqrt_n = math.sqrt(n_states)
+    budget = math.ceil(cfg.budget_factor * sqrt_n)
+    g0, v0 = oracle.query_count, oracle.verification_count
+    uniform = qcore.uniform_superposition(oracle.n_qubits)
+
+    def report(found, succeeded):
+        return qsearch.SearchReport(
+            found=found,
+            grover_queries=oracle.query_count - g0,
+            verification_queries=oracle.verification_count - v0,
+            iterations_used=oracle.query_count - g0,
+            succeeded=succeeded)
+
+    m = 1.0
+    used = 0
+    while True:
+        j = int(rng.integers(0, math.ceil(m)))
+        j = min(j, budget - used)
+        s = uniform
+        for _ in range(j):
+            s = qsearch.grover_iterate(oracle, s)
+        used += j
+        outcome = qcore.measure(s, rng).outcome
+        if oracle.verify(outcome):
+            return report(outcome, True)
+        if used >= budget:
+            return report(None, False)
+        m = min(cfg.growth_factor * m, sqrt_n)
+
+
+def reference_maximum_search(table, n_qubits, rng):
+    """qsearch.maximum_search with every round run by reference_bbht_search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsearch, "bbht_search", reference_bbht_search)
+        return qsearch.maximum_search(table, n_qubits, rng)
+
+
+def homogeneity_p(a, b, min_count=10):
+    """Chi-square p-value that two samples of discrete outcomes share one
+    distribution.  Outcomes seen fewer than min_count times in the two
+    samples together are pooled into one category."""
+    ca, cb = Counter(a), Counter(b)
+    total = ca + cb
+    common = [o for o in total if total[o] >= min_count]
+    rare = [o for o in total if total[o] < min_count]
+    rows = np.array([[c[o] for o in common] + [sum(c[o] for o in rare)]
+                     for c in (ca, cb)])
+    rows = rows[:, rows.sum(axis=0) > 0]
+    if rows.shape[1] < 2:
+        return 1.0
+    return stats.chi2_contingency(rows).pvalue
 
 
 class TestGroverIterate:
@@ -135,6 +202,58 @@ class TestBbhtSearch:
             else:
                 assert not mask.any() or rep.grover_queries > 0
 
+    def test_nothing_marked_spends_exactly_the_budget(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            oracle = oracle_marking(6, [])
+            rep = qsearch.bbht_search(oracle, rng)
+            assert not rep.succeeded and rep.found is None
+            assert rep.grover_queries == math.ceil(4.0 * 8) == oracle.query_count
+            assert rep.verification_queries == oracle.verification_count
+
+    @pytest.mark.parametrize("cfg", [qsearch.DEFAULT_CONFIG,
+                                     qsearch.MAXIMUM_SEARCH_CONFIG])
+    def test_everything_marked_hits_in_round_one(self, cfg):
+        rng = np.random.default_rng(18)
+        for n_qubits in range(1, 11):
+            rep = qsearch.bbht_search(oracle_marking(n_qubits, range(1 << n_qubits)),
+                                      rng, cfg)
+            assert rep.succeeded and 0 <= rep.found < 1 << n_qubits
+            assert (rep.grover_queries, rep.verification_queries) == (0, 1)
+
+
+@pytest.mark.parametrize("n_qubits, n_marked, seed", [
+    (4, 0, 101), (6, 1, 102), (8, 1, 103), (5, 7, 104), (4, 16, 105)])
+def test_bbht_matches_state_vector_reference(n_qubits, n_marked, seed):
+    rng = np.random.default_rng(seed)
+    marked = rng.choice(1 << n_qubits, size=n_marked, replace=False)
+    new, ref = ([search(oracle_marking(n_qubits, marked), rng)
+                 for _ in range(2000)]
+                for search in (qsearch.bbht_search, reference_bbht_search))
+    for rep in new + ref:
+        assert rep.succeeded == (rep.found is not None)
+        assert not rep.succeeded or rep.found in marked
+    assert homogeneity_p([r.found for r in new],
+                         [r.found for r in ref]) > EQUIVALENCE_ALPHA
+    assert stats.ks_2samp([r.grover_queries for r in new],
+                          [r.grover_queries for r in ref]).pvalue > EQUIVALENCE_ALPHA
+    assert homogeneity_p([r.verification_queries for r in new],
+                         [r.verification_queries for r in ref]) > EQUIVALENCE_ALPHA
+
+
+def test_maximum_search_matches_state_vector_reference():
+    rng = np.random.default_rng(106)
+    tables = rng.random((1500, 64))
+    new = [qsearch.maximum_search(t, 6, rng) for t in tables]
+    ref = [reference_maximum_search(t, 6, rng) for t in tables]
+    for reports in (new, ref):
+        agree = np.mean([t[r.found] == t.max() for t, r in zip(tables, reports)])
+        assert agree >= 0.99
+    for field in ("grover_queries", "iterations_used", "verification_queries"):
+        p = stats.ks_2samp([getattr(r, field) for r in new],
+                           [getattr(r, field) for r in ref]).pvalue
+        assert p > EQUIVALENCE_ALPHA, field
+
 
 class TestExistenceTest:
     def test_empty_is_always_false(self):
@@ -227,6 +346,14 @@ class TestStatisticalInvariants:
             other = qsearch.measured_success_rate(oracle, k, trials, rng)
             assert best >= other - 0.02
 
+    def test_trial_count_does_not_bound_memory(self):
+        rng = np.random.default_rng(19)
+        rate = qsearch.measured_success_rate(oracle_marking(10, [777]), 25,
+                                             10**12, rng)
+        assert 0.0 <= rate <= 1.0
+        assert rate == pytest.approx(qsearch.success_probability(1024, 1, 25),
+                                     abs=1e-5)
+
     def test_uniform_measurement_acceptance_rate(self):
         rng = np.random.default_rng(16)
         for n_states, marked in [(64, 1), (64, 8), (256, 16)]:
@@ -245,6 +372,14 @@ class TestMarkingOracle:
         assert oracle.n_qubits == 2
         assert oracle.verify(1) and not oracle.verify(0)
         assert oracle.verification_count == 2
+
+    def test_index_sets_partition_and_cache(self):
+        mask = np.array([False, True, False, True, True, False, False, False])
+        oracle = qsearch.MarkingOracle(mask)
+        marked, unmarked = oracle.index_sets()
+        np.testing.assert_array_equal(marked, [1, 3, 4])
+        np.testing.assert_array_equal(unmarked, [0, 2, 5, 6, 7])
+        assert oracle.index_sets()[0] is marked
 
     def test_bad_mask_length(self):
         with pytest.raises(ShapeError):
