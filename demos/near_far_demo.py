@@ -15,17 +15,15 @@ chips1 = np.array([1.0, 1, 1, 1]) / 2
 chips2 = np.array([1.0, 1, 1, -1]) / 2
 print("code correlation <s1, s2> =", float(chips1 @ chips2))
 
-scenario = cdma.CdmaScenario(
-    k_users=2, n_chips=4,
-    signatures=(cdma.Signature(0, chips1), cdma.Signature(1, chips2)),
-    noise_variance=0.0)
+scenario = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
+                             noise_variance=0.0)
 channel = cdma.ChannelState(amplitude=np.array([1.0, 10.0]),
                             phase=np.zeros(2), delay=np.zeros(2, dtype=int))
 true_bits = np.array([1, -1])
 
 frame = cdma.synthesize_received(scenario, channel, true_bits, [1, 1], None)
 y = cdma.matched_filter_bank(frame, scenario, channel)
-print("matched-filter outputs:", np.round(y.y.real, 3))
+print("matched-filter outputs:", np.round(y.real, 3))
 
 mf = mud.mf_detect(y, channel, true_bits=true_bits)
 print(f"\nmatched-filter decision: {mf.detected_bits}  "

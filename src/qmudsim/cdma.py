@@ -14,7 +14,7 @@ import csv
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -32,21 +32,6 @@ GAIN_MODELS = (GAIN_FIXED, GAIN_RAYLEIGH)
 SIGNATURE_KINDS = ("walsh", "random_bipolar")
 
 _ENERGY_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Signature:
-    """Unit-energy bipolar spreading sequence of one user."""
-
-    user: int
-    chips: np.ndarray
-
-    def __post_init__(self):
-        chips = np.asarray(self.chips, dtype=float)
-        energy = float(np.sum(chips**2))
-        if abs(energy - 1.0) > _ENERGY_TOL:
-            raise ValueError(f"signature energy {energy!r}, expected 1")
-        object.__setattr__(self, "chips", chips)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,38 +64,43 @@ class ChannelState:
 
 @dataclass(frozen=True, eq=False)
 class CdmaScenario:
-    """Static description of one uplink: codes, channel model, noise level."""
+    """Static description of one uplink: codes, channel model, noise level.
 
-    k_users: int
-    n_chips: int
-    signatures: tuple
+    `signatures` is the (K, N_c) array of unit-energy chip sequences, one row
+    per user; the scenario keeps a read-only float copy of it.
+    """
+
+    signatures: np.ndarray
     noise_variance: float
     sync_mode: str = SYNCHRONOUS
     gain_model: str = GAIN_FIXED
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_users < 1:
-            raise ConfigError("need at least one user")
-        if len(self.signatures) != self.k_users:
-            raise ConfigError(
-                f"{len(self.signatures)} signatures for {self.k_users} users")
-        for sig in self.signatures:
-            if sig.chips.size != self.n_chips:
-                raise ConfigError(
-                    f"signature of user {sig.user} has {sig.chips.size} chips, "
-                    f"expected {self.n_chips}")
+        chips = np.array(self.signatures, dtype=float)
+        if chips.ndim != 2 or chips.size == 0:
+            raise ConfigError("signatures must be a (K, N_c) array with at "
+                              f"least one user and one chip, got shape "
+                              f"{chips.shape}")
+        energy = np.sum(chips**2, axis=1)
+        if not np.all(np.abs(energy - 1.0) <= _ENERGY_TOL):
+            raise ConfigError(f"signature energies {energy}, expected 1")
+        chips.setflags(write=False)
+        object.__setattr__(self, "signatures", chips)
         if self.sync_mode not in SYNC_MODES:
             raise ConfigError(f"sync_mode must be one of {SYNC_MODES}")
         if self.gain_model not in GAIN_MODELS:
             raise ConfigError(f"gain_model must be one of {GAIN_MODELS}")
-        if self.noise_variance < 0:
-            raise ConfigError("noise_variance must be >= 0")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ConfigError("noise_variance must be finite and >= 0")
 
     @property
-    def signature_matrix(self) -> np.ndarray:
-        """(K, N_c) array of chip sequences."""
-        return np.stack([sig.chips for sig in self.signatures])
+    def k_users(self) -> int:
+        return self.signatures.shape[0]
+
+    @property
+    def n_chips(self) -> int:
+        return self.signatures.shape[1]
 
     @functools.cached_property
     def _padded_chips(self):
@@ -119,7 +109,7 @@ class CdmaScenario:
         s_k[t − τ], or zero where t − τ falls outside [0, N_c)."""
         n = self.n_chips
         padded = np.zeros((self.k_users, 3 * n))
-        padded[:, n:2 * n] = self.signature_matrix
+        padded[:, n:2 * n] = self.signatures
         position = (3 * n * np.arange(self.k_users)[:, None] + n
                     + np.arange(n))
         return padded.ravel(), position
@@ -127,18 +117,10 @@ class CdmaScenario:
 
 @dataclass(frozen=True, eq=False)
 class ReceivedFrame:
-    """Symbol observation windows plus the transmitted truth for scoring."""
+    """Symbol observation windows and the previous bits that spill into them."""
 
     samples: np.ndarray    # (..., N_c) complex chip-rate samples
-    true_bits: np.ndarray  # (..., K) ±1 per user
     prev_bits: np.ndarray  # (..., K) ±1 per user, previous symbol (spill-in)
-
-
-@dataclass(frozen=True, eq=False)
-class MfOutputs:
-    """Matched-filter bank output, one complex value per user: (..., K)."""
-
-    y: np.ndarray
 
 
 def _check_bipolar(name: str, bits, k_users: int) -> np.ndarray:
@@ -152,8 +134,8 @@ def _check_bipolar(name: str, bits, k_users: int) -> np.ndarray:
 
 
 def generate_signatures(kind: str, k_users: int, n_chips: int,
-                        seed: int) -> tuple:
-    """Build K unit-energy signatures of the requested family.
+                        seed: int) -> np.ndarray:
+    """(K, N_c) array of unit-energy signatures of the requested family.
 
     "walsh" uses rows of a Hadamard matrix (pairwise orthogonal; requires a
     power-of-2 N_c >= K); "random_bipolar" draws i.i.d. ±1 chips seeded for
@@ -170,11 +152,9 @@ def generate_signatures(kind: str, k_users: int, n_chips: int,
         if k_users > n_chips:
             raise ConfigError(
                 f"walsh supports at most n_chips={n_chips} users, got {k_users}")
-        rows = hadamard(n_chips).astype(float) * scale
-        return tuple(Signature(k, rows[k]) for k in range(k_users))
+        return hadamard(n_chips)[:k_users].astype(float) * scale
     rng = np.random.default_rng(seed)
-    chips = rng.choice((-1.0, 1.0), size=(k_users, n_chips)) * scale
-    return tuple(Signature(k, chips[k]) for k in range(k_users))
+    return rng.choice((-1.0, 1.0), size=(k_users, n_chips)) * scale
 
 
 def make_scenario(signature_kind: str, k_users: int, n_chips: int,
@@ -182,9 +162,8 @@ def make_scenario(signature_kind: str, k_users: int, n_chips: int,
                   gain_model: str = GAIN_FIXED, seed: int = 0) -> CdmaScenario:
     """Convenience builder: generate signatures and assemble the scenario."""
     sigs = generate_signatures(signature_kind, k_users, n_chips, seed)
-    return CdmaScenario(k_users=k_users, n_chips=n_chips, signatures=sigs,
-                        noise_variance=noise_variance, sync_mode=sync_mode,
-                        gain_model=gain_model, seed=seed)
+    return CdmaScenario(signatures=sigs, noise_variance=noise_variance,
+                        sync_mode=sync_mode, gain_model=gain_model, seed=seed)
 
 
 def ebn0_db_to_noise_variance(ebn0_db: float) -> float:
@@ -282,13 +261,11 @@ def synthesize_received(scenario: CdmaScenario, channel: ChannelState,
         scale = np.sqrt(sigma2 / 2.0)
         samples = samples + scale * (rng.standard_normal(samples.shape)
                                      + 1j * rng.standard_normal(samples.shape))
-    return ReceivedFrame(samples=samples,
-                         true_bits=np.asarray(bits).copy(),
-                         prev_bits=np.asarray(prev_bits).copy())
+    return ReceivedFrame(samples=samples, prev_bits=b_prev)
 
 
 def matched_filter_bank(frame: ReceivedFrame, scenario: CdmaScenario,
-                        channel: ChannelState) -> MfOutputs:
+                        channel: ChannelState) -> np.ndarray:
     """Correlate the window against each user's delay-aligned signature.
 
     y_k = sum_t samples[t]·s_k[t−τ_k]; delays are known to the receiver.
@@ -299,7 +276,7 @@ def matched_filter_bank(frame: ReceivedFrame, scenario: CdmaScenario,
         raise ShapeError(f"frame has samples of shape {frame.samples.shape}, "
                          f"expected (..., {scenario.n_chips})")
     current, _ = delay_aligned(scenario, channel.delay)
-    return MfOutputs(y=(current @ frame.samples[..., None])[..., 0])
+    return (current @ frame.samples[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +304,23 @@ def parse_kv_config(text: str) -> dict:
 
 
 def scenario_to_config(scenario: CdmaScenario) -> dict:
-    """Flat string map describing the scenario (sigma2 form)."""
-    kind = "walsh" if _looks_walsh(scenario) else "random_bipolar"
+    """Flat string map describing the scenario (sigma2 form).
+
+    The signature kind is the one whose generate_signatures rebuilds the
+    scenario's chips from its sizes and seed; custom chips have no config
+    form and raise ConfigError.
+    """
+    for kind in SIGNATURE_KINDS:
+        try:
+            chips = generate_signatures(kind, scenario.k_users,
+                                        scenario.n_chips, scenario.seed)
+        except ValueError:
+            continue
+        if np.array_equal(chips, scenario.signatures):
+            break
+    else:
+        raise ConfigError("signatures match no signature kind at the "
+                          "scenario's sizes and seed")
     return {
         "signature_kind": kind,
         "k_users": str(scenario.k_users),
@@ -338,15 +330,6 @@ def scenario_to_config(scenario: CdmaScenario) -> dict:
         "sigma2": repr(float(scenario.noise_variance)),
         "seed": str(scenario.seed),
     }
-
-
-def _looks_walsh(scenario: CdmaScenario) -> bool:
-    n = scenario.n_chips
-    if n & (n - 1):
-        return False
-    rows = hadamard(n).astype(float) / np.sqrt(n)
-    mat = scenario.signature_matrix
-    return mat.shape[0] <= n and np.array_equal(mat, rows[:mat.shape[0]])
 
 
 def scenario_from_config(cfg: dict) -> CdmaScenario:
@@ -372,6 +355,8 @@ def scenario_from_config(cfg: dict) -> CdmaScenario:
                   else ebn0_db_to_noise_variance(float(cfg["ebn0_db"])))
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in scenario config: {exc}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return make_scenario(signature_kind=cfg["signature_kind"],
                          k_users=k_users, n_chips=n_chips,
                          noise_variance=sigma2,
@@ -381,7 +366,10 @@ def scenario_from_config(cfg: dict) -> CdmaScenario:
 
 
 def frame_to_csv(frame: ReceivedFrame, path) -> None:
-    """Dump the window as rows of (t, re, im) for debugging."""
+    """Dump one window as rows of (t, re, im) for debugging."""
+    if frame.samples.ndim != 1:
+        raise ShapeError("frame_to_csv writes one window, got samples of "
+                         f"shape {frame.samples.shape}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "re", "im"])

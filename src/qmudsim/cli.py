@@ -10,7 +10,8 @@ Subcommands:
 Every run is reproducible: seeds default to a fixed constant, --seed
 overrides, and runs that write an output file also write a JSON manifest
 (<out>.manifest.json) capturing the resolved configuration.  Exit codes:
-0 success, 2 usage or configuration error, 1 internal failure.
+0 success; 2 usage or configuration error, including negative seeds and
+config or output paths that cannot be read or written; 1 internal failure.
 """
 
 from __future__ import annotations
@@ -111,51 +112,46 @@ def _grover_scaling(args) -> int:
     return 0
 
 
-BER_KEYS = ("signature_kind", "k_users", "n_chips", "sync_mode", "gain_model",
-            "seed", "detector", "ebn0_db_list", "trials")
+BER_SWEEP_KEYS = ("detector", "ebn0_db_list", "trials")
 
 
 def cmd_ber(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         cfg = cdma.parse_kv_config(fh.read())
-    unknown = set(cfg) - set(BER_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"signature_kind", "k_users", "n_chips", "detector",
-               "ebn0_db_list", "trials"} - set(cfg)
+    missing = set(BER_SWEEP_KEYS) - set(cfg)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    noise_keys = {"sigma2", "ebn0_db"} & set(cfg)
+    if noise_keys:
+        raise ConfigError(f"ber takes its noise levels from ebn0_db_list; "
+                          f"remove {sorted(noise_keys)}")
     detector = cfg["detector"]
     if detector not in mud.DETECTORS:
         raise ConfigError(f"detector must be one of {mud.DETECTORS}")
     try:
-        seed = (args.seed if args.seed is not None
-                else int(cfg.get("seed", config.DEFAULT_SEED)))
         ebn0_list = [float(v) for v in cfg["ebn0_db_list"].split(",") if v.strip()]
         trials = int(cfg["trials"])
-        scenario = cdma.make_scenario(
-            signature_kind=cfg["signature_kind"],
-            k_users=int(cfg["k_users"]),
-            n_chips=int(cfg["n_chips"]),
-            noise_variance=0.0,
-            sync_mode=cfg.get("sync_mode", cdma.SYNCHRONOUS),
-            gain_model=cfg.get("gain_model", cdma.GAIN_FIXED),
-            seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not ebn0_list:
         raise ConfigError("ebn0_db_list is empty")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    # the other keys describe the scenario; ebn0_db_list sets each point's
+    # noise, so the scenario is read noiseless, with the resolved seed
+    scenario_cfg = {key: value for key, value in cfg.items()
+                    if key not in BER_SWEEP_KEYS}
+    seed = args.seed if args.seed is not None else scenario_cfg.get(
+        "seed", config.DEFAULT_SEED)
+    scenario = cdma.scenario_from_config(
+        {**scenario_cfg, "seed": str(seed), "sigma2": "0"})
     if detector != "mf" and scenario.k_users > mud.EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"detector {detector} supports at most "
                           f"k_users = {mud.EXHAUSTIVE_K_LIMIT}")
 
     curve = mud.ber_sweep(scenario, detector, ebn0_list, trials,
-                          np.random.default_rng(seed))
-    resolved = dict(cfg)
-    resolved["seed"] = seed
-    _emit(args, curve.write_csv, "ber", resolved)
+                          np.random.default_rng(scenario.seed))
+    _emit(args, curve.write_csv, "ber", {**cfg, "seed": scenario.seed})
     return 0
 
 
@@ -264,10 +260,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "grover" and not args.scaling and args.n is None:
             parser.error("grover requires --n")
+        if args.seed is not None and args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure contract

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cdma, qsearch
-from .cdma import CdmaScenario, ChannelState, MfOutputs, ReceivedFrame
+from .cdma import CdmaScenario, ChannelState, ReceivedFrame
 from .errors import ConfigError, SizeError
 
 EXHAUSTIVE_K_LIMIT = 20
@@ -64,12 +64,10 @@ class CostFunction:
     counts one evaluation per index read.
     """
 
-    def __init__(self, table_fn: Callable[[], np.ndarray], k_users: int,
-                 kind: str):
+    def __init__(self, table_fn: Callable[[], np.ndarray], k_users: int):
         self._table_fn = table_fn
         self._table: Optional[np.ndarray] = None
         self.k_users = k_users
-        self.kind = kind
         self.evaluations = 0
 
     @property
@@ -132,11 +130,11 @@ def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
         if kind == "mls_mf":
             current, _ = cdma.delay_aligned(scenario, channel.delay)
             images = images @ current.T
-            target = cdma.matched_filter_bank(frame, scenario, channel).y
+            target = cdma.matched_filter_bank(frame, scenario, channel)
         diff = images - target
         return -np.sum(diff.real**2 + diff.imag**2, axis=1)
 
-    return CostFunction(table_fn, scenario.k_users, kind)
+    return CostFunction(table_fn, scenario.k_users)
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +182,30 @@ def _sample_hypothesis_outputs(scenario: CdmaScenario, m: int, n_mc: int,
     frame = cdma.synthesize_received(scenario, channel,
                                      bits_from_index(m, scenario.k_users),
                                      prev, rng)
-    return cdma.matched_filter_bank(frame, scenario, channel).y
+    return cdma.matched_filter_bank(frame, scenario, channel)
 
 
-def empirical_cost(scenario: CdmaScenario, y_observed: MfOutputs, m: int,
+def empirical_cost(scenario: CdmaScenario, y_observed: np.ndarray, m: int,
                    n_mc: int, rng: np.random.Generator,
                    grid: Optional[QuantGrid] = None) -> float:
     """Relative frequency with which hypothesis m lands in the observed cell.
 
     Draws n_mc channel/noise realizations for the bits of m, quantizes the
     resulting filter outputs, and returns the fraction matching the cell of
-    y_observed.  Zero counts are valid scores.
+    y_observed, the (K,) observed filter outputs.  Zero counts are valid
+    scores.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     if grid is None:
         grid = default_grid(scenario)
-    target_cell = quantize_mf(y_observed.y, grid)[0]
+    target_cell = quantize_mf(y_observed, grid)[0]
     outputs = _sample_hypothesis_outputs(scenario, m, n_mc, rng)
     cells = quantize_mf(outputs, grid)
     return float(np.mean(np.all(cells == target_cell, axis=1)))
 
 
-def make_empirical_cf(scenario: CdmaScenario, y_observed: MfOutputs,
+def make_empirical_cf(scenario: CdmaScenario, y_observed: np.ndarray,
                       n_mc: int, rng: np.random.Generator,
                       grid: Optional[QuantGrid] = None) -> CostFunction:
     """CostFunction wrapper around empirical_cost (uniform prior over m).
@@ -215,16 +214,16 @@ def make_empirical_cf(scenario: CdmaScenario, y_observed: MfOutputs,
     def table_fn():
         return [empirical_cost(scenario, y_observed, m, n_mc, rng, grid=grid)
                 for m in range(1 << scenario.k_users)]
-    return CostFunction(table_fn, scenario.k_users, "empirical")
+    return CostFunction(table_fn, scenario.k_users)
 
 
 # ---------------------------------------------------------------------------
 # Detectors.
 
-def mf_detect(y: MfOutputs, channel: ChannelState,
+def mf_detect(y: np.ndarray, channel: ChannelState,
               true_bits=None) -> DetectionReport:
     """Per-user slicer on the phase-derotated filter outputs; 0 slices to +1."""
-    metric = np.real(np.conj(channel.gains) * y.y)
+    metric = np.real(np.conj(channel.gains) * y)
     detected = np.where(metric < 0, -1, 1).astype(np.int8)
     return DetectionReport(detected_bits=detected, cf_evaluations=0,
                            grover_queries=0,

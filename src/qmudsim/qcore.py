@@ -158,11 +158,11 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def uniform_superposition(n_qubits: int,
-                          max_qubits: int = config.MAX_QUBITS) -> StateVector:
+def uniform_superposition(n_qubits: int) -> StateVector:
     """All 2^n basis states with equal real positive amplitude 1/sqrt(2^n)."""
-    if not 1 <= n_qubits <= max_qubits:
-        raise SizeError(f"n_qubits={n_qubits} outside [1, {max_qubits}]")
+    if not 1 <= n_qubits <= config.MAX_QUBITS:
+        raise SizeError(
+            f"n_qubits={n_qubits} outside [1, {config.MAX_QUBITS}]")
     dim = 1 << n_qubits
     amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
     return StateVector(n_qubits, amps)

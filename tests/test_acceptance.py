@@ -144,9 +144,7 @@ def test_criterion_6_detector_ordering_and_near_far():
     # Hand-computed near-far case: correlated codes, 20 dB power imbalance.
     chips1 = np.array([1.0, 1, 1, 1]) / 2
     chips2 = np.array([1.0, 1, 1, -1]) / 2
-    nf = cdma.CdmaScenario(k_users=2, n_chips=4,
-                           signatures=(cdma.Signature(0, chips1),
-                                       cdma.Signature(1, chips2)),
+    nf = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
                            noise_variance=0.0)
     channel = cdma.ChannelState(amplitude=np.array([1.0, 10.0]),
                                 phase=np.zeros(2), delay=np.zeros(2, dtype=int))
@@ -156,11 +154,11 @@ def test_criterion_6_detector_ordering_and_near_far():
     mf_rep = mud.mf_detect(y, channel, true_bits=bits)
     ml_rep = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, nf, channel),
                                       2, true_bits=bits)
-    near_far_ok = (abs(y.y[0] - (-4.0)) < 1e-12 and not mf_rep.correct
+    near_far_ok = (abs(y[0] - (-4.0)) < 1e-12 and not mf_rep.correct
                    and mf_rep.detected_bits[0] == -1 and ml_rep.correct)
     ok = ordering_ok and near_far_ok
     report(6, ok, "; ".join(details) +
-           f"; near-far: y₁ = {y.y[0].real:.0f} flips MF while ML is exact")
+           f"; near-far: y₁ = {y[0].real:.0f} flips MF while ML is exact")
 
 
 def test_criterion_7_bsc_demo():
@@ -236,7 +234,7 @@ def test_criterion_8_invariant_suites():
 
     # Exhaustive evaluation counter is exactly 2^K.
     table = rng.standard_normal(256)
-    cf = mud.CostFunction(lambda: table, 8, "mls_chip")
+    cf = mud.CostFunction(lambda: table, 8)
     counter_ok = mud.exhaustive_ml_detect(cf, 8).cf_evaluations == 256
 
     ok = (norm_ok and chi_ok and tensor_ok and round_trip_ok and product_ok

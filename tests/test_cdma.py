@@ -19,13 +19,12 @@ def fixed_channel(gains, delays):
 class TestGenerateSignatures:
     def test_walsh_order2(self):
         s1, s2 = cdma.generate_signatures("walsh", 2, 2, seed=0)
-        np.testing.assert_allclose(s1.chips, [1, 1] / np.sqrt(2))
-        np.testing.assert_allclose(s2.chips, [1, -1] / np.sqrt(2))
-        assert abs(np.dot(s1.chips, s2.chips)) < 1e-12
+        np.testing.assert_allclose(s1, [1, 1] / np.sqrt(2))
+        np.testing.assert_allclose(s2, [1, -1] / np.sqrt(2))
+        assert abs(np.dot(s1, s2)) < 1e-12
 
     def test_walsh_gram_identity(self):
-        sigs = cdma.generate_signatures("walsh", 4, 4, seed=0)
-        mat = np.stack([s.chips for s in sigs])
+        mat = cdma.generate_signatures("walsh", 4, 4, seed=0)
         np.testing.assert_allclose(mat @ mat.T, np.eye(4), atol=1e-12)
 
     def test_random_bipolar_reproducible(self):
@@ -33,12 +32,12 @@ class TestGenerateSignatures:
         b = cdma.generate_signatures("random_bipolar", 3, 8, seed=9)
         c = cdma.generate_signatures("random_bipolar", 3, 8, seed=10)
         for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.chips, y.chips)
-        assert any(not np.array_equal(x.chips, z.chips) for x, z in zip(a, c))
+            np.testing.assert_array_equal(x, y)
+        assert any(not np.array_equal(x, z) for x, z in zip(a, c))
 
     def test_unit_energy(self):
         for sig in cdma.generate_signatures("random_bipolar", 4, 16, seed=1):
-            assert abs(np.sum(sig.chips**2) - 1) < 1e-12
+            assert abs(np.sum(sig**2) - 1) < 1e-12
 
     def test_walsh_requires_power_of_two(self):
         with pytest.raises(ConfigError):
@@ -51,6 +50,42 @@ class TestGenerateSignatures:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             cdma.generate_signatures("gold", 2, 8, seed=0)
+
+
+class TestScenarioSignatures:
+    def test_sizes_come_from_the_array(self):
+        sc = cdma.make_scenario("random_bipolar", 3, 8, 0.0, seed=1)
+        assert sc.signatures.shape == (3, 8)
+        assert (sc.k_users, sc.n_chips) == (3, 8)
+
+    def test_stores_a_read_only_copy(self):
+        chips = np.array([[1.0, 1, 1, 1], [1.0, -1, 1, -1]]) / 2
+        sc = cdma.CdmaScenario(signatures=chips, noise_variance=0.0)
+        ch = fixed_channel([1, 1], [0, 1])
+        before = cdma.synthesize_received(sc, ch, [1, -1], [1, 1], None)
+        chips[0] = -chips[0]
+        np.testing.assert_array_equal(sc.signatures[0], [0.5] * 4)
+        after = cdma.synthesize_received(sc, ch, [1, -1], [1, 1], None)
+        np.testing.assert_array_equal(after.samples, before.samples)
+        with pytest.raises(ValueError):
+            sc.signatures[0, 0] = 1.0
+
+    @pytest.mark.parametrize("chips", [
+        np.ones((2, 4)) / 2 * [[1], [1.1]],     # one row off unit energy
+        np.full((1, 4), np.nan),
+        np.ones(4) / 2,                          # not (K, N_c)
+        np.zeros((0, 4)),
+    ])
+    def test_bad_signatures_rejected(self, chips):
+        with pytest.raises(ConfigError):
+            cdma.CdmaScenario(signatures=chips, noise_variance=0.0)
+
+    @pytest.mark.parametrize("sigma2", ["-0.5", "nan", "inf"])
+    def test_noise_variance_must_be_finite_and_nonnegative(self, sigma2):
+        with pytest.raises(ConfigError):
+            cdma.scenario_from_config({"signature_kind": "walsh",
+                                       "k_users": "1", "n_chips": "2",
+                                       "sigma2": sigma2})
 
 
 class TestSampleChannel:
@@ -90,7 +125,7 @@ class TestSynthesizeReceived:
         sc = cdma.make_scenario("walsh", 1, 4, 0.0)
         ch = fixed_channel([1], [0])
         frame = cdma.synthesize_received(sc, ch, [1], [1], None)
-        np.testing.assert_allclose(frame.samples, sc.signatures[0].chips)
+        np.testing.assert_allclose(frame.samples, sc.signatures[0])
 
     def test_zero_gain_gives_zero_frame(self):
         sc = cdma.make_scenario("random_bipolar", 3, 8, 0.0)
@@ -101,7 +136,7 @@ class TestSynthesizeReceived:
     def test_asynchronous_spill_in_by_hand(self):
         sc = cdma.make_scenario("random_bipolar", 1, 4, 0.0,
                                 sync_mode=cdma.CHIP_ASYNC, seed=4)
-        s = sc.signatures[0].chips
+        s = sc.signatures[0]
         gain = 0.7 - 0.2j
         ch = fixed_channel([gain], [2])
         frame = cdma.synthesize_received(sc, ch, [-1], [1], None)
@@ -146,7 +181,7 @@ class TestBatchedModel:
         for i in range(batch):
             for k in range(k_users):
                 tau = delay[i, k]
-                rolled = np.roll(sc.signatures[k].chips, tau)
+                rolled = np.roll(sc.signatures[k], tau)
                 np.testing.assert_array_equal(current[i, k],
                                               np.where(t >= tau, rolled, 0.0))
                 np.testing.assert_array_equal(spill[i, k],
@@ -177,7 +212,7 @@ class TestBatchedModel:
         assert (channel.amplitude.shape == channel.phase.shape
                 == channel.delay.shape == (trials, k_users))
         frames = cdma.synthesize_received(sc, channel, bits, prev, None)
-        y = cdma.matched_filter_bank(frames, sc, channel).y
+        y = cdma.matched_filter_bank(frames, sc, channel)
         assert y.shape == (trials, k_users)
         for i in range(trials):
             ch = cdma.ChannelState(channel.amplitude[i], channel.phase[i],
@@ -186,7 +221,7 @@ class TestBatchedModel:
             np.testing.assert_allclose(frames.samples[i], frame.samples,
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
-                y[i], cdma.matched_filter_bank(frame, sc, ch).y,
+                y[i], cdma.matched_filter_bank(frame, sc, ch),
                 rtol=1e-12, atol=1e-12)
 
 
@@ -196,34 +231,33 @@ class TestMatchedFilterBank:
         ch = fixed_channel([1, 1], [0, 0])
         frame = cdma.synthesize_received(sc, ch, [1, -1], [1, 1], None)
         y = cdma.matched_filter_bank(frame, sc, ch)
-        np.testing.assert_allclose(y.y, [1, -1], atol=1e-12)
+        np.testing.assert_allclose(y, [1, -1], atol=1e-12)
 
     def test_unit_autocorrelation(self):
         sc = cdma.make_scenario("random_bipolar", 1, 16, 0.0, seed=2)
         ch = fixed_channel([1], [0])
         frame = cdma.synthesize_received(sc, ch, [1], [1], None)
         y = cdma.matched_filter_bank(frame, sc, ch)
-        assert y.y[0] == pytest.approx(1.0, abs=1e-12)
+        assert y[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_frame(self):
         sc = cdma.make_scenario("walsh", 2, 4, 0.0)
         ch = fixed_channel([1, 1], [0, 0])
         frame = cdma.ReceivedFrame(samples=np.zeros(4, dtype=complex),
-                                   true_bits=np.array([1, 1]),
                                    prev_bits=np.array([1, 1]))
         y = cdma.matched_filter_bank(frame, sc, ch)
-        np.testing.assert_array_equal(y.y, np.zeros(2, dtype=complex))
+        np.testing.assert_array_equal(y, np.zeros(2, dtype=complex))
 
     def test_delay_aligned_inner_product_by_hand(self):
         sc = cdma.make_scenario("random_bipolar", 1, 4, 0.0,
                                 sync_mode=cdma.CHIP_ASYNC, seed=3)
-        s = sc.signatures[0].chips
+        s = sc.signatures[0]
         ch = fixed_channel([1], [2])
         frame = cdma.synthesize_received(sc, ch, [1], [-1], None)
         y = cdma.matched_filter_bank(frame, sc, ch)
         # Only the current symbol's chips overlap the aligned filter.
         expected = s[0] * s[0] + s[1] * s[1]
-        assert y.y[0] == pytest.approx(expected, abs=1e-12)
+        assert y[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestModelInvariants:
@@ -237,8 +271,7 @@ class TestModelInvariants:
 
         singles = np.zeros(8, dtype=complex)
         for k in range(2):
-            sc1 = cdma.CdmaScenario(k_users=1, n_chips=8,
-                                    signatures=(cdma.Signature(0, sc2.signatures[k].chips),),
+            sc1 = cdma.CdmaScenario(signatures=sc2.signatures[k:k + 1],
                                     noise_variance=0.0,
                                     sync_mode=cdma.CHIP_ASYNC)
             frame = cdma.synthesize_received(
@@ -258,7 +291,7 @@ class TestModelInvariants:
                 frame = cdma.synthesize_received(sc, ch, bits, np.ones(k_users),
                                                  None)
                 y = cdma.matched_filter_bank(frame, sc, ch)
-                np.testing.assert_allclose(y.y, gains * bits, atol=1e-12)
+                np.testing.assert_allclose(y, gains * bits, atol=1e-12)
 
     def test_noise_calibration(self):
         sigma2 = 0.37
@@ -268,7 +301,7 @@ class TestModelInvariants:
         outputs = np.empty(100000, dtype=complex)
         for i in range(outputs.size):
             frame = cdma.synthesize_received(sc, ch, [1], [1], rng)
-            outputs[i] = cdma.matched_filter_bank(frame, sc, ch).y[0]
+            outputs[i] = cdma.matched_filter_bank(frame, sc, ch)[0]
         measured = np.mean(np.abs(outputs) ** 2)
         assert abs(measured - sigma2) / sigma2 < 0.02
 
@@ -293,7 +326,28 @@ class TestSerialization:
         assert back.sync_mode == sc.sync_mode
         assert back.gain_model == sc.gain_model
         assert back.noise_variance == sc.noise_variance
-        np.testing.assert_array_equal(back.signature_matrix, sc.signature_matrix)
+        np.testing.assert_array_equal(back.signatures, sc.signatures)
+
+    def test_random_bipolar_round_trip(self):
+        sc = cdma.make_scenario("random_bipolar", 3, 8, 0.5, seed=12)
+        cfg = cdma.scenario_to_config(sc)
+        assert cfg["signature_kind"] == "random_bipolar"
+        back = cdma.scenario_from_config(cfg)
+        np.testing.assert_array_equal(back.signatures, sc.signatures)
+        assert back.seed == 12
+
+    def test_custom_signatures_have_no_config_form(self):
+        chips = np.array([[1.0, 1, 1, 1], [1.0, 1, 1, -1]]) / 2
+        sc = cdma.CdmaScenario(signatures=chips, noise_variance=0.0)
+        with pytest.raises(ConfigError):
+            cdma.scenario_to_config(sc)
+
+    @pytest.mark.parametrize("kind", ["walsh", "random_bipolar"])
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ConfigError):
+            cdma.scenario_from_config({"signature_kind": kind, "k_users": "2",
+                                       "n_chips": "4", "sigma2": "0",
+                                       "seed": "-1"})
 
     def test_parse_kv_config(self):
         cfg = cdma.parse_kv_config("a = 1\n# comment\n\nb = two words\n")
@@ -329,6 +383,14 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,re,im"
         assert len(lines) == 3
+
+    def test_frame_csv_rejects_batched_frame(self, tmp_path):
+        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
+        channel = cdma.sample_channel(sc, np.random.default_rng(0), (3,))
+        frames = cdma.synthesize_received(sc, channel, np.ones((3, 1)),
+                                          np.ones((3, 1)), None)
+        with pytest.raises(ShapeError):
+            cdma.frame_to_csv(frames, tmp_path / "frames.csv")
 
 
 class TestEbn0Conversion:

@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmudsim import cli
 
@@ -195,6 +198,77 @@ class TestBerCommand:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["ber", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_config_is_a_directory(self, tmp_path):
+        assert cli.main(["ber", "--config", str(tmp_path)]) == 2
+
+    def test_config_not_utf8(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(BER_CONFIG.encode()
+                        + "# d\xe9j\xe0 vu\n".encode("latin-1"))
+        assert cli.main(["ber", "--config", str(cfg)]) == 2
+
+    def test_out_is_a_directory(self, tmp_path):
+        cfg = tmp_path / "ber.cfg"
+        cfg.write_text(BER_CONFIG)
+        assert cli.main(["ber", "--config", str(cfg), "--out",
+                         str(tmp_path)]) == 2
+
+    def test_negative_config_seed_rejected(self, tmp_path):
+        cfg = tmp_path / "ber.cfg"
+        cfg.write_text(BER_CONFIG.replace("seed = 77", "seed = -1"))
+        out = tmp_path / "curve.csv"
+        assert cli.main(["ber", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sigma2_and_ebn0_db_keys_rejected(self, tmp_path):
+        for key in ("sigma2 = 0.1", "ebn0_db = 3"):
+            cfg = tmp_path / "noise.cfg"
+            cfg.write_text(BER_CONFIG + key + "\n")
+            assert cli.main(["ber", "--config", str(cfg)]) == 2, key
+
+
+FUZZ_BASE = {"signature_kind": "walsh", "k_users": "2", "n_chips": "4",
+             "detector": "mf", "ebn0_db_list": "0,4", "trials": "3",
+             "seed": "5"}
+FUZZ_EXTRA_KEYS = ("sync_mode", "gain_model", "sigma2", "ebn0_db", "bogus")
+# Small integers or text without digits: no value can ask for a large
+# signature array, search space or trial count.
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from(["walsh", "random_bipolar", "mf", "ml_exhaustive", "qmud",
+                     "synchronous", "chip-asynchronous", "fixed", "rayleigh",
+                     "inf", "-inf", "nan", ""]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12))
+FUZZ_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("replace"), st.sampled_from(sorted(FUZZ_BASE)),
+                  FUZZ_VALUES),
+        st.tuples(st.just("drop"), st.sampled_from(sorted(FUZZ_BASE)),
+                  st.none()),
+        st.tuples(st.just("add"), st.sampled_from(FUZZ_EXTRA_KEYS),
+                  FUZZ_VALUES)),
+    max_size=2)
+
+
+class TestBerConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(edits=FUZZ_EDITS)
+    def test_exit_code_is_0_or_2(self, edits):
+        cfg = dict(FUZZ_BASE)
+        for action, key, value in edits:
+            if action == "drop":
+                cfg.pop(key, None)
+            else:
+                cfg[key] = value
+        text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "fuzz.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            rc = cli.main(["ber", "--config", path,
+                           "--out", os.path.join(work, "fuzz.csv")])
+        assert rc in (0, 2), text
+
 
 class TestBscCommand:
     def test_p_half(self, capsys, tmp_path):
@@ -250,6 +324,27 @@ class TestQmudAgreeCommand:
             text=True, timeout=60)
         assert done.returncode == 2, done.stderr
         assert "ConfigError" in done.stderr and "4 instances" in done.stderr
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["grover", "--n", "16", "--trials", "10"],
+        ["grover", "--scaling", "--scaling-max-exp", "7", "--trials", "2"],
+        ["bsc", "--p", "0.1", "--bits", "10"],
+        ["qmud-agree", "--k", "3", "--trials", "2"],
+    ])
+    def test_rejected_before_any_work(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_ber_seed_flag_rejected(self, tmp_path):
+        cfg = tmp_path / "ber.cfg"
+        cfg.write_text(BER_CONFIG)
+        out = tmp_path / "curve.csv"
+        assert cli.main(["ber", "--config", str(cfg), "--seed", "-1",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSeedDefault:

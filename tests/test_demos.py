@@ -1,8 +1,11 @@
-"""Smoke test of the demos that search with qsearch: each runs to exit 0.
+"""Smoke test of the quick demos: each runs to exit 0.
 
 `grover_search_demo.py` and `query_scaling_demo.py` build MarkingOracles;
-`qmud_demo.py` runs the quantum-assisted detector through maximum_search.
-The remaining demos take about 30 s together and are left to manual runs.
+`qmud_demo.py` runs the quantum-assisted detector through maximum_search;
+`near_far_demo.py` builds a scenario from its own signature array and
+detects on the bare matched-filter outputs; `quantum_register_basics.py`
+builds and measures qcore registers.  The remaining demos take about 30 s
+together and are left to manual runs.
 """
 
 import os
@@ -16,7 +19,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("demo", ["grover_search_demo.py",
                                   "query_scaling_demo.py",
-                                  "qmud_demo.py"])
+                                  "qmud_demo.py",
+                                  "near_far_demo.py",
+                                  "quantum_register_basics.py"])
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],

@@ -76,7 +76,6 @@ class TestMlsCost:
         sc = cdma.make_scenario("walsh", 2, 2, 0.0)
         ch = fixed_channel([0, 0], [0, 0])
         frame = cdma.ReceivedFrame(samples=np.array([0.3 + 1j, -0.4j]),
-                                   true_bits=np.array([1, 1]),
                                    prev_bits=np.array([1, 1]))
         cf = mud.make_mls_cost(frame, sc, ch)
         expected = -float(np.sum(np.abs(frame.samples) ** 2))
@@ -96,14 +95,14 @@ class TestMlsCost:
         bits = rng.choice((-1, 1), size=k_users)
         prev = rng.choice((-1, 1), size=k_users)
         frame = cdma.synthesize_received(sc, ch, bits, prev, rng)
-        y = cdma.matched_filter_bank(frame, sc, ch).y
+        y = cdma.matched_filter_bank(frame, sc, ch)
         sc_clean = cdma.with_noise_variance(sc, 0.0)
         chip_ref, mf_ref = [], []
         for m in range(1 << k_users):
             image = cdma.synthesize_received(
                 sc_clean, ch, mud.bits_from_index(m, k_users), prev, None)
             chip_ref.append(-np.sum(np.abs(frame.samples - image.samples) ** 2))
-            y_m = cdma.matched_filter_bank(image, sc_clean, ch).y
+            y_m = cdma.matched_filter_bank(image, sc_clean, ch)
             mf_ref.append(-np.sum(np.abs(y - y_m) ** 2))
         for kind, ref in (("mls_chip", chip_ref), ("mls_mf", mf_ref)):
             cf = mud.make_mls_cost(frame, sc, ch, kind=kind)
@@ -115,7 +114,7 @@ class TestMlsCost:
         for k_users in (2, 3, 4):
             sc = cdma.make_scenario("random_bipolar", k_users, 16, 0.0, seed=7)
             ch = fixed_channel(np.ones(k_users), np.zeros(k_users))
-            gram = sc.signature_matrix @ sc.signature_matrix.T
+            gram = sc.signatures @ sc.signatures.T
             assert np.linalg.matrix_rank(gram) == k_users
             for m in range(1 << k_users):
                 bits = mud.bits_from_index(m, k_users)
@@ -133,11 +132,10 @@ class TestMlsCost:
                       lambda x: x ** 3]
         for _ in range(100):
             table = rng.standard_normal(16)
-            cf = mud.CostFunction(lambda t=table: t, 4, "mls_chip")
+            cf = mud.CostFunction(lambda t=table: t, 4)
             base = mud.exhaustive_ml_detect(cf, 4)
             for f in transforms:
-                warped = mud.CostFunction(lambda t=table, f=f: f(t), 4,
-                                          "mls_chip")
+                warped = mud.CostFunction(lambda t=table, f=f: f(t), 4)
                 out = mud.exhaustive_ml_detect(warped, 4)
                 np.testing.assert_array_equal(out.detected_bits,
                                               base.detected_bits)
@@ -156,7 +154,7 @@ class TestEmpiricalCost:
     def test_far_cell_scores_zero_everywhere(self):
         frame, sc, ch = walsh2_frame()
         rng = np.random.default_rng(6)
-        far = cdma.MfOutputs(y=np.array([10 + 10j, -40 + 2j]))
+        far = np.array([10 + 10j, -40 + 2j])
         for m in range(4):
             assert mud.empirical_cost(sc, far, m, 300, rng) == 0.0
 
@@ -207,15 +205,13 @@ class TestMfDetect:
         chips1 = np.array([1.0, 1, 1, 1]) / 2
         chips2 = np.array([1.0, 1, 1, -1]) / 2
         assert np.dot(chips1, chips2) == pytest.approx(0.5)
-        sc = cdma.CdmaScenario(k_users=2, n_chips=4,
-                               signatures=(cdma.Signature(0, chips1),
-                                           cdma.Signature(1, chips2)),
+        sc = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
                                noise_variance=0.0)
         ch = fixed_channel([1, 10], [0, 0])
         bits = np.array([1, -1])
         frame = cdma.synthesize_received(sc, ch, bits, [1, 1], None)
         y = cdma.matched_filter_bank(frame, sc, ch)
-        assert y.y[0] == pytest.approx(1 - 5, abs=1e-12)  # strong user swamps
+        assert y[0] == pytest.approx(1 - 5, abs=1e-12)  # strong user swamps
         mf_report = mud.mf_detect(y, ch, true_bits=bits)
         assert not mf_report.correct
         assert mf_report.detected_bits[0] == -1
@@ -225,7 +221,7 @@ class TestMfDetect:
 
     def test_zero_outputs_slice_to_plus_one(self):
         ch = fixed_channel([1, 1, 1], [0, 0, 0])
-        y = cdma.MfOutputs(y=np.zeros(3, dtype=complex))
+        y = np.zeros(3, dtype=complex)
         report = mud.mf_detect(y, ch)
         np.testing.assert_array_equal(report.detected_bits, [1, 1, 1])
         assert report.correct is None
@@ -243,14 +239,14 @@ class TestExhaustiveDetect:
     def test_counter_exact_for_k8(self):
         rng = np.random.default_rng(7)
         table = rng.standard_normal(256)
-        cf = mud.CostFunction(lambda: table, 8, "mls_chip")
+        cf = mud.CostFunction(lambda: table, 8)
         report = mud.exhaustive_ml_detect(cf, 8)
         assert report.cf_evaluations == 256
         assert cf.evaluations == 256
 
     def test_evaluate_reads_the_table_and_counts_each_index(self):
         table = np.arange(8.0)
-        cf = mud.CostFunction(lambda: table, 3, "mls_chip")
+        cf = mud.CostFunction(lambda: table, 3)
         assert cf.evaluate(5) == 5.0
         np.testing.assert_array_equal(cf.evaluate([7, 0]), [7.0, 0.0])
         assert cf.evaluations == 3
@@ -259,10 +255,10 @@ class TestExhaustiveDetect:
         with pytest.raises(ValueError):
             cf.evaluate(-1)
         with pytest.raises(ValueError):
-            mud.CostFunction(lambda: np.zeros(7), 3, "mls_chip").table()
+            mud.CostFunction(lambda: np.zeros(7), 3).table()
 
     def test_constant_cost_ties_to_index_zero(self):
-        cf = mud.CostFunction(lambda: np.ones(8), 3, "mls_chip")
+        cf = mud.CostFunction(lambda: np.ones(8), 3)
         report = mud.exhaustive_ml_detect(cf, 3)
         np.testing.assert_array_equal(report.detected_bits, [1, 1, 1])
 
@@ -278,7 +274,7 @@ class TestExhaustiveDetect:
             assert report.correct
 
     def test_k_guard(self):
-        cf = mud.CostFunction(lambda: np.zeros(1 << 21), 21, "mls_chip")
+        cf = mud.CostFunction(lambda: np.zeros(1 << 21), 21)
         with pytest.raises(SizeError):
             mud.exhaustive_ml_detect(cf, 21)
 
@@ -294,14 +290,14 @@ class TestQmudDetect:
             assert report.correct
 
     def test_constant_cost_accepts_any_hypothesis(self):
-        cf = mud.CostFunction(lambda: np.full(8, 2.5), 3, "mls_chip")
+        cf = mud.CostFunction(lambda: np.full(8, 2.5), 3)
         report = mud.qmud_detect(cf, 3, np.random.default_rng(10))
         assert report.detected_bits.shape == (3,)
         assert report.cf_evaluations >= 1  # threshold rounds attempted
 
     def test_round_count_reported_as_cf_evaluations(self):
         rng = np.random.default_rng(11)
-        cf = mud.CostFunction(lambda: np.arange(64.0), 6, "mls_chip")
+        cf = mud.CostFunction(lambda: np.arange(64.0), 6)
         report = mud.qmud_detect(cf, 6, rng)
         rounds = report.cf_evaluations
         assert rounds >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures
