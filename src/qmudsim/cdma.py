@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import ConfigError, ShapeError
 
@@ -32,6 +31,9 @@ GAIN_MODELS = (GAIN_FIXED, GAIN_RAYLEIGH)
 SIGNATURE_KINDS = ("walsh", "random_bipolar")
 
 _ENERGY_TOL = 1e-12
+
+# Largest K·N_c a generated signature array may hold (32 MiB of float64).
+MAX_SIGNATURE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +139,18 @@ def generate_signatures(kind: str, k_users: int, n_chips: int,
                         seed: int) -> np.ndarray:
     """(K, N_c) array of unit-energy signatures of the requested family.
 
-    "walsh" uses rows of a Hadamard matrix (pairwise orthogonal; requires a
-    power-of-2 N_c >= K); "random_bipolar" draws i.i.d. ±1 chips seeded for
-    reproducibility.
+    "walsh" uses the first K rows of the Sylvester Hadamard matrix of order
+    N_c (pairwise orthogonal; requires a power-of-2 N_c >= K);
+    "random_bipolar" draws i.i.d. ±1 chips seeded for reproducibility.
+    K·N_c is capped at MAX_SIGNATURE_ENTRIES.
     """
     if kind not in SIGNATURE_KINDS:
         raise ConfigError(f"signature kind must be one of {SIGNATURE_KINDS}")
     if k_users < 1 or n_chips < 1:
         raise ConfigError("k_users and n_chips must be positive")
+    if k_users * n_chips > MAX_SIGNATURE_ENTRIES:
+        raise ConfigError(f"k_users * n_chips = {k_users * n_chips} exceeds "
+                          f"the cap of {MAX_SIGNATURE_ENTRIES} signature chips")
     scale = 1.0 / np.sqrt(n_chips)
     if kind == "walsh":
         if n_chips & (n_chips - 1):
@@ -152,9 +158,21 @@ def generate_signatures(kind: str, k_users: int, n_chips: int,
         if k_users > n_chips:
             raise ConfigError(
                 f"walsh supports at most n_chips={n_chips} users, got {k_users}")
-        return hadamard(n_chips)[:k_users].astype(float) * scale
+        return _walsh_rows(k_users, n_chips) * scale
     rng = np.random.default_rng(seed)
     return rng.choice((-1.0, 1.0), size=(k_users, n_chips)) * scale
+
+
+def _walsh_rows(k_users: int, n_chips: int) -> np.ndarray:
+    """Rows 0..K−1 of the Sylvester Hadamard matrix of order N_c (a power of
+    2): H[k, n] = (−1)^popcount(k & n), with the popcount parity taken by
+    XOR-folding the bits down into bit 0."""
+    parity = np.arange(k_users)[:, None] & np.arange(n_chips)
+    shift = 1
+    while shift < n_chips.bit_length():
+        parity ^= parity >> shift
+        shift *= 2
+    return 1.0 - 2.0 * (parity & 1)
 
 
 def make_scenario(signature_kind: str, k_users: int, n_chips: int,

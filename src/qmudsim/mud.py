@@ -11,6 +11,7 @@ Eb/N0 while accounting cost-function evaluations and oracle queries.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -48,10 +49,17 @@ def index_from_bits(bits) -> int:
     return int(np.sum(negative << np.arange(arr.size)))
 
 
+@functools.lru_cache(maxsize=None)
 def all_bit_vectors(k_users: int) -> np.ndarray:
-    """(2^K, K) float matrix whose row m is bits_from_index(m, K)."""
+    """(2^K, K) float matrix whose row m is bits_from_index(m, K).
+
+    Cached per K and read-only; the cost tables ask for at most ⌈K/2⌉ bits,
+    so the cache holds small arrays.
+    """
     m = np.arange(1 << k_users)[:, None]
-    return (1 - 2 * ((m >> np.arange(k_users)) & 1)).astype(float)
+    bits = (1 - 2 * ((m >> np.arange(k_users)) & 1)).astype(float)
+    bits.setflags(write=False)
+    return bits
 
 
 class CostFunction:
@@ -118,23 +126,54 @@ def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
     log-likelihood).  "mls_mf" applies the same Euclidean form to the
     matched-filter image w(b_m) versus the observed filter outputs,
     disregarding the noise correlation those outputs carry.
+
+    The table is built in closed form, not from 2^K images: the previous
+    bits' spill-in is subtracted once, r′ = r − Σ_k a_k·p_k·spill_k, and
+    with one real row [Re | Im] of a_k·current_k per user stacked into W
+    (times currentᵀ, against current·r′, for "mls_mf") every score is the
+    quadratic form of _split_half_scores.
     """
     if kind not in ("mls_chip", "mls_mf"):
         raise ValueError(f"unknown cost kind {kind!r}")
 
     def table_fn():
-        images = cdma.synthesize(scenario, channel.gains, channel.delay,
-                                 all_bit_vectors(scenario.k_users),
-                                 frame.prev_bits)
-        target = frame.samples
+        current, spill = cdma.delay_aligned(scenario, channel.delay)
+        gains = channel.gains
+        target = frame.samples - (gains * frame.prev_bits) @ spill
+        rows = gains[:, None] * current
         if kind == "mls_mf":
-            current, _ = cdma.delay_aligned(scenario, channel.delay)
-            images = images @ current.T
-            target = cdma.matched_filter_bank(frame, scenario, channel)
-        diff = images - target
-        return -np.sum(diff.real**2 + diff.imag**2, axis=1)
+            rows = rows @ current.T
+            target = current @ target
+        return _split_half_scores(np.hstack((rows.real, rows.imag)),
+                                 np.concatenate((target.real, target.imag)))
 
     return CostFunction(table_fn, scenario.k_users)
+
+
+def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """−‖target − bᵀ·rows‖² for every b = bits_from_index(m, K), in index order.
+
+    Expanded as 2·b·z − bᵀGb − ‖target‖² with z = rows·target and G =
+    rows·rowsᵀ.  The users split into the low c = ⌈K/2⌉ bits of m and the
+    high K − c, so with m = hi·2^c + lo the table is s_lo[lo] + s_hi[hi] −
+    2·(B_hi·G_hl·B_loᵀ)[hi, lo] − ‖target‖²: one (2^(K−c), 2^c) GEMM.
+    Besides the 2^K scores it holds O(2^c·K) memory; no (2^K, K) bit matrix
+    and no 2^K images are formed.
+    """
+    k = rows.shape[0]
+    c = (k + 1) // 2
+    z = rows @ target
+    gram = rows @ rows.T
+    b_lo, b_hi = all_bit_vectors(c), all_bit_vectors(k - c)
+
+    def half_scores(bits, users):
+        # b·(2z − G b) = 2 b·z − bᵀGb, restricted to one half's users
+        return ((2.0 * z[users] - bits @ gram[users, users]) * bits).sum(axis=1)
+
+    table = (b_hi @ (-2.0 * gram[c:, :c])) @ b_lo.T
+    table += half_scores(b_lo, slice(0, c))
+    table += (half_scores(b_hi, slice(c, k)) - target @ target)[:, None]
+    return table.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +455,14 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
         frame = cdma.synthesize_received(scenario, channel, bits, prev, rng)
         cf = make_mls_cost(frame, scenario, channel)
         table = cf.table()
-        order = np.sort(table)
-        if order[-1] == order[-2]:  # no unique argmax; redraw
+        best = int(np.argmax(table))
+        if np.count_nonzero(table == table[best]) > 1:  # no unique argmax
             redraws += 1
             if redraws > trials:
                 raise ConfigError(
                     f"at Eb/N0 {ebn0_db!r} dB, {redraws} instances had no "
                     f"unique maximum (at most {trials} redraws allowed)")
             continue
-        best = int(np.argmax(table))
         report = qsearch.maximum_search(table, k, rng)
         agree += int(report.found == best)
         grover_total += report.grover_queries

@@ -12,7 +12,9 @@ closed form instead: the oracle is a ±1 diagonal and the start state is
 uniform, so after j steps the outcome is marked with probability
 sin²((2j+1)θ), θ = asin(√(M/N)), and uniform within the marked or unmarked
 set (Boyer–Brassard–Høyer–Tapp, quant-ph/9605034).  The j queries are still
-counted one per step.
+counted one per step.  Only a marked outcome is ever reported, so a round
+draws two uniforms and no unmarked index: one picks j, the other decides the
+hit and, rescaled, which marked index it lands on.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class MarkingOracle:
 
     `query_count` increments once per application to the register;
     `verification_count` once per classical check of one index.  The flip
-    operator's diagonal and the marked / unmarked index sets are built from
-    the mask on first use.
+    operator's diagonal and the marked index set are built from the mask on
+    first use.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -72,7 +74,7 @@ class MarkingOracle:
         self.query_count = 0
         self.verification_count = 0
         self._diag: Optional[qcore.DiagonalUnitary] = None
-        self._index_sets: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._marked: Optional[np.ndarray] = None
 
     @property
     def n_states(self) -> int:
@@ -85,12 +87,11 @@ class MarkingOracle:
         self.query_count += 1
         return qcore.apply_unitary(self._diag, s)
 
-    def index_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(marked, unmarked) basis-state indices in increasing order."""
-        if self._index_sets is None:
-            self._index_sets = (np.flatnonzero(self.mask),
-                                np.flatnonzero(~self.mask))
-        return self._index_sets
+    def marked_indices(self) -> np.ndarray:
+        """Marked basis-state indices in increasing order."""
+        if self._marked is None:
+            self._marked = self.mask.nonzero()[0]
+        return self._marked
 
     def verify(self, index: int) -> bool:
         """Classical check of one index; counted separately from queries."""
@@ -166,14 +167,15 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
     grows by cfg.growth_factor up to sqrt(N).  Gives up (succeeded=False,
     not an error) once cfg.budget_factor * sqrt(N) queries are spent, which
     covers the case of zero marked items.  Each round counts its j oracle
-    queries and draws the measured index from the closed-form distribution
-    after j steps (see the module docstring), so no register is built.
+    queries and samples the measurement from the closed-form distribution
+    after j steps (see the module docstring) with one rng.random(2) call, so
+    no register is built.
     """
     n_states = oracle.n_states
     sqrt_n = math.sqrt(n_states)
     budget = math.ceil(cfg.budget_factor * sqrt_n)
     g0, v0 = oracle.query_count, oracle.verification_count
-    marked, unmarked = oracle.index_sets()
+    marked = oracle.marked_indices()
     theta = math.asin(math.sqrt(marked.size / n_states))
 
     def report(found, succeeded):
@@ -186,17 +188,22 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
     m = 1.0
     used = 0
     while True:
-        j = int(rng.integers(0, math.ceil(m)))
-        j = min(j, budget - used)
+        u_steps, u_hit = rng.random(2).tolist()
+        j = min(int(u_steps * math.ceil(m)), budget - used)
         oracle.query_count += j
         used += j
         # sin² is exactly 0 for M = 0 and exactly 1 in the first (j = 0)
-        # round for M = N, so neither draws from an empty index set.
-        hit = rng.random() < math.sin((2 * j + 1) * theta) ** 2
-        pool = marked if hit else unmarked
-        outcome = int(pool[rng.integers(0, pool.size)])
-        if oracle.verify(outcome):
+        # round for M = N, so M = 0 never hits and M = N never misses.
+        p_hit = math.sin((2 * j + 1) * theta) ** 2
+        if u_hit < p_hit:
+            # given a hit, u_hit / p_hit is uniform on [0, 1), and stays
+            # below 1 in floating point, so it picks a marked index
+            outcome = int(marked[int(u_hit / p_hit * marked.size)])
+            oracle.verify(outcome)
             return report(outcome, True)
+        # a miss lands on some unmarked index, which fails its (counted)
+        # verification; it is never reported, so no index is drawn
+        oracle.verification_count += 1
         if used >= budget:
             return report(None, False)
         m = min(cfg.growth_factor * m, sqrt_n)

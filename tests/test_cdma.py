@@ -1,9 +1,14 @@
 """Baseband CDMA model: signatures, channels, synthesis, matched filters."""
 
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import hadamard
 
 from qmudsim import cdma
 from qmudsim.errors import ConfigError, ShapeError
@@ -50,6 +55,44 @@ class TestGenerateSignatures:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             cdma.generate_signatures("gold", 2, 8, seed=0)
+
+    def test_walsh_rows_equal_scipy_hadamard(self):
+        for n_chips in (1 << e for e in range(9)):
+            full = hadamard(n_chips) / np.sqrt(n_chips)
+            for k_users in range(1, n_chips + 1):
+                np.testing.assert_array_equal(
+                    cdma.generate_signatures("walsh", k_users, n_chips, 0),
+                    full[:k_users])
+
+    def test_walsh_builds_only_the_requested_rows(self):
+        # the full 2048 x 2048 Hadamard matrix alone would take 32 MiB
+        tracemalloc.start()
+        try:
+            sigs = cdma.generate_signatures("walsh", 1, 2048, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sigs.shape == (1, 2048)
+        assert peak < 256 * 1024
+
+    @pytest.mark.parametrize("kind", cdma.SIGNATURE_KINDS)
+    def test_signature_size_capped(self, kind):
+        cap = cdma.MAX_SIGNATURE_ENTRIES
+        for k_users, n_chips in ((1, cap + 1), (2, cap // 2 + 1),
+                                 (1 << 30, 1 << 30)):
+            with pytest.raises(ConfigError, match="exceeds the cap"):
+                cdma.generate_signatures(kind, k_users, n_chips, 0)
+        with pytest.raises(ConfigError, match="exceeds the cap"):
+            cdma.scenario_from_config({
+                "signature_kind": kind, "k_users": "1",
+                "n_chips": str(1 << 30), "sigma2": "0"})
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        code = ("import sys, qmudsim; "
+                "print('scipy.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestScenarioSignatures:

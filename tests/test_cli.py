@@ -195,6 +195,15 @@ class TestBerCommand:
                        "detector = mf\nebn0_db_list = 0\ntrials = 10\n")
         assert cli.main(["ber", "--config", str(cfg)]) == 2
 
+    def test_oversized_signature_rejected_up_front(self, tmp_path):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("signature_kind = walsh\nk_users = 1\n"
+                       "n_chips = 1073741824\ndetector = mf\n"
+                       "ebn0_db_list = 0\ntrials = 1\n")
+        out = tmp_path / "huge.csv"
+        assert cli.main(["ber", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["ber", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -2,10 +2,11 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -25,6 +26,32 @@ def walsh2_frame():
     ch = fixed_channel([1, 1], [0, 0])
     frame = cdma.synthesize_received(sc, ch, [1, -1], [1, 1], None)
     return frame, sc, ch
+
+
+def reference_table(frame, scenario, channel, kind="mls_chip"):
+    """Image-based MLS table: synthesize all 2^K noiseless windows (and their
+    filter outputs for "mls_mf") and score each against the observation."""
+    images = cdma.synthesize(scenario, channel.gains, channel.delay,
+                             mud.all_bit_vectors(scenario.k_users),
+                             frame.prev_bits)
+    target = frame.samples
+    if kind == "mls_mf":
+        current, _ = cdma.delay_aligned(scenario, channel.delay)
+        images = images @ current.T
+        target = cdma.matched_filter_bank(frame, scenario, channel)
+    diff = images - target
+    return -np.sum(diff.real**2 + diff.imag**2, axis=1)
+
+
+def random_instance(k_users, n_chips, sigma2, sync_mode, gain_model, seed):
+    rng = np.random.default_rng(seed)
+    sc = cdma.make_scenario("random_bipolar", k_users, n_chips, sigma2,
+                            sync_mode=sync_mode, gain_model=gain_model,
+                            seed=seed)
+    ch = cdma.sample_channel(sc, rng)
+    bits = rng.choice((-1, 1), size=k_users)
+    prev = rng.choice((-1, 1), size=k_users)
+    return cdma.synthesize_received(sc, ch, bits, prev, rng), sc, ch
 
 
 class TestHypothesisIndexing:
@@ -107,6 +134,47 @@ class TestMlsCost:
         for kind, ref in (("mls_chip", chip_ref), ("mls_mf", mf_ref)):
             cf = mud.make_mls_cost(frame, sc, ch, kind=kind)
             np.testing.assert_allclose(cf.table(), ref, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_users=st.integers(1, 10), n_chips=st.integers(1, 16),
+           sigma2=st.floats(0.01, 2.0),
+           sync_mode=st.sampled_from(cdma.SYNC_MODES),
+           gain_model=st.sampled_from(cdma.GAIN_MODELS),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k_users=1, n_chips=4, sigma2=0.1, sync_mode=cdma.CHIP_ASYNC,
+             gain_model=cdma.GAIN_RAYLEIGH, seed=1)
+    @example(k_users=7, n_chips=16, sigma2=0.1, sync_mode=cdma.SYNCHRONOUS,
+             gain_model=cdma.GAIN_FIXED, seed=2)
+    def test_split_half_table_matches_image_reference(
+            self, k_users, n_chips, sigma2, sync_mode, gain_model, seed):
+        frame, sc, ch = random_instance(k_users, n_chips, sigma2, sync_mode,
+                                        gain_model, seed)
+        for kind in ("mls_chip", "mls_mf"):
+            ref = reference_table(frame, sc, ch, kind)
+            table = mud.make_mls_cost(frame, sc, ch, kind=kind).table()
+            # the closed form cancels terms as large as the largest score,
+            # so its rounding error scales with that, not with each entry
+            tol = 1e-12 * np.max(np.abs(ref))
+            np.testing.assert_allclose(table, ref, rtol=1e-12, atol=tol)
+            # equal argmax, up to exact ties in the reference (codes that
+            # coincide at small N_c make different hypotheses score alike)
+            assert ref[np.argmax(table)] >= ref.max() - tol
+            if np.count_nonzero(ref >= ref.max() - tol) == 1:
+                assert np.argmax(table) == np.argmax(ref)
+
+    @pytest.mark.parametrize("kind", ["mls_chip", "mls_mf"])
+    def test_k20_table_memory_is_bounded(self, kind):
+        frame, sc, ch = random_instance(20, 16, 0.1, cdma.CHIP_ASYNC,
+                                        cdma.GAIN_RAYLEIGH, seed=20)
+        cf = mud.make_mls_cost(frame, sc, ch, kind=kind)
+        tracemalloc.start()
+        try:
+            table = cf.table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (1 << 20,)
+        assert peak < 32 * 2**20  # the table itself is 8 MiB
 
     def test_chip_and_mf_kinds_agree_on_argmax_synchronous(self):
         # Nonsingular Gram + synchronous + clean frames: both forms peak at

@@ -376,10 +376,11 @@ class TestMarkingOracle:
     def test_index_sets_partition_and_cache(self):
         mask = np.array([False, True, False, True, True, False, False, False])
         oracle = qsearch.MarkingOracle(mask)
-        marked, unmarked = oracle.index_sets()
+        marked = oracle.marked_indices()
+        unmarked = np.setdiff1d(np.arange(mask.size), marked)
         np.testing.assert_array_equal(marked, [1, 3, 4])
         np.testing.assert_array_equal(unmarked, [0, 2, 5, 6, 7])
-        assert oracle.index_sets()[0] is marked
+        assert oracle.marked_indices() is marked
 
     def test_bad_mask_length(self):
         with pytest.raises(ShapeError):
