@@ -17,8 +17,8 @@ print("code correlation <s1, s2> =", float(chips1 @ chips2))
 
 scenario = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
                              noise_variance=0.0)
-channel = cdma.ChannelState(amplitude=np.array([1.0, 10.0]),
-                            phase=np.zeros(2), delay=np.zeros(2, dtype=int))
+channel = cdma.ChannelState(gains=np.array([1.0, 10.0]),
+                            delay=np.zeros(2, dtype=int))
 true_bits = np.array([1, -1])
 
 frame = cdma.synthesize_received(scenario, channel, true_bits, [1, 1], None)
@@ -30,7 +30,7 @@ print(f"\nmatched-filter decision: {mf.detected_bits}  "
       f"(transmitted {true_bits}) -> {'correct' if mf.correct else 'WRONG'}")
 
 cf = mud.make_mls_cost(frame, scenario, channel)
-ml = mud.exhaustive_ml_detect(cf, 2, true_bits=true_bits)
+ml = mud.exhaustive_ml_detect(cf, true_bits=true_bits)
 print(f"joint ML decision:       {ml.detected_bits}  "
       f"-> {'correct' if ml.correct else 'WRONG'} "
       f"({ml.cf_evaluations} hypothesis evaluations)")

@@ -28,11 +28,11 @@ prev = rng.choice((-1, 1), size=K)
 frame = cdma.synthesize_received(scenario, channel, bits, prev, rng)
 
 cf = mud.make_mls_cost(frame, scenario, channel)
-exhaustive = mud.exhaustive_ml_detect(cf, K, true_bits=bits)
+exhaustive = mud.exhaustive_ml_detect(cf, true_bits=bits)
 print(f"  exhaustive: {exhaustive.cf_evaluations} evaluations, "
       f"correct = {exhaustive.correct}")
 
-quantum = mud.qmud_detect(mud.make_mls_cost(frame, scenario, channel), K, rng,
+quantum = mud.qmud_detect(mud.make_mls_cost(frame, scenario, channel), rng,
                           true_bits=bits)
 print(f"  quantum:    {quantum.grover_queries} oracle applications over "
       f"{quantum.cf_evaluations} threshold rounds, correct = {quantum.correct}")

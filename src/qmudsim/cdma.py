@@ -38,30 +38,23 @@ MAX_SIGNATURE_ENTRIES = 1 << 22
 
 @dataclass(frozen=True, eq=False)
 class ChannelState:
-    """Per-user flat channel: real gain, carrier phase, integer chip delay."""
+    """Per-user flat channel: complex gain a_k = A_k·e^{jα_k}, integer chip
+    delay τ_k; both arrays of shape (..., K)."""
 
-    amplitude: np.ndarray  # A_k >= 0
-    phase: np.ndarray      # radians in [0, 2pi)
-    delay: np.ndarray      # integer chips
+    gains: np.ndarray
+    delay: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=float)
-        ph = np.asarray(self.phase, dtype=float)
+        gains = np.asarray(self.gains, dtype=complex)
         d = np.asarray(self.delay, dtype=int)
-        if not (amp.shape == ph.shape == d.shape):
-            raise ShapeError("amplitude, phase, delay must share a shape")
-        if np.any(amp < 0) or not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes must be finite and nonnegative")
+        if gains.shape != d.shape:
+            raise ShapeError("gains and delay must share a shape")
+        if not np.all(np.isfinite(gains)):
+            raise ValueError("gains must be finite")
         if np.any(d < 0):
             raise ValueError("delays must be nonnegative chip counts")
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "phase", ph)
+        object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "delay", d)
-
-    @property
-    def gains(self) -> np.ndarray:
-        """Composite complex gains a_k = A_k·e^{jα_k}."""
-        return self.amplitude * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,24 +203,26 @@ def with_noise_variance(scenario: CdmaScenario, sigma2: float) -> CdmaScenario:
 
 def sample_channel(scenario: CdmaScenario, rng: np.random.Generator,
                    shape: tuple = ()) -> ChannelState:
-    """Draw per-user (A, α, τ) independently per the scenario's model.
+    """Draw per-user gains a_k = A_k·e^{jα_k} and delays τ_k independently
+    per the scenario's model.
 
     Each array has shape `shape + (K,)`, one channel per leading index.
-    Rayleigh gains are scaled so E[A²] = 1; the fixed model pins a_k = 1.
-    Delays are uniform over chip offsets in asynchronous mode, else 0.
+    Rayleigh amplitudes A are scaled so E[A²] = 1 and drawn before the
+    uniform phases α; the fixed model pins a_k = 1.  Delays are uniform over
+    chip offsets in asynchronous mode, else 0.
     """
     size = tuple(shape) + (scenario.k_users,)
     if scenario.gain_model == GAIN_RAYLEIGH:
         amplitude = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=size)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
+        gains = amplitude * np.exp(1j * phase)
     else:
-        amplitude = np.ones(size)
-        phase = np.zeros(size)
+        gains = np.ones(size, complex)
     if scenario.sync_mode == CHIP_ASYNC:
         delay = rng.integers(0, scenario.n_chips, size=size)
     else:
         delay = np.zeros(size, dtype=int)
-    return ChannelState(amplitude=amplitude, phase=phase, delay=delay)
+    return ChannelState(gains=gains, delay=delay)
 
 
 def delay_aligned(scenario: CdmaScenario, delay):

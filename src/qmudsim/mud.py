@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,39 +65,27 @@ def all_bit_vectors(k_users: int) -> np.ndarray:
 class CostFunction:
     """Score map over hypothesis indices; higher means more likely.
 
-    `table_fn` builds the scores of all 2^K indices at once; `table` calls it
-    on first use, caches the result, and does not touch the counter, so
-    quantum-detector reports count oracle masks (one per threshold round)
-    instead.  `evaluate` reads scores from the table and
-    counts one evaluation per index read.
+    Holds the scores of all 2^K indices; K is read from the table's length,
+    which must be a power of 2 (ShapeError otherwise).  `table` returns the
+    scores without touching the counter, so quantum-detector reports count
+    oracle masks (one per threshold round) instead.  `evaluate` reads scores
+    from the table and counts one evaluation per index read.
     """
 
-    def __init__(self, table_fn: Callable[[], np.ndarray], k_users: int):
-        self._table_fn = table_fn
-        self._table: Optional[np.ndarray] = None
-        self.k_users = k_users
+    def __init__(self, table):
+        self._table = np.asarray(table, dtype=float)
+        self.k_users = qsearch.index_bits(self._table, "cost table")
         self.evaluations = 0
-
-    @property
-    def n_hypotheses(self) -> int:
-        return 1 << self.k_users
 
     def evaluate(self, m):
         """Score of index m, or scores of an index array; counted."""
         m = np.asarray(m)
-        if np.any((m < 0) | (m >= self.n_hypotheses)):
-            raise ValueError(f"index outside [0, {self.n_hypotheses})")
-        scores = self.table()[m]
+        if np.any((m < 0) | (m >= self._table.size)):
+            raise ValueError(f"index outside [0, {self._table.size})")
         self.evaluations += m.size
-        return scores
+        return self._table[m]
 
     def table(self) -> np.ndarray:
-        if self._table is None:
-            table = np.asarray(self._table_fn(), dtype=float)
-            if table.shape != (self.n_hypotheses,):
-                raise ValueError(f"table of shape {table.shape}, expected "
-                                 f"({self.n_hypotheses},)")
-            self._table = table
         return self._table
 
 
@@ -135,19 +123,16 @@ def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
     """
     if kind not in ("mls_chip", "mls_mf"):
         raise ValueError(f"unknown cost kind {kind!r}")
-
-    def table_fn():
-        current, spill = cdma.delay_aligned(scenario, channel.delay)
-        gains = channel.gains
-        target = frame.samples - (gains * frame.prev_bits) @ spill
-        rows = gains[:, None] * current
-        if kind == "mls_mf":
-            rows = rows @ current.T
-            target = current @ target
-        return _split_half_scores(np.hstack((rows.real, rows.imag)),
-                                 np.concatenate((target.real, target.imag)))
-
-    return CostFunction(table_fn, scenario.k_users)
+    current, spill = cdma.delay_aligned(scenario, channel.delay)
+    gains = channel.gains
+    target = frame.samples - (gains * frame.prev_bits) @ spill
+    rows = gains[:, None] * current
+    if kind == "mls_mf":
+        rows = rows @ current.T
+        target = current @ target
+    return CostFunction(_split_half_scores(
+        np.hstack((rows.real, rows.imag)),
+        np.concatenate((target.real, target.imag))))
 
 
 def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -250,10 +235,9 @@ def make_empirical_cf(scenario: CdmaScenario, y_observed: np.ndarray,
     """CostFunction wrapper around empirical_cost (uniform prior over m).
 
     The table draws n_mc realizations per index, in index order."""
-    def table_fn():
-        return [empirical_cost(scenario, y_observed, m, n_mc, rng, grid=grid)
-                for m in range(1 << scenario.k_users)]
-    return CostFunction(table_fn, scenario.k_users)
+    return CostFunction([empirical_cost(scenario, y_observed, m, n_mc, rng,
+                                        grid=grid)
+                         for m in range(1 << scenario.k_users)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +253,31 @@ def mf_detect(y: np.ndarray, channel: ChannelState,
                            correct=_correct(detected, true_bits))
 
 
-def exhaustive_ml_detect(cf: CostFunction, k_users: int,
-                         true_bits=None) -> DetectionReport:
+def exhaustive_ml_detect(cf: CostFunction, true_bits=None) -> DetectionReport:
     """Evaluate every hypothesis; first index wins ties."""
-    if k_users > EXHAUSTIVE_K_LIMIT:
+    if cf.k_users > EXHAUSTIVE_K_LIMIT:
         raise SizeError(f"exhaustive search capped at K={EXHAUSTIVE_K_LIMIT}")
     start = cf.evaluations
-    scores = cf.evaluate(np.arange(1 << k_users))
-    best = int(np.argmax(scores))
-    detected = bits_from_index(best, k_users)
+    scores = cf.evaluate(np.arange(1 << cf.k_users))
+    detected = bits_from_index(int(np.argmax(scores)), cf.k_users)
     return DetectionReport(detected_bits=detected,
                            cf_evaluations=cf.evaluations - start,
                            grover_queries=0,
                            correct=_correct(detected, true_bits))
 
 
-def qmud_detect(cf: CostFunction, k_users: int, rng: np.random.Generator,
+def qmud_detect(cf: CostFunction, rng: np.random.Generator,
                 true_bits=None) -> DetectionReport:
     """Quantum-assisted detection via threshold maximum search.
 
     The K-qubit register holds all 2^K hypotheses at once; each threshold
     round compiles the score table into one oracle mask (counted once per
     round in cf_evaluations) and the randomized search amplifies the
-    above-threshold set, sampled in closed form by qsearch.bbht_search.  Returns the incumbent even when the final rounds
-    exhaust their budgets.
+    above-threshold set, sampled in closed form by qsearch.bbht_search.
+    Returns the incumbent even when the final rounds exhaust their budgets.
     """
-    report = qsearch.maximum_search(cf.table(), k_users, rng)
-    detected = bits_from_index(report.found, k_users)
+    report = qsearch.maximum_search(cf.table(), rng)
+    detected = bits_from_index(report.found, cf.k_users)
     return DetectionReport(detected_bits=detected,
                            cf_evaluations=report.iterations_used,
                            grover_queries=report.grover_queries,
@@ -310,6 +292,18 @@ def _correct(detected: np.ndarray, true_bits) -> Optional[bool]:
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo BER harness.
+
+def _draw_trial(scenario: CdmaScenario, rng: np.random.Generator):
+    """One random instance: (channel, current bits, received frame).
+
+    Draws the channel, then the current and previous bits, then the noise.
+    """
+    channel = cdma.sample_channel(scenario, rng)
+    bits = rng.choice((-1, 1), size=scenario.k_users)
+    prev = rng.choice((-1, 1), size=scenario.k_users)
+    frame = cdma.synthesize_received(scenario, channel, bits, prev, rng)
+    return channel, bits, frame
+
 
 @dataclass(frozen=True)
 class BerPoint:
@@ -351,13 +345,18 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
     Per point and trial: draw a channel, current and previous bits, and
     noise at the point's Eb/N0; detect; accumulate bit errors over K·trials
     bits plus the mean work counters.  Deterministic under the passed rng.
-    trace_fh, when given, receives one JSON line per trial.
+    trace_fh, when given, receives one JSON line per trial.  An unknown
+    detector, trials < 1, a K above EXHAUSTIVE_K_LIMIT for the table
+    detectors and a bad Eb/N0 raise ConfigError before any trial runs.
     """
     if detector not in DETECTORS:
-        raise ValueError(f"detector must be one of {DETECTORS}")
+        raise ConfigError(f"detector must be one of {DETECTORS}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     k = scenario_template.k_users
+    if detector != "mf" and k > EXHAUSTIVE_K_LIMIT:
+        raise ConfigError(f"detector {detector} supports at most "
+                          f"k_users = {EXHAUSTIVE_K_LIMIT}")
     ebn0_db_list = list(ebn0_db_list)
     # convert every point first, so a bad Eb/N0 fails before any trial runs
     sigma2_list = [cdma.ebn0_db_to_noise_variance(e) for e in ebn0_db_list]
@@ -370,20 +369,16 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
         cf_total = 0.0
         grover_total = 0.0
         for trial in range(trials):
-            channel = cdma.sample_channel(scenario, point_rng)
-            bits = point_rng.choice((-1, 1), size=k)
-            prev = point_rng.choice((-1, 1), size=k)
-            frame = cdma.synthesize_received(scenario, channel, bits, prev,
-                                             point_rng)
+            channel, bits, frame = _draw_trial(scenario, point_rng)
             if detector == "mf":
                 y = cdma.matched_filter_bank(frame, scenario, channel)
-                report = mf_detect(y, channel, true_bits=bits)
+                report = mf_detect(y, channel)
             elif detector == "ml_exhaustive":
-                cf = make_mls_cost(frame, scenario, channel)
-                report = exhaustive_ml_detect(cf, k, true_bits=bits)
+                report = exhaustive_ml_detect(
+                    make_mls_cost(frame, scenario, channel))
             else:
-                cf = make_mls_cost(frame, scenario, channel)
-                report = qmud_detect(cf, k, point_rng, true_bits=bits)
+                report = qmud_detect(make_mls_cost(frame, scenario, channel),
+                                     point_rng)
             errors = int(np.sum(report.detected_bits != bits))
             bit_errors += errors
             cf_total += report.cf_evaluations
@@ -437,9 +432,15 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
 
     Instances without a unique maximizer (ties at float precision) are
     redrawn so agreement is well defined, at most `trials` times in total;
-    one more tie raises ConfigError.
+    one more tie raises ConfigError, as do trials < 1 and K outside
+    [1, EXHAUSTIVE_K_LIMIT].
     """
     k = scenario_template.k_users
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not 1 <= k <= EXHAUSTIVE_K_LIMIT:
+        raise ConfigError(f"k_users must be in [1, {EXHAUSTIVE_K_LIMIT}], "
+                          f"got {k}")
     scenario = cdma.with_noise_variance(
         scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
     agree = 0
@@ -449,12 +450,8 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     done = 0
     redraws = 0
     while done < trials:
-        channel = cdma.sample_channel(scenario, rng)
-        bits = rng.choice((-1, 1), size=k)
-        prev = rng.choice((-1, 1), size=k)
-        frame = cdma.synthesize_received(scenario, channel, bits, prev, rng)
-        cf = make_mls_cost(frame, scenario, channel)
-        table = cf.table()
+        channel, _, frame = _draw_trial(scenario, rng)
+        table = make_mls_cost(frame, scenario, channel).table()
         best = int(np.argmax(table))
         if np.count_nonzero(table == table[best]) > 1:  # no unique argmax
             redraws += 1
@@ -463,7 +460,7 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
                     f"at Eb/N0 {ebn0_db!r} dB, {redraws} instances had no "
                     f"unique maximum (at most {trials} redraws allowed)")
             continue
-        report = qsearch.maximum_search(table, k, rng)
+        report = qsearch.maximum_search(table, rng)
         agree += int(report.found == best)
         grover_total += report.grover_queries
         verify_total += report.verification_queries

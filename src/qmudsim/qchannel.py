@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import qcore
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class FlipChannel:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"flip probability {self.p} outside [0, 1]")
+            raise ConfigError(f"flip probability {self.p} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,11 @@ def transmit_quantum(bit: int, ch: FlipChannel,
 
 
 def run_demo(n_bits: int, p: float, rng: np.random.Generator) -> DemoReport:
-    """Push random bits through both transports and tally error rates."""
+    """Push random bits through both transports and tally error rates.
+
+    n_bits < 1 and p outside [0, 1] raise ConfigError."""
     if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
+        raise ConfigError(f"n_bits must be >= 1, got {n_bits}")
     ch = FlipChannel(p)
     classical_errors = 0
     quantum_errors = 0

@@ -54,6 +54,15 @@ DEFAULT_CONFIG = SearchConfig()
 MAXIMUM_SEARCH_CONFIG = SearchConfig(growth_factor=1.33, budget_factor=1.8)
 
 
+def index_bits(values: np.ndarray, name: str) -> int:
+    """n for a 1-D array over the 2^n register indices; ShapeError otherwise."""
+    n = values.size.bit_length() - 1
+    if values.ndim != 1 or n < 0 or values.size != 1 << n:
+        raise ShapeError(f"{name} of shape {values.shape} is not 1-D of "
+                         "power-of-2 length")
+    return n
+
+
 class MarkingOracle:
     """Boolean mask over basis-state indices, applied as a phase flip.
 
@@ -65,11 +74,7 @@ class MarkingOracle:
 
     def __init__(self, mask: np.ndarray):
         mask = np.asarray(mask, dtype=bool)
-        n_qubits = mask.size.bit_length() - 1
-        if mask.ndim != 1 or n_qubits < 0 or mask.size != 1 << n_qubits:
-            raise ShapeError(
-                f"mask of shape {mask.shape} is not 1-D of power-of-2 length")
-        self.n_qubits = n_qubits
+        self.n_qubits = index_bits(mask, "mask")
         self.mask = mask
         self.query_count = 0
         self.verification_count = 0
@@ -225,22 +230,22 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
     return False
 
 
-def maximum_search(table: np.ndarray, n_qubits: int,
+def maximum_search(table: np.ndarray,
                    rng: np.random.Generator) -> SearchReport:
     """Locate an index maximizing a score table by iterated threshold search.
 
-    Keeps a best-so-far threshold t seeded from one random sample, then
-    repeatedly searches the oracle mask "table > t" with the randomized
-    schedule of MAXIMUM_SEARCH_CONFIG; every verified hit raises the
-    threshold.  Stops after max_failures consecutive rounds find nothing and
-    returns the incumbent.  Ties are kept by the first index found.
+    The table holds one score per index of an n-qubit register, so its
+    length must be 2^n.  Keeps a best-so-far threshold t seeded from one
+    random sample, then repeatedly searches the oracle mask "table > t" with
+    the randomized schedule of MAXIMUM_SEARCH_CONFIG; every verified hit
+    raises the threshold.  Stops after max_failures consecutive rounds find
+    nothing and returns the incumbent.  Ties are kept by the first index
+    found.
     """
-    n_states = 1 << n_qubits
     table = np.asarray(table, dtype=float)
-    if table.shape != (n_states,):
-        raise ShapeError(f"cost table must have shape ({n_states},)")
+    index_bits(table, "cost table")
 
-    incumbent = int(rng.integers(0, n_states))
+    incumbent = int(rng.integers(0, table.size))
     threshold = table[incumbent]
     grover_total = 0
     verify_total = 0

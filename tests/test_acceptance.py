@@ -146,14 +146,14 @@ def test_criterion_6_detector_ordering_and_near_far():
     chips2 = np.array([1.0, 1, 1, -1]) / 2
     nf = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
                            noise_variance=0.0)
-    channel = cdma.ChannelState(amplitude=np.array([1.0, 10.0]),
-                                phase=np.zeros(2), delay=np.zeros(2, dtype=int))
+    channel = cdma.ChannelState(gains=np.array([1.0, 10.0]),
+                                delay=np.zeros(2, dtype=int))
     bits = np.array([1, -1])
     frame = cdma.synthesize_received(nf, channel, bits, [1, 1], None)
     y = cdma.matched_filter_bank(frame, nf, channel)
     mf_rep = mud.mf_detect(y, channel, true_bits=bits)
     ml_rep = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, nf, channel),
-                                      2, true_bits=bits)
+                                      true_bits=bits)
     near_far_ok = (abs(y[0] - (-4.0)) < 1e-12 and not mf_rep.correct
                    and mf_rep.detected_bits[0] == -1 and ml_rep.correct)
     ok = ordering_ok and near_far_ok
@@ -234,8 +234,8 @@ def test_criterion_8_invariant_suites():
 
     # Exhaustive evaluation counter is exactly 2^K.
     table = rng.standard_normal(256)
-    cf = mud.CostFunction(lambda: table, 8)
-    counter_ok = mud.exhaustive_ml_detect(cf, 8).cf_evaluations == 256
+    cf = mud.CostFunction(table)
+    counter_ok = mud.exhaustive_ml_detect(cf).cf_evaluations == 256
 
     ok = (norm_ok and chi_ok and tensor_ok and round_trip_ok and product_ok
           and counter_ok)

@@ -15,9 +15,7 @@ from qmudsim.errors import ConfigError, ShapeError
 
 
 def fixed_channel(gains, delays):
-    gains = np.asarray(gains, dtype=complex)
-    return cdma.ChannelState(amplitude=np.abs(gains),
-                             phase=np.angle(gains) % (2 * np.pi),
+    return cdma.ChannelState(gains=np.asarray(gains, dtype=complex),
                              delay=np.asarray(delays, dtype=int))
 
 
@@ -144,17 +142,50 @@ class TestSampleChannel:
                                 gain_model=cdma.GAIN_RAYLEIGH)
         ch1 = cdma.sample_channel(sc, np.random.default_rng(5))
         ch2 = cdma.sample_channel(sc, np.random.default_rng(5))
-        np.testing.assert_array_equal(ch1.amplitude, ch2.amplitude)
-        np.testing.assert_array_equal(ch1.phase, ch2.phase)
+        np.testing.assert_array_equal(ch1.gains, ch2.gains)
         np.testing.assert_array_equal(ch1.delay, ch2.delay)
         assert np.all(ch1.delay < 8)
+
+    def test_rayleigh_gains_draw_amplitude_then_phase(self):
+        sc = cdma.make_scenario("random_bipolar", 3, 8, 0.0,
+                                gain_model=cdma.GAIN_RAYLEIGH)
+        ch = cdma.sample_channel(sc, np.random.default_rng(2), (4,))
+        rng = np.random.default_rng(2)
+        amplitude = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=(4, 3))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=(4, 3))
+        np.testing.assert_array_equal(ch.gains, amplitude * np.exp(1j * phase))
 
     def test_rayleigh_second_moment(self):
         sc = cdma.make_scenario("random_bipolar", 5, 8, 0.0,
                                 gain_model=cdma.GAIN_RAYLEIGH)
         rng = np.random.default_rng(11)
-        sq = [cdma.sample_channel(sc, rng).amplitude**2 for _ in range(20000)]
+        sq = [abs(cdma.sample_channel(sc, rng).gains)**2 for _ in range(20000)]
         assert abs(np.mean(sq) - 1.0) < 0.02
+
+
+class TestChannelState:
+    def test_fields_are_gains_and_delay(self):
+        ch = cdma.ChannelState(gains=[1, 2j], delay=[0, 3])
+        assert ch.gains.dtype == complex
+        np.testing.assert_array_equal(ch.gains, [1, 2j])
+        np.testing.assert_array_equal(ch.delay, [0, 3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_gains_rejected(self, bad):
+        with pytest.raises(ValueError):
+            cdma.ChannelState(gains=np.array([1.0, bad]), delay=[0, 0])
+
+    @pytest.mark.parametrize("gains, delay", [
+        (np.ones(3), np.zeros(2, dtype=int)),
+        (np.ones((2, 3)), np.zeros(3, dtype=int)),
+    ])
+    def test_mismatched_shapes_rejected(self, gains, delay):
+        with pytest.raises(ShapeError):
+            cdma.ChannelState(gains=gains, delay=delay)
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ValueError):
+            cdma.ChannelState(gains=np.ones(2), delay=[0, -1])
 
 
 class TestSynthesizeReceived:
@@ -252,14 +283,12 @@ class TestBatchedModel:
                                        rtol=1e-12, atol=1e-12)
 
         channel = cdma.sample_channel(sc, rng, (trials,))
-        assert (channel.amplitude.shape == channel.phase.shape
-                == channel.delay.shape == (trials, k_users))
+        assert channel.gains.shape == channel.delay.shape == (trials, k_users)
         frames = cdma.synthesize_received(sc, channel, bits, prev, None)
         y = cdma.matched_filter_bank(frames, sc, channel)
         assert y.shape == (trials, k_users)
         for i in range(trials):
-            ch = cdma.ChannelState(channel.amplitude[i], channel.phase[i],
-                                   channel.delay[i])
+            ch = cdma.ChannelState(channel.gains[i], channel.delay[i])
             frame = cdma.synthesize_received(sc, ch, bits[i], prev[i], None)
             np.testing.assert_allclose(frames.samples[i], frame.samples,
                                        rtol=1e-12, atol=1e-12)

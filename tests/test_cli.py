@@ -89,6 +89,14 @@ class TestGroverCommand:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-64", "48"])
+    def test_scaling_n_validated(self, n, tmp_path):
+        out = tmp_path / "g.csv"
+        assert cli.main(["grover", "--scaling", "--n", n,
+                         "--scaling-max-exp", "7", "--trials", "5",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("marked", ["-1", "0", "65"])
     def test_scaling_marked_out_of_range(self, marked, tmp_path):
         out = tmp_path / "g.csv"
@@ -277,6 +285,75 @@ class TestBerConfigFuzz:
             rc = cli.main(["ber", "--config", path,
                            "--out", os.path.join(work, "fuzz.csv")])
         assert rc in (0, 2), text
+
+
+# One flag value in about seven is malformed text instead of a number.
+FUZZ_JUNK = st.sampled_from([None] * 18 + ["", "x", "1e3"])
+
+
+def _flag(name, values, required=False):
+    """argv pair [name, value] for a drawn value; optional flags may also be
+    left out."""
+    pair = st.tuples(values, FUZZ_JUNK).map(
+        lambda drawn: [name, str(drawn[0]) if drawn[1] is None else drawn[1]])
+    return pair if required else st.one_of(st.just([]), pair)
+
+
+def _argv(subcommand, *flags):
+    return st.tuples(*flags).map(
+        lambda parts: subcommand + [tok for part in parts for tok in part])
+
+
+def _mix(valid, invalid):
+    """Valid values three times in four."""
+    return st.one_of(valid, valid, valid, invalid)
+
+
+# Sizes stay small (n <= 2^10, trials <= 50, bits <= 200, K <= 6), so no draw
+# asks for a long run or a large allocation; negative, zero, non-finite and
+# out-of-range values are drawn next to valid ones.
+FUZZ_SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                -400.0, 1e308])
+FUZZ_N = _mix(st.sampled_from([1 << e for e in range(1, 11)]),
+              st.integers(-4, 1024))
+FUZZ_MARKED = _mix(st.integers(1, 4), st.integers(-2, 1030))
+FUZZ_SEED = _flag("--seed", _mix(st.integers(0, 2**64), st.integers(-2, -1)))
+FUZZ_TRIALS = _flag("--trials", _mix(st.integers(1, 50), st.integers(-2, 0)),
+                    required=True)
+FUZZ_ARGV = {
+    "grover": _argv(["grover"], _flag("--n", FUZZ_N, required=True),
+                    _flag("--marked", FUZZ_MARKED), FUZZ_TRIALS,
+                    _flag("--k-max", st.integers(-2, 40)), FUZZ_SEED),
+    "grover-scaling": _argv(["grover", "--scaling"], _flag("--n", FUZZ_N),
+                            _flag("--marked", FUZZ_MARKED), FUZZ_TRIALS,
+                            _flag("--scaling-max-exp", st.integers(-2, 10),
+                                  required=True), FUZZ_SEED),
+    "bsc": _argv(["bsc"],
+                 _flag("--p", _mix(st.floats(0.0, 1.0),
+                                   st.one_of(st.floats(-0.5, 1.5),
+                                             FUZZ_SPECIAL)), required=True),
+                 _flag("--bits", _mix(st.integers(1, 200),
+                                      st.integers(-2, 0)), required=True),
+                 FUZZ_SEED),
+    "qmud-agree": _argv(["qmud-agree"],
+                        _flag("--k", _mix(st.integers(1, 6),
+                                          st.integers(-2, 0)), required=True),
+                        _flag("--n-chips", _mix(st.integers(4, 32),
+                                                st.integers(-2, 3))),
+                        FUZZ_TRIALS,
+                        _flag("--ebn0", _mix(st.floats(-10.0, 30.0),
+                                             FUZZ_SPECIAL)),
+                        FUZZ_SEED),
+}
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_0_or_2(self, command, data):
+        argv = data.draw(FUZZ_ARGV[command], label="argv")
+        assert cli.main(argv) in (0, 2), argv
 
 
 class TestBscCommand:

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qmudsim import cdma, mud, qsearch
-from qmudsim.errors import ConfigError, SizeError
+from qmudsim.errors import ConfigError, ShapeError, SizeError
 
 
 def fixed_channel(gains, delays):
-    gains = np.asarray(gains, dtype=complex)
-    return cdma.ChannelState(amplitude=np.abs(gains),
-                             phase=np.angle(gains) % (2 * np.pi),
+    return cdma.ChannelState(gains=np.asarray(gains, dtype=complex),
                              delay=np.asarray(delays, dtype=int))
 
 
@@ -74,6 +72,18 @@ class TestHypothesisIndexing:
     def test_bits_validated(self):
         with pytest.raises(ValueError):
             mud.index_from_bits([1, 0, -1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(k_users=st.integers(1, 20), data=st.data())
+    def test_round_trip_both_ways(self, k_users, data):
+        m = data.draw(st.integers(0, (1 << k_users) - 1))
+        bits = mud.bits_from_index(m, k_users)
+        assert bits.shape == (k_users,)
+        assert mud.index_from_bits(bits) == m
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)),
+                                   min_size=k_users, max_size=k_users))
+        np.testing.assert_array_equal(
+            mud.bits_from_index(mud.index_from_bits(signs), k_users), signs)
 
 
 class TestMlsCost:
@@ -200,11 +210,11 @@ class TestMlsCost:
                       lambda x: x ** 3]
         for _ in range(100):
             table = rng.standard_normal(16)
-            cf = mud.CostFunction(lambda t=table: t, 4)
-            base = mud.exhaustive_ml_detect(cf, 4)
+            cf = mud.CostFunction(table)
+            base = mud.exhaustive_ml_detect(cf)
             for f in transforms:
-                warped = mud.CostFunction(lambda t=table, f=f: f(t), 4)
-                out = mud.exhaustive_ml_detect(warped, 4)
+                warped = mud.CostFunction(f(table))
+                out = mud.exhaustive_ml_detect(warped)
                 np.testing.assert_array_equal(out.detected_bits,
                                               base.detected_bits)
 
@@ -284,7 +294,7 @@ class TestMfDetect:
         assert not mf_report.correct
         assert mf_report.detected_bits[0] == -1
         ml_report = mud.exhaustive_ml_detect(
-            mud.make_mls_cost(frame, sc, ch), 2, true_bits=bits)
+            mud.make_mls_cost(frame, sc, ch), true_bits=bits)
         assert ml_report.correct
 
     def test_zero_outputs_slice_to_plus_one(self):
@@ -299,7 +309,7 @@ class TestExhaustiveDetect:
     def test_walsh_case_and_counter(self):
         frame, sc, ch = walsh2_frame()
         cf = mud.make_mls_cost(frame, sc, ch)
-        report = mud.exhaustive_ml_detect(cf, 2, true_bits=[1, -1])
+        report = mud.exhaustive_ml_detect(cf, true_bits=[1, -1])
         np.testing.assert_array_equal(report.detected_bits, [1, -1])
         assert report.cf_evaluations == 4
         assert report.correct
@@ -307,14 +317,14 @@ class TestExhaustiveDetect:
     def test_counter_exact_for_k8(self):
         rng = np.random.default_rng(7)
         table = rng.standard_normal(256)
-        cf = mud.CostFunction(lambda: table, 8)
-        report = mud.exhaustive_ml_detect(cf, 8)
+        cf = mud.CostFunction(table)
+        report = mud.exhaustive_ml_detect(cf)
         assert report.cf_evaluations == 256
         assert cf.evaluations == 256
 
     def test_evaluate_reads_the_table_and_counts_each_index(self):
         table = np.arange(8.0)
-        cf = mud.CostFunction(lambda: table, 3)
+        cf = mud.CostFunction(table)
         assert cf.evaluate(5) == 5.0
         np.testing.assert_array_equal(cf.evaluate([7, 0]), [7.0, 0.0])
         assert cf.evaluations == 3
@@ -323,11 +333,25 @@ class TestExhaustiveDetect:
         with pytest.raises(ValueError):
             cf.evaluate(-1)
         with pytest.raises(ValueError):
-            mud.CostFunction(lambda: np.zeros(7), 3).table()
+            mud.CostFunction(np.zeros(7))
+
+    @pytest.mark.parametrize("table", [np.zeros(6), np.zeros(0),
+                                       np.zeros((4, 4)), np.float64(1.0)])
+    def test_table_must_be_1d_of_power_of_two_length(self, table):
+        with pytest.raises(ShapeError):
+            mud.CostFunction(table)
+
+    def test_k_read_from_the_table(self):
+        cf = mud.CostFunction(np.arange(16.0))
+        assert cf.k_users == 4
+        report = mud.exhaustive_ml_detect(cf)
+        np.testing.assert_array_equal(report.detected_bits,
+                                      mud.bits_from_index(15, 4))
+        assert report.cf_evaluations == 16
 
     def test_constant_cost_ties_to_index_zero(self):
-        cf = mud.CostFunction(lambda: np.ones(8), 3)
-        report = mud.exhaustive_ml_detect(cf, 3)
+        cf = mud.CostFunction(np.ones(8))
+        report = mud.exhaustive_ml_detect(cf)
         np.testing.assert_array_equal(report.detected_bits, [1, 1, 1])
 
     def test_noiseless_detection_exact(self):
@@ -338,13 +362,13 @@ class TestExhaustiveDetect:
             bits = rng.choice((-1, 1), size=4)
             frame = cdma.synthesize_received(sc, ch, bits, np.ones(4), None)
             report = mud.exhaustive_ml_detect(
-                mud.make_mls_cost(frame, sc, ch), 4, true_bits=bits)
+                mud.make_mls_cost(frame, sc, ch), true_bits=bits)
             assert report.correct
 
     def test_k_guard(self):
-        cf = mud.CostFunction(lambda: np.zeros(1 << 21), 21)
+        cf = mud.CostFunction(np.zeros(1 << 21))
         with pytest.raises(SizeError):
-            mud.exhaustive_ml_detect(cf, 21)
+            mud.exhaustive_ml_detect(cf)
 
 
 class TestQmudDetect:
@@ -352,24 +376,30 @@ class TestQmudDetect:
         frame, sc, ch = walsh2_frame()
         rng = np.random.default_rng(9)
         for _ in range(25):
-            report = mud.qmud_detect(mud.make_mls_cost(frame, sc, ch), 2, rng,
+            report = mud.qmud_detect(mud.make_mls_cost(frame, sc, ch), rng,
                                      true_bits=[1, -1])
             np.testing.assert_array_equal(report.detected_bits, [1, -1])
             assert report.correct
 
     def test_constant_cost_accepts_any_hypothesis(self):
-        cf = mud.CostFunction(lambda: np.full(8, 2.5), 3)
-        report = mud.qmud_detect(cf, 3, np.random.default_rng(10))
+        cf = mud.CostFunction(np.full(8, 2.5))
+        report = mud.qmud_detect(cf, np.random.default_rng(10))
         assert report.detected_bits.shape == (3,)
         assert report.cf_evaluations >= 1  # threshold rounds attempted
 
     def test_round_count_reported_as_cf_evaluations(self):
         rng = np.random.default_rng(11)
-        cf = mud.CostFunction(lambda: np.arange(64.0), 6)
-        report = mud.qmud_detect(cf, 6, rng)
+        cf = mud.CostFunction(np.arange(64.0))
+        report = mud.qmud_detect(cf, rng)
         rounds = report.cf_evaluations
         assert rounds >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures
         assert report.grover_queries > 0
+
+    def test_bits_read_from_the_table(self):
+        report = mud.qmud_detect(mud.CostFunction(np.arange(32.0)),
+                                 np.random.default_rng(14))
+        np.testing.assert_array_equal(report.detected_bits,
+                                      mud.bits_from_index(31, 5))
 
     def test_agreement_with_exhaustive_k8(self):
         rng = np.random.default_rng(12)
@@ -476,3 +506,40 @@ class TestAnalyticBaseline:
             gamma = 10 ** (db / 10)
             expected = stats.norm.sf(math.sqrt(2 * gamma))
             assert mud.analytic_bpsk_ber(db) == pytest.approx(expected, rel=1e-12)
+
+
+class TestInputChecks:
+    """Bad sweep and agreement inputs raise ConfigError before any draw."""
+
+    def test_agreement_rejects_zero_trials(self):
+        sc = cdma.make_scenario("walsh", 2, 4, 0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError):
+            mud.qmud_agreement(sc, 8.0, 0, rng)
+        assert rng.bit_generator.state == state
+
+    def test_agreement_rejects_k_above_limit(self):
+        sc = cdma.make_scenario("random_bipolar", mud.EXHAUSTIVE_K_LIMIT + 1,
+                                4, 0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError):
+            mud.qmud_agreement(sc, 8.0, 1, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("detector, k_users, trials", [
+        ("zf", 2, 1),
+        ("mf", 2, 0),
+        ("ml_exhaustive", mud.EXHAUSTIVE_K_LIMIT + 1, 1),
+        ("qmud", mud.EXHAUSTIVE_K_LIMIT + 1, 1),
+    ])
+    def test_sweep_rejects_before_any_trial(self, detector, k_users, trials):
+        sc = cdma.make_scenario("random_bipolar", k_users, 4, 0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        trace = io.StringIO()
+        with pytest.raises(ConfigError):
+            mud.ber_sweep(sc, detector, [0.0], trials, rng, trace_fh=trace)
+        assert rng.bit_generator.state == state
+        assert trace.getvalue() == ""

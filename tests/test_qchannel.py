@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmudsim import qchannel, qcore
+from qmudsim.errors import ConfigError
 
 
 class TestBscCapacity:
@@ -113,6 +114,12 @@ class TestRunDemo:
     def test_n_bits_validated(self):
         with pytest.raises(ValueError):
             qchannel.run_demo(0, 0.5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_bits, p", [
+        (0, 0.5), (-3, 0.5), (10, -0.1), (10, 1.5), (10, float("nan"))])
+    def test_bad_input_is_config_error(self, n_bits, p):
+        with pytest.raises(ConfigError):
+            qchannel.run_demo(n_bits, p, np.random.default_rng(0))
 
     def test_report_serialization(self):
         report = qchannel.DemoReport(n_bits=10, classical_error_rate=0.5,

@@ -58,11 +58,11 @@ def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
         m = min(cfg.growth_factor * m, sqrt_n)
 
 
-def reference_maximum_search(table, n_qubits, rng):
+def reference_maximum_search(table, rng):
     """qsearch.maximum_search with every round run by reference_bbht_search."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsearch, "bbht_search", reference_bbht_search)
-        return qsearch.maximum_search(table, n_qubits, rng)
+        return qsearch.maximum_search(table, rng)
 
 
 def homogeneity_p(a, b, min_count=10):
@@ -244,8 +244,8 @@ def test_bbht_matches_state_vector_reference(n_qubits, n_marked, seed):
 def test_maximum_search_matches_state_vector_reference():
     rng = np.random.default_rng(106)
     tables = rng.random((1500, 64))
-    new = [qsearch.maximum_search(t, 6, rng) for t in tables]
-    ref = [reference_maximum_search(t, 6, rng) for t in tables]
+    new = [qsearch.maximum_search(t, rng) for t in tables]
+    ref = [reference_maximum_search(t, rng) for t in tables]
     for reports in (new, ref):
         agree = np.mean([t[r.found] == t.max() for t, r in zip(tables, reports)])
         assert agree >= 0.99
@@ -285,24 +285,24 @@ class TestMaximumSearch:
         values = np.array([1.0, 4.0, 2.0, 0.5, 3.9, 9.0, 3.0, 8.0])
         rng = np.random.default_rng(8)
         for _ in range(50):
-            rep = qsearch.maximum_search(values, 3, rng)
+            rep = qsearch.maximum_search(values, rng)
             assert rep.succeeded
             assert rep.found == 5
 
     def test_constant_cost_any_index(self):
         rng = np.random.default_rng(9)
-        rep = qsearch.maximum_search(np.zeros(16), 4, rng)
+        rep = qsearch.maximum_search(np.zeros(16), rng)
         assert rep.succeeded
         assert 0 <= rep.found < 16
 
     def test_identity_cost(self):
         rng = np.random.default_rng(10)
-        rep = qsearch.maximum_search(np.arange(16.0), 4, rng)
+        rep = qsearch.maximum_search(np.arange(16.0), rng)
         assert rep.found == 15
 
     def test_callable_cost_accepted(self):
         rng = np.random.default_rng(11)
-        rep = qsearch.maximum_search(-abs(np.arange(16) - 11), 4, rng)
+        rep = qsearch.maximum_search(-abs(np.arange(16) - 11), rng)
         assert rep.found == 11
 
     def test_matches_brute_force_on_random_costs(self):
@@ -311,13 +311,18 @@ class TestMaximumSearch:
         for _ in range(500):
             n = int(rng.integers(3, 11))
             table = rng.random(1 << n)
-            rep = qsearch.maximum_search(table, n, rng)
+            rep = qsearch.maximum_search(table, rng)
             agree += int(table[rep.found] == table.max())
         assert agree / 500 >= 0.99
 
+    @pytest.mark.parametrize("table", [np.zeros(12), np.zeros((4, 4))])
+    def test_table_must_be_1d_of_power_of_two_length(self, table):
+        with pytest.raises(ShapeError):
+            qsearch.maximum_search(table, np.random.default_rng(0))
+
     def test_reports_rounds_and_queries(self):
         rng = np.random.default_rng(13)
-        rep = qsearch.maximum_search(np.arange(64.0), 6, rng)
+        rep = qsearch.maximum_search(np.arange(64.0), rng)
         assert rep.iterations_used >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures
         assert rep.grover_queries > 0
         assert rep.verification_queries > 0
