@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -130,8 +131,6 @@ def cmd_ber(args) -> int:
         trials = int(cfg["trials"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not ebn0_list:
-        raise ConfigError("ebn0_db_list is empty")
     # the other keys describe the scenario; ebn0_db_list sets each point's
     # noise, so the scenario is read noiseless, with the resolved seed
     scenario_cfg = {key: value for key, value in cfg.items()
@@ -182,7 +181,10 @@ def cmd_qmud_agree(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args call
+    fills a fresh namespace, so no parsed state is shared between calls."""
     parser = argparse.ArgumentParser(
         prog="qmudsim",
         description="DS-CDMA quantum-assisted detection experiments")

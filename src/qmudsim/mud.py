@@ -65,16 +65,20 @@ def all_bit_vectors(k_users: int) -> np.ndarray:
 class CostFunction:
     """Score map over hypothesis indices; higher means more likely.
 
-    Holds the scores of all 2^K indices; K is read from the table's length,
-    which must be a power of 2 (ShapeError otherwise).  `table` returns the
-    scores without touching the counter, so quantum-detector reports count
-    oracle masks (one per threshold round) instead.  `evaluate` reads scores
-    from the table and counts one evaluation per index read.
+    Holds a read-only float copy of the scores of all 2^K indices, so later
+    writes to the caller's array do not reach it; K is read from the table's
+    length, which must be a power of 2 (ShapeError otherwise).  `table`
+    returns the scores without touching the counter, so quantum-detector
+    reports count oracle masks (one per threshold round) instead.
+    `evaluate` reads scores from the table and counts one evaluation per
+    index read.
     """
 
     def __init__(self, table):
-        self._table = np.asarray(table, dtype=float)
-        self.k_users = qsearch.index_bits(self._table, "cost table")
+        table = np.array(table, dtype=float)
+        self.k_users = qsearch.index_bits(table, "cost table")
+        table.setflags(write=False)
+        self._table = table
         self.evaluations = 0
 
     def evaluate(self, m):
@@ -107,7 +111,14 @@ class DetectionReport:
 
 def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
                   channel: ChannelState, kind: str = "mls_chip") -> CostFunction:
-    """Maximum-likelihood score under white Gaussian chip noise.
+    """Maximum-likelihood cost function of one frame: the mls_tables scores."""
+    return CostFunction(mls_tables(frame, scenario, channel, kind))
+
+
+def mls_tables(frame: ReceivedFrame, scenario: CdmaScenario,
+               channel: ChannelState, kind: str = "mls_chip") -> np.ndarray:
+    """Maximum-likelihood scores under white Gaussian chip noise, (..., 2^K)
+    for frames of shape (..., N_c) and channels of shape (..., K).
 
     "mls_chip" scores −‖r − ŝ_m‖² against the noiseless chip-level
     reconstruction for hypothesis m (a strictly increasing transform of the
@@ -115,50 +126,55 @@ def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
     matched-filter image w(b_m) versus the observed filter outputs,
     disregarding the noise correlation those outputs carry.
 
-    The table is built in closed form, not from 2^K images: the previous
+    Each table is built in closed form, not from 2^K images: the previous
     bits' spill-in is subtracted once, r′ = r − Σ_k a_k·p_k·spill_k, and
     with one real row [Re | Im] of a_k·current_k per user stacked into W
     (times currentᵀ, against current·r′, for "mls_mf") every score is the
-    quadratic form of _split_half_scores.
+    quadratic form of _split_half_scores.  Leading axes broadcast the way
+    synthesize_received and matched_filter_bank do.
     """
     if kind not in ("mls_chip", "mls_mf"):
         raise ValueError(f"unknown cost kind {kind!r}")
     current, spill = cdma.delay_aligned(scenario, channel.delay)
     gains = channel.gains
-    target = frame.samples - (gains * frame.prev_bits) @ spill
-    rows = gains[:, None] * current
+    target = frame.samples - ((gains * frame.prev_bits)[..., None, :]
+                              @ spill)[..., 0, :]
+    rows = gains[..., None] * current
     if kind == "mls_mf":
-        rows = rows @ current.T
-        target = current @ target
-    return CostFunction(_split_half_scores(
-        np.hstack((rows.real, rows.imag)),
-        np.concatenate((target.real, target.imag))))
+        rows = rows @ current.mT
+        target = np.matvec(current, target)
+    return _split_half_scores(
+        np.concatenate((rows.real, rows.imag), axis=-1),
+        np.concatenate((target.real, target.imag), axis=-1))
 
 
 def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """−‖target − bᵀ·rows‖² for every b = bits_from_index(m, K), in index order.
+    """−‖target − bᵀ·rows‖² for every b = bits_from_index(m, K), in index
+    order, per leading index of the (..., K, D) rows and (..., D) targets.
 
     Expanded as 2·b·z − bᵀGb − ‖target‖² with z = rows·target and G =
     rows·rowsᵀ.  The users split into the low c = ⌈K/2⌉ bits of m and the
     high K − c, so with m = hi·2^c + lo the table is s_lo[lo] + s_hi[hi] −
-    2·(B_hi·G_hl·B_loᵀ)[hi, lo] − ‖target‖²: one (2^(K−c), 2^c) GEMM.
-    Besides the 2^K scores it holds O(2^c·K) memory; no (2^K, K) bit matrix
-    and no 2^K images are formed.
+    2·(B_hi·G_hl·B_loᵀ)[hi, lo] − ‖target‖²: one (2^(K−c), 2^c) GEMM per
+    table.  Besides the 2^K scores each table holds O(2^c·K) memory; no
+    (2^K, K) bit matrix and no 2^K images are formed.
     """
-    k = rows.shape[0]
+    k = rows.shape[-2]
     c = (k + 1) // 2
-    z = rows @ target
-    gram = rows @ rows.T
+    z = np.matvec(rows, target)
+    gram = rows @ rows.mT
     b_lo, b_hi = all_bit_vectors(c), all_bit_vectors(k - c)
 
     def half_scores(bits, users):
         # b·(2z − G b) = 2 b·z − bᵀGb, restricted to one half's users
-        return ((2.0 * z[users] - bits @ gram[users, users]) * bits).sum(axis=1)
+        return ((2.0 * z[..., None, users] - bits @ gram[..., users, users])
+                * bits).sum(axis=-1)
 
-    table = (b_hi @ (-2.0 * gram[c:, :c])) @ b_lo.T
-    table += half_scores(b_lo, slice(0, c))
-    table += (half_scores(b_hi, slice(c, k)) - target @ target)[:, None]
-    return table.ravel()
+    table = (b_hi @ (-2.0 * gram[..., c:, :c])) @ b_lo.T
+    table += half_scores(b_lo, slice(0, c))[..., None, :]
+    table += (half_scores(b_hi, slice(c, k))
+              - np.vecdot(target, target)[..., None])[..., None]
+    return table.reshape(table.shape[:-2] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +309,17 @@ def _correct(detected: np.ndarray, true_bits) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 # Monte-Carlo BER harness.
 
-def _draw_trial(scenario: CdmaScenario, rng: np.random.Generator):
-    """One random instance: (channel, current bits, received frame).
+def _draw_trial(scenario: CdmaScenario, rng: np.random.Generator,
+                shape: tuple = ()):
+    """Random instances: (channel, current bits, received frames), one per
+    index of `shape`, drawn with one batched call each.
 
-    Draws the channel, then the current and previous bits, then the noise.
+    Draws the channels, then the current and previous bits, then the noise.
     """
-    channel = cdma.sample_channel(scenario, rng)
-    bits = rng.choice((-1, 1), size=scenario.k_users)
-    prev = rng.choice((-1, 1), size=scenario.k_users)
+    channel = cdma.sample_channel(scenario, rng, shape)
+    size = tuple(shape) + (scenario.k_users,)
+    bits = rng.choice((-1, 1), size=size)
+    prev = rng.choice((-1, 1), size=size)
     frame = cdma.synthesize_received(scenario, channel, bits, prev, rng)
     return channel, bits, frame
 
@@ -347,7 +366,8 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
     bits plus the mean work counters.  Deterministic under the passed rng.
     trace_fh, when given, receives one JSON line per trial.  An unknown
     detector, trials < 1, a K above EXHAUSTIVE_K_LIMIT for the table
-    detectors and a bad Eb/N0 raise ConfigError before any trial runs.
+    detectors, an empty Eb/N0 list and a bad Eb/N0 raise ConfigError before
+    any trial runs.
     """
     if detector not in DETECTORS:
         raise ConfigError(f"detector must be one of {DETECTORS}")
@@ -358,6 +378,8 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
         raise ConfigError(f"detector {detector} supports at most "
                           f"k_users = {EXHAUSTIVE_K_LIMIT}")
     ebn0_db_list = list(ebn0_db_list)
+    if not ebn0_db_list:
+        raise ConfigError("ebn0_db_list is empty")
     # convert every point first, so a bad Eb/N0 fails before any trial runs
     sigma2_list = [cdma.ebn0_db_to_noise_variance(e) for e in ebn0_db_list]
     points = []
@@ -425,14 +447,25 @@ class AgreementResult:
     redraws: int
 
 
+# Most scores qmud_agreement holds at once (128 KiB): 16 trials per chunk at
+# K = 10, one from K = 14 up.  Larger chunks ran no faster at K = 10 and
+# raise a call's peak memory in proportion: under tracemalloc, a 200-trial
+# K = 10 call peaks at 0.5 MiB with this bound and at 1.8 MiB with 2^16.
+AGREEMENT_CHUNK_SCORES = 1 << 14
+
+
 def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
                    trials: int, rng: np.random.Generator) -> AgreementResult:
     """Fraction of random noisy instances where the quantum-assisted detector
     lands on the exhaustive argmax.
 
-    Instances without a unique maximizer (ties at float precision) are
-    redrawn so agreement is well defined, at most `trials` times in total;
-    one more tie raises ConfigError, as do trials < 1 and K outside
+    Instances are drawn and scored in chunks of at most
+    AGREEMENT_CHUNK_SCORES table entries: one batched _draw_trial and one
+    mls_tables call per chunk, the argmax and tie check of every row at
+    once, then qsearch.maximum_search on each row in order.  Instances
+    without a unique maximizer (ties at float precision) are redrawn so
+    agreement is well defined, at most `trials` times in total; one more tie
+    raises ConfigError, as do trials < 1 and K outside
     [1, EXHAUSTIVE_K_LIMIT].
     """
     k = scenario_template.k_users
@@ -443,6 +476,7 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
                           f"got {k}")
     scenario = cdma.with_noise_variance(
         scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
+    chunk = max(1, AGREEMENT_CHUNK_SCORES >> k)
     agree = 0
     grover_total = 0.0
     verify_total = 0.0
@@ -450,22 +484,28 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     done = 0
     redraws = 0
     while done < trials:
-        channel, _, frame = _draw_trial(scenario, rng)
-        table = make_mls_cost(frame, scenario, channel).table()
-        best = int(np.argmax(table))
-        if np.count_nonzero(table == table[best]) > 1:  # no unique argmax
-            redraws += 1
-            if redraws > trials:
-                raise ConfigError(
-                    f"at Eb/N0 {ebn0_db!r} dB, {redraws} instances had no "
-                    f"unique maximum (at most {trials} redraws allowed)")
-            continue
-        report = qsearch.maximum_search(table, rng)
-        agree += int(report.found == best)
-        grover_total += report.grover_queries
-        verify_total += report.verification_queries
-        rounds_total += report.iterations_used
-        done += 1
+        channel, _, frame = _draw_trial(scenario, rng,
+                                        (min(chunk, trials - done),))
+        tables = mls_tables(frame, scenario, channel)
+        best = tables.argmax(axis=-1)
+        top = tables.max(axis=-1, keepdims=True)
+        unique = np.count_nonzero(tables == top, axis=-1) == 1
+        for table, row_best, row_unique in zip(tables, best.tolist(),
+                                               unique.tolist()):
+            if not row_unique:
+                redraws += 1
+                if redraws > trials:
+                    raise ConfigError(
+                        f"at Eb/N0 {ebn0_db!r} dB, {redraws} instances had "
+                        f"no unique maximum (at most {trials} redraws "
+                        "allowed)")
+                continue
+            report = qsearch.maximum_search(table, rng)
+            agree += int(report.found == row_best)
+            grover_total += report.grover_queries
+            verify_total += report.verification_queries
+            rounds_total += report.iterations_used
+            done += 1
     return AgreementResult(k_users=k, trials=trials, ebn0_db=float(ebn0_db),
                            agreement=agree / trials,
                            mean_grover_queries=grover_total / trials,

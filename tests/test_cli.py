@@ -412,6 +412,21 @@ class TestQmudAgreeCommand:
         assert "ConfigError" in done.stderr and "4 instances" in done.stderr
 
 
+class TestParserReuse:
+    def test_no_parsed_state_leaks_between_calls(self, tmp_path):
+        # the parser is built once per process; a --seed given to one call
+        # must not reach the next, whose seed comes from its config
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(["qmud-agree", "--k", "3", "--trials", "2",
+                         "--seed", "5"]) == 0
+        cfg = tmp_path / "ber.cfg"
+        cfg.write_text(BER_CONFIG)
+        out = tmp_path / "curve.csv"
+        assert cli.main(["ber", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["config"]["seed"] == 77
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("argv", [
         ["grover", "--n", "16", "--trials", "10"],

@@ -52,6 +52,48 @@ def random_instance(k_users, n_chips, sigma2, sync_mode, gain_model, seed):
     return cdma.synthesize_received(sc, ch, bits, prev, rng), sc, ch
 
 
+
+def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
+    """qmud_agreement as a per-trial loop: one draw, one make_mls_cost table
+    and one tie check per instance, then the search."""
+    k = scenario_template.k_users
+    scenario = cdma.with_noise_variance(
+        scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
+    agree = grover = verify = rounds = 0
+    done = redraws = 0
+    while done < trials:
+        channel, _, frame = mud._draw_trial(scenario, rng)
+        table = mud.make_mls_cost(frame, scenario, channel).table()
+        best = int(np.argmax(table))
+        if np.count_nonzero(table == table[best]) > 1:
+            redraws += 1
+            if redraws > trials:
+                raise ConfigError(f"{redraws} instances had no unique maximum")
+            continue
+        report = qsearch.maximum_search(table, rng)
+        agree += int(report.found == best)
+        grover += report.grover_queries
+        verify += report.verification_queries
+        rounds += report.iterations_used
+        done += 1
+    return mud.AgreementResult(
+        k_users=k, trials=trials, ebn0_db=float(ebn0_db),
+        agreement=agree / trials, mean_grover_queries=grover / trials,
+        mean_verification_queries=verify / trials,
+        mean_threshold_rounds=rounds / trials, exhaustive_evaluations=1 << k,
+        redraws=redraws)
+
+
+def two_proportion_p(successes_a, n_a, successes_b, n_b):
+    """Two-sided p-value of the pooled two-proportion z-test; 1 when the
+    pooled rate is 0 or 1, where the two samples cannot differ."""
+    pooled = (successes_a + successes_b) / (n_a + n_b)
+    var = pooled * (1 - pooled) * (1 / n_a + 1 / n_b)
+    if var == 0:
+        return 1.0
+    z = (successes_a / n_a - successes_b / n_b) / math.sqrt(var)
+    return 2 * stats.norm.sf(abs(z))
+
 class TestHypothesisIndexing:
     def test_index_zero_is_all_plus(self):
         np.testing.assert_array_equal(mud.bits_from_index(0, 3), [1, 1, 1])
@@ -171,6 +213,34 @@ class TestMlsCost:
             assert ref[np.argmax(table)] >= ref.max() - tol
             if np.count_nonzero(ref >= ref.max() - tol) == 1:
                 assert np.argmax(table) == np.argmax(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k_users=st.integers(1, 10), n_chips=st.integers(1, 16),
+           sigma2=st.floats(0.01, 2.0),
+           sync_mode=st.sampled_from(cdma.SYNC_MODES),
+           gain_model=st.sampled_from(cdma.GAIN_MODELS),
+           shape=st.sampled_from([(1,), (5,), (2, 3)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_tables_match_per_frame_tables(
+            self, k_users, n_chips, sigma2, sync_mode, gain_model, shape,
+            seed):
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, sigma2,
+                                sync_mode=sync_mode, gain_model=gain_model,
+                                seed=seed)
+        channel, _, frame = mud._draw_trial(sc, np.random.default_rng(seed),
+                                            shape)
+        for kind in ("mls_chip", "mls_mf"):
+            tables = mud.mls_tables(frame, sc, channel, kind)
+            assert tables.shape == shape + (1 << k_users,)
+            for t in np.ndindex(shape):
+                one = cdma.ReceivedFrame(samples=frame.samples[t],
+                                         prev_bits=frame.prev_bits[t])
+                ch = cdma.ChannelState(gains=channel.gains[t],
+                                       delay=channel.delay[t])
+                ref = mud.make_mls_cost(one, sc, ch, kind=kind).table()
+                tol = 1e-12 * np.max(np.abs(ref))
+                np.testing.assert_allclose(tables[t], ref, rtol=1e-12,
+                                           atol=tol)
 
     @pytest.mark.parametrize("kind", ["mls_chip", "mls_mf"])
     def test_k20_table_memory_is_bounded(self, kind):
@@ -341,6 +411,21 @@ class TestExhaustiveDetect:
         with pytest.raises(ShapeError):
             mud.CostFunction(table)
 
+    def test_keeps_a_copy_of_the_callers_scores(self):
+        scores = np.arange(8.0)
+        cf = mud.CostFunction(scores)
+        scores[0] = 99.0
+        assert cf.table()[0] == 0.0
+        np.testing.assert_array_equal(
+            mud.exhaustive_ml_detect(cf).detected_bits,
+            mud.bits_from_index(7, 3))
+
+    def test_table_is_read_only(self):
+        cf = mud.CostFunction(np.arange(8.0))
+        with pytest.raises(ValueError):
+            cf.table()[0] = 1
+        assert cf.table()[0] == 0.0
+
     def test_k_read_from_the_table(self):
         cf = mud.CostFunction(np.arange(16.0))
         assert cf.k_users == 4
@@ -409,6 +494,45 @@ class TestQmudDetect:
         result = mud.qmud_agreement(sc, 8.0, 300, rng)
         assert result.agreement >= 0.98
         assert result.mean_grover_queries < result.exhaustive_evaluations
+
+    def test_chunked_agreement_matches_per_trial_reference(self):
+        # per-call means over 40 calls of 50 trials on each side; agreement
+        # by a two-proportion test, the mean counters by Welch t-tests
+        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+        calls, trials = 40, 50
+        new = [mud.qmud_agreement(sc, 8.0, trials, np.random.default_rng(s))
+               for s in range(100, 100 + calls)]
+        ref = [reference_qmud_agreement(sc, 8.0, trials,
+                                        np.random.default_rng(s))
+               for s in range(200, 200 + calls)]
+        agree_new, agree_ref = (round(sum(r.agreement * trials for r in rs))
+                                for rs in (new, ref))
+        n = calls * trials
+        assert agree_new >= 0.98 * n and agree_ref >= 0.98 * n
+        assert two_proportion_p(agree_new, n, agree_ref, n) > 1e-3
+        for field in ("mean_grover_queries", "mean_verification_queries",
+                      "mean_threshold_rounds"):
+            p = stats.ttest_ind([getattr(r, field) for r in new],
+                                [getattr(r, field) for r in ref],
+                                equal_var=False).pvalue
+            assert p > 1e-3, field
+
+    def test_chunked_agreement_memory_is_bounded(self):
+        sc = cdma.make_scenario("random_bipolar", 12, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+        tracemalloc.start()
+        try:
+            result = mud.qmud_agreement(sc, 8.0, 200,
+                                        np.random.default_rng(21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 200 tables at once would take 6.5 MB
+        assert peak < 2 * 2**20
+        assert result.agreement >= 0.98
 
     def test_tie_redraws_counted_and_capped(self):
         sc = cdma.make_scenario("random_bipolar", 4, 16, 0.0,
@@ -527,6 +651,16 @@ class TestInputChecks:
         with pytest.raises(ConfigError):
             mud.qmud_agreement(sc, 8.0, 1, rng)
         assert rng.bit_generator.state == state
+
+    def test_sweep_rejects_empty_ebn0_list(self):
+        sc = cdma.make_scenario("walsh", 2, 4, 0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        trace = io.StringIO()
+        with pytest.raises(ConfigError):
+            mud.ber_sweep(sc, "mf", [], 5, rng, trace_fh=trace)
+        assert rng.bit_generator.state == state
+        assert trace.getvalue() == ""
 
     @pytest.mark.parametrize("detector, k_users, trials", [
         ("zf", 2, 1),

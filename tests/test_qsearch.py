@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from qmudsim import qcore, qsearch
-from qmudsim.errors import ShapeError
+from qmudsim.errors import ConfigError, ShapeError
 
 # Fixed-seed equivalence tests reject at this p-value.
 EQUIVALENCE_ALPHA = 1e-3
@@ -358,6 +358,12 @@ class TestStatisticalInvariants:
         assert 0.0 <= rate <= 1.0
         assert rate == pytest.approx(qsearch.success_probability(1024, 1, 25),
                                      abs=1e-5)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ConfigError):
+            qsearch.measured_success_rate(oracle_marking(3, [1]), 1, trials,
+                                          np.random.default_rng(20))
 
     def test_uniform_measurement_acceptance_rate(self):
         rng = np.random.default_rng(16)
