@@ -141,8 +141,8 @@ def mls_tables(frame: ReceivedFrame, scenario: CdmaScenario,
                               @ spill)[..., 0, :]
     rows = gains[..., None] * current
     if kind == "mls_mf":
-        rows = rows @ current.mT
-        target = np.matvec(current, target)
+        rows = rows @ np.swapaxes(current, -1, -2)
+        target = (current @ target[..., None])[..., 0]
     return _split_half_scores(
         np.concatenate((rows.real, rows.imag), axis=-1),
         np.concatenate((target.real, target.imag), axis=-1))
@@ -161,8 +161,8 @@ def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
     """
     k = rows.shape[-2]
     c = (k + 1) // 2
-    z = np.matvec(rows, target)
-    gram = rows @ rows.mT
+    z = (rows @ target[..., None])[..., 0]
+    gram = rows @ np.swapaxes(rows, -1, -2)
     b_lo, b_hi = all_bit_vectors(c), all_bit_vectors(k - c)
 
     def half_scores(bits, users):
@@ -173,7 +173,7 @@ def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
     table = (b_hi @ (-2.0 * gram[..., c:, :c])) @ b_lo.T
     table += half_scores(b_lo, slice(0, c))[..., None, :]
     table += (half_scores(b_hi, slice(c, k))
-              - np.vecdot(target, target)[..., None])[..., None]
+              - (target[..., None, :] @ target[..., None])[..., 0])[..., None]
     return table.reshape(table.shape[:-2] + (-1,))
 
 

@@ -52,7 +52,6 @@ def random_instance(k_users, n_chips, sigma2, sync_mode, gain_model, seed):
     return cdma.synthesize_received(sc, ch, bits, prev, rng), sc, ch
 
 
-
 def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
     """qmud_agreement as a per-trial loop: one draw, one make_mls_cost table
     and one tie check per instance, then the search."""
@@ -93,6 +92,7 @@ def two_proportion_p(successes_a, n_a, successes_b, n_b):
         return 1.0
     z = (successes_a / n_a - successes_b / n_b) / math.sqrt(var)
     return 2 * stats.norm.sf(abs(z))
+
 
 class TestHypothesisIndexing:
     def test_index_zero_is_all_plus(self):
