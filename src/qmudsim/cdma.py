@@ -10,7 +10,6 @@ carry complex white Gaussian noise of variance sigma² per sample.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 from dataclasses import dataclass
@@ -293,7 +292,7 @@ def matched_filter_bank(frame: ReceivedFrame, scenario: CdmaScenario,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: flat key=value scenario configs, CSV frame export.
+# Serialization: flat key=value scenario configs.
 
 SCENARIO_KEYS = ("signature_kind", "k_users", "n_chips", "sync_mode",
                  "gain_model", "sigma2", "ebn0_db", "seed")
@@ -314,35 +313,6 @@ def parse_kv_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
-
-
-def scenario_to_config(scenario: CdmaScenario) -> dict:
-    """Flat string map describing the scenario (sigma2 form).
-
-    The signature kind is the one whose generate_signatures rebuilds the
-    scenario's chips from its sizes and seed; custom chips have no config
-    form and raise ConfigError.
-    """
-    for kind in SIGNATURE_KINDS:
-        try:
-            chips = generate_signatures(kind, scenario.k_users,
-                                        scenario.n_chips, scenario.seed)
-        except ValueError:
-            continue
-        if np.array_equal(chips, scenario.signatures):
-            break
-    else:
-        raise ConfigError("signatures match no signature kind at the "
-                          "scenario's sizes and seed")
-    return {
-        "signature_kind": kind,
-        "k_users": str(scenario.k_users),
-        "n_chips": str(scenario.n_chips),
-        "sync_mode": scenario.sync_mode,
-        "gain_model": scenario.gain_model,
-        "sigma2": repr(float(scenario.noise_variance)),
-        "seed": str(scenario.seed),
-    }
 
 
 def scenario_from_config(cfg: dict) -> CdmaScenario:
@@ -377,14 +347,3 @@ def scenario_from_config(cfg: dict) -> CdmaScenario:
                          gain_model=cfg.get("gain_model", GAIN_FIXED),
                          seed=seed)
 
-
-def frame_to_csv(frame: ReceivedFrame, path) -> None:
-    """Dump one window as rows of (t, re, im) for debugging."""
-    if frame.samples.ndim != 1:
-        raise ShapeError("frame_to_csv writes one window, got samples of "
-                         f"shape {frame.samples.shape}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re", "im"])
-        for t, z in enumerate(frame.samples):
-            writer.writerow([t, repr(float(z.real)), repr(float(z.imag))])

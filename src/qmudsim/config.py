@@ -14,7 +14,7 @@ PRODUCT_TOL = 1e-9
 MAX_QUBITS = 24
 
 # Dense matrices above this dimension are refused; larger transforms must use
-# a structured form (diagonal phase, single-qubit-on-wire).
+# the diagonal phase form.
 MAX_DENSE_DIM = 1024
 
 # Default seed for CLI runs and demos; --seed overrides.

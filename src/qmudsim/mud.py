@@ -1,7 +1,7 @@
 """Multi-user detection layer.
 
 Maps the 2^K bipolar hypothesis vectors onto register indices, scores them
-with likelihood-equivalent cost functions, and detects with three receivers:
+with the chip-level maximum-likelihood cost, and detects with three receivers:
 the matched-filter slicer, exhaustive maximum-likelihood search, and the
 quantum-assisted detector that drives the threshold maximum search over a
 K-qubit register.  A Monte-Carlo harness sweeps bit error rate against
@@ -67,16 +67,16 @@ class CostFunction:
 
     Holds a read-only float copy of the scores of all 2^K indices, so later
     writes to the caller's array do not reach it; K is read from the table's
-    length, which must be a power of 2 (ShapeError otherwise).  `table`
-    returns the scores without touching the counter, so quantum-detector
-    reports count oracle masks (one per threshold round) instead.
-    `evaluate` reads scores from the table and counts one evaluation per
-    index read.
+    length, which must be a power of 2 (ShapeError), and a non-finite score
+    raises ValueError.  `table` returns the scores without touching the
+    counter, so quantum-detector reports count oracle masks (one per
+    threshold round) instead.  `evaluate` reads scores from the table and
+    counts one evaluation per index read.
     """
 
     def __init__(self, table):
         table = np.array(table, dtype=float)
-        self.k_users = qsearch.index_bits(table, "cost table")
+        self.k_users = qsearch.score_bits(table)
         table.setflags(write=False)
         self._table = table
         self.evaluations = 0
@@ -110,39 +110,29 @@ class DetectionReport:
 
 
 def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
-                  channel: ChannelState, kind: str = "mls_chip") -> CostFunction:
+                  channel: ChannelState) -> CostFunction:
     """Maximum-likelihood cost function of one frame: the mls_tables scores."""
-    return CostFunction(mls_tables(frame, scenario, channel, kind))
+    return CostFunction(mls_tables(frame, scenario, channel))
 
 
 def mls_tables(frame: ReceivedFrame, scenario: CdmaScenario,
-               channel: ChannelState, kind: str = "mls_chip") -> np.ndarray:
+               channel: ChannelState) -> np.ndarray:
     """Maximum-likelihood scores under white Gaussian chip noise, (..., 2^K)
-    for frames of shape (..., N_c) and channels of shape (..., K).
-
-    "mls_chip" scores −‖r − ŝ_m‖² against the noiseless chip-level
-    reconstruction for hypothesis m (a strictly increasing transform of the
-    log-likelihood).  "mls_mf" applies the same Euclidean form to the
-    matched-filter image w(b_m) versus the observed filter outputs,
-    disregarding the noise correlation those outputs carry.
+    for frames of shape (..., N_c) and channels of shape (..., K): hypothesis
+    m scores −‖r − ŝ_m‖² against its noiseless chip-level reconstruction ŝ_m,
+    a strictly increasing transform of the log-likelihood.
 
     Each table is built in closed form, not from 2^K images: the previous
     bits' spill-in is subtracted once, r′ = r − Σ_k a_k·p_k·spill_k, and
     with one real row [Re | Im] of a_k·current_k per user stacked into W
-    (times currentᵀ, against current·r′, for "mls_mf") every score is the
-    quadratic form of _split_half_scores.  Leading axes broadcast the way
-    synthesize_received and matched_filter_bank do.
+    every score is the quadratic form of _split_half_scores.  Leading axes
+    broadcast the way synthesize_received and matched_filter_bank do.
     """
-    if kind not in ("mls_chip", "mls_mf"):
-        raise ValueError(f"unknown cost kind {kind!r}")
     current, spill = cdma.delay_aligned(scenario, channel.delay)
     gains = channel.gains
     target = frame.samples - ((gains * frame.prev_bits)[..., None, :]
                               @ spill)[..., 0, :]
     rows = gains[..., None] * current
-    if kind == "mls_mf":
-        rows = rows @ np.swapaxes(current, -1, -2)
-        target = (current @ target[..., None])[..., 0]
     return _split_half_scores(
         np.concatenate((rows.real, rows.imag), axis=-1),
         np.concatenate((target.real, target.imag), axis=-1))
@@ -175,85 +165,6 @@ def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
     table += (half_scores(b_hi, slice(c, k))
               - (target[..., None, :] @ target[..., None])[..., 0])[..., None]
     return table.reshape(table.shape[:-2] + (-1,))
-
-
-# ---------------------------------------------------------------------------
-# Empirical (relative-frequency) cost over a quantized output grid.
-
-@dataclass(frozen=True)
-class QuantGrid:
-    """Uniform quantizer over [−half_width, half_width] per real dimension.
-
-    Values outside the interval fall into open outer bins (index −1 below,
-    cells_per_dim above) rather than being clipped.
-    """
-
-    half_width: float
-    cells_per_dim: int = 9
-
-
-def default_grid(scenario: CdmaScenario) -> QuantGrid:
-    return QuantGrid(half_width=1.0 + 3.0 * math.sqrt(scenario.noise_variance))
-
-
-def quantize_mf(y: np.ndarray, grid: QuantGrid) -> np.ndarray:
-    """Cell indices of the filter outputs, interleaved (re0, im0, re1, ...).
-
-    Values in [−g, g] land in bins 0..cells_per_dim−1; values strictly
-    outside fall into the open bins −1 / cells_per_dim.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
-    flat = np.empty((y.shape[0], 2 * y.shape[1]))
-    flat[:, 0::2] = y.real
-    flat[:, 1::2] = y.imag
-    g, c = grid.half_width, grid.cells_per_dim
-    cells = np.floor((flat + g) / (2.0 * g) * c).astype(np.int64)
-    np.clip(cells, 0, c - 1, out=cells)
-    cells[flat < -g] = -1
-    cells[flat > g] = c
-    return cells
-
-
-def _sample_hypothesis_outputs(scenario: CdmaScenario, m: int, n_mc: int,
-                               rng: np.random.Generator) -> np.ndarray:
-    """(n_mc, K) filter outputs for bits(m) over random channel/noise/prev draws."""
-    channel = cdma.sample_channel(scenario, rng, (n_mc,))
-    prev = rng.choice((-1.0, 1.0), size=(n_mc, scenario.k_users))
-    frame = cdma.synthesize_received(scenario, channel,
-                                     bits_from_index(m, scenario.k_users),
-                                     prev, rng)
-    return cdma.matched_filter_bank(frame, scenario, channel)
-
-
-def empirical_cost(scenario: CdmaScenario, y_observed: np.ndarray, m: int,
-                   n_mc: int, rng: np.random.Generator,
-                   grid: Optional[QuantGrid] = None) -> float:
-    """Relative frequency with which hypothesis m lands in the observed cell.
-
-    Draws n_mc channel/noise realizations for the bits of m, quantizes the
-    resulting filter outputs, and returns the fraction matching the cell of
-    y_observed, the (K,) observed filter outputs.  Zero counts are valid
-    scores.
-    """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    if grid is None:
-        grid = default_grid(scenario)
-    target_cell = quantize_mf(y_observed, grid)[0]
-    outputs = _sample_hypothesis_outputs(scenario, m, n_mc, rng)
-    cells = quantize_mf(outputs, grid)
-    return float(np.mean(np.all(cells == target_cell, axis=1)))
-
-
-def make_empirical_cf(scenario: CdmaScenario, y_observed: np.ndarray,
-                      n_mc: int, rng: np.random.Generator,
-                      grid: Optional[QuantGrid] = None) -> CostFunction:
-    """CostFunction wrapper around empirical_cost (uniform prior over m).
-
-    The table draws n_mc realizations per index, in index order."""
-    return CostFunction([empirical_cost(scenario, y_observed, m, n_mc, rng,
-                                        grid=grid)
-                         for m in range(1 << scenario.k_users)])
 
 
 # ---------------------------------------------------------------------------

@@ -109,43 +109,9 @@ class DiagonalUnitary(UnitaryOp):
         return self.phases * amps
 
 
-class SingleQubitUnitary(UnitaryOp):
-    """A 2x2 gate acting on one wire of an n-qubit register.
-
-    `wire` follows the package convention: wire 0 is the least significant
-    bit of the basis-state index.
-    """
-
-    def __init__(self, gate: np.ndarray, wire: int, n_qubits: int):
-        g = np.asarray(gate, dtype=np.complex128)
-        if g.shape != (2, 2):
-            raise ShapeError(f"gate must be 2x2, got {g.shape}")
-        defect = np.linalg.norm(g.conj().T @ g - np.eye(2))
-        if defect > config.UNITARY_TOL:
-            raise ValueError(f"gate is not unitary (‖U†U − I‖ = {defect:.3g})")
-        if not 0 <= wire < n_qubits:
-            raise ShapeError(f"wire {wire} outside register of {n_qubits}")
-        self.gate = g
-        self.wire = wire
-        self.n_qubits = n_qubits
-        self.dim = 1 << n_qubits
-
-    def _apply(self, amps):
-        n = self.n_qubits
-        # Axis 0 of the reshaped tensor is the most significant bit.
-        axis = n - 1 - self.wire
-        psi = amps.reshape([2] * n)
-        psi = np.moveaxis(psi, axis, 0)
-        psi = (self.gate @ psi.reshape(2, -1)).reshape(psi.shape)
-        psi = np.moveaxis(psi, 0, axis)
-        return psi.reshape(self.dim)
-
-
 # Standard 2x2 gates.
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:

@@ -22,6 +22,7 @@ block when those run out; uniforms left over when it stops are discarded.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,17 @@ from . import qcore
 from .errors import ConfigError, ShapeError
 
 
+def _count(value, name: str, low: int) -> int:
+    """value as an int; ConfigError unless it is an integer >= low."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = low - 1
+    if count < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Tunables for the randomized searches.
@@ -38,13 +50,25 @@ class SearchConfig:
     growth_factor: schedule multiplier for the unknown-count search; the
         cited analysis allows any value in (1, 4/3).
     budget_factor: a search gives up after budget_factor * sqrt(N) oracle
-        queries (rounded up).
-    max_failures: consecutive failed rounds after which maximum_search stops.
+        queries (rounded up); finite and > 0.
+    max_failures: consecutive failed rounds (an integer >= 1) after which
+        maximum_search stops.
+
+    Values outside these ranges raise ConfigError.
     """
 
     growth_factor: float = 6 / 5
     budget_factor: float = 4.0
     max_failures: int = 3
+
+    def __post_init__(self):
+        if not 1 < self.growth_factor < 4 / 3:
+            raise ConfigError("growth_factor must be in (1, 4/3), got "
+                              f"{self.growth_factor!r}")
+        if not (math.isfinite(self.budget_factor) and self.budget_factor > 0):
+            raise ConfigError("budget_factor must be finite and > 0, got "
+                              f"{self.budget_factor!r}")
+        _count(self.max_failures, "max_failures", 1)
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -62,6 +86,14 @@ def index_bits(values: np.ndarray, name: str) -> int:
     if values.ndim != 1 or n < 0 or values.size != 1 << n:
         raise ShapeError(f"{name} of shape {values.shape} is not 1-D of "
                          "power-of-2 length")
+    return n
+
+
+def score_bits(table: np.ndarray) -> int:
+    """index_bits of a score table; ValueError unless every score is finite."""
+    n = index_bits(table, "cost table")
+    if not np.isfinite(table).all():
+        raise ValueError("cost table scores must be finite")
     return n
 
 
@@ -248,15 +280,15 @@ def maximum_search(table: np.ndarray,
     """Locate an index maximizing a score table by iterated threshold search.
 
     The table holds one score per index of an n-qubit register, so its
-    length must be 2^n.  Keeps a best-so-far threshold t seeded from one
-    random sample, then repeatedly searches the oracle mask "table > t" with
-    the randomized schedule of MAXIMUM_SEARCH_CONFIG; every verified hit
-    raises the threshold.  Stops after max_failures consecutive rounds find
+    length must be 2^n and its scores finite (ValueError otherwise).  Keeps a
+    best-so-far threshold t seeded from one random sample, then repeatedly
+    searches the oracle mask "table > t" with the randomized schedule of
+    MAXIMUM_SEARCH_CONFIG; every verified hit raises the threshold.  Stops after max_failures consecutive rounds find
     nothing and returns the incumbent.  Ties are kept by the first index
     found.
     """
     table = np.asarray(table, dtype=float)
-    index_bits(table, "cost table")
+    score_bits(table)
 
     incumbent = int(rng.integers(0, table.size))
     threshold = table[incumbent]
@@ -290,10 +322,11 @@ def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
     Evolves the register once and draws the outcome counts of `trials`
     measurements as one multinomial sample, so memory is O(N) for any
     `trials`; statistics are identical to re-preparing the state per trial.
-    trials < 1 raises ConfigError before the register is built.
+    A non-integer k or trials, k < 0 and trials < 1 raise ConfigError before
+    the register is built.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    k = _count(k, "k", 0)
+    trials = _count(trials, "trials", 1)
     s = qcore.uniform_superposition(oracle.n_qubits)
     for _ in range(k):
         s = grover_iterate(oracle, s)

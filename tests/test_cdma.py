@@ -388,31 +388,25 @@ class TestModelInvariants:
 
 
 class TestSerialization:
-    def test_scenario_config_round_trip(self):
-        sc = cdma.make_scenario("walsh", 4, 8, 0.25,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=12)
-        back = cdma.scenario_from_config(cdma.scenario_to_config(sc))
-        assert back.k_users == sc.k_users
-        assert back.n_chips == sc.n_chips
-        assert back.sync_mode == sc.sync_mode
-        assert back.gain_model == sc.gain_model
-        assert back.noise_variance == sc.noise_variance
-        np.testing.assert_array_equal(back.signatures, sc.signatures)
-
-    def test_random_bipolar_round_trip(self):
-        sc = cdma.make_scenario("random_bipolar", 3, 8, 0.5, seed=12)
-        cfg = cdma.scenario_to_config(sc)
-        assert cfg["signature_kind"] == "random_bipolar"
-        back = cdma.scenario_from_config(cfg)
-        np.testing.assert_array_equal(back.signatures, sc.signatures)
-        assert back.seed == 12
-
-    def test_custom_signatures_have_no_config_form(self):
-        chips = np.array([[1.0, 1, 1, 1], [1.0, 1, 1, -1]]) / 2
-        sc = cdma.CdmaScenario(signatures=chips, noise_variance=0.0)
-        with pytest.raises(ConfigError):
-            cdma.scenario_to_config(sc)
+    def test_scenario_from_config_matches_make_scenario(self):
+        walsh = cdma.scenario_from_config({
+            "signature_kind": "walsh", "k_users": "4", "n_chips": "8",
+            "sync_mode": "chip-asynchronous", "gain_model": "rayleigh",
+            "sigma2": "0.25", "seed": "12"})
+        bipolar = cdma.scenario_from_config({
+            "signature_kind": "random_bipolar", "k_users": "3",
+            "n_chips": "8", "sigma2": "0.5", "seed": "12"})
+        for got, want in (
+                (walsh, cdma.make_scenario("walsh", 4, 8, 0.25,
+                                           sync_mode=cdma.CHIP_ASYNC,
+                                           gain_model=cdma.GAIN_RAYLEIGH,
+                                           seed=12)),
+                (bipolar, cdma.make_scenario("random_bipolar", 3, 8, 0.5,
+                                             seed=12))):
+            np.testing.assert_array_equal(got.signatures, want.signatures)
+            assert (got.noise_variance, got.sync_mode, got.gain_model,
+                    got.seed) == (want.noise_variance, want.sync_mode,
+                                  want.gain_model, want.seed)
 
     @pytest.mark.parametrize("kind", ["walsh", "random_bipolar"])
     def test_negative_seed_rejected(self, kind):
@@ -445,24 +439,6 @@ class TestSerialization:
             cdma.scenario_from_config({**base, "sigma2": "0.1", "ebn0_db": "3"})
         sc = cdma.scenario_from_config({**base, "ebn0_db": "10"})
         assert sc.noise_variance == pytest.approx(0.1)
-
-    def test_frame_csv_export(self, tmp_path):
-        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
-        ch = fixed_channel([1], [0])
-        frame = cdma.synthesize_received(sc, ch, [1], [1], None)
-        path = tmp_path / "frame.csv"
-        cdma.frame_to_csv(frame, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,re,im"
-        assert len(lines) == 3
-
-    def test_frame_csv_rejects_batched_frame(self, tmp_path):
-        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
-        channel = cdma.sample_channel(sc, np.random.default_rng(0), (3,))
-        frames = cdma.synthesize_received(sc, channel, np.ones((3, 1)),
-                                          np.ones((3, 1)), None)
-        with pytest.raises(ShapeError):
-            cdma.frame_to_csv(frames, tmp_path / "frames.csv")
 
 
 class TestEbn0Conversion:

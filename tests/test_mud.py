@@ -26,18 +26,13 @@ def walsh2_frame():
     return frame, sc, ch
 
 
-def reference_table(frame, scenario, channel, kind="mls_chip"):
-    """Image-based MLS table: synthesize all 2^K noiseless windows (and their
-    filter outputs for "mls_mf") and score each against the observation."""
+def reference_table(frame, scenario, channel):
+    """Image-based MLS table: synthesize all 2^K noiseless windows and score
+    each against the observation."""
     images = cdma.synthesize(scenario, channel.gains, channel.delay,
                              mud.all_bit_vectors(scenario.k_users),
                              frame.prev_bits)
-    target = frame.samples
-    if kind == "mls_mf":
-        current, _ = cdma.delay_aligned(scenario, channel.delay)
-        images = images @ current.T
-        target = cdma.matched_filter_bank(frame, scenario, channel)
-    diff = images - target
+    diff = images - frame.samples
     return -np.sum(diff.real**2 + diff.imag**2, axis=1)
 
 
@@ -164,8 +159,8 @@ class TestMlsCost:
     @given(k_users=st.integers(1, 4), n_chips=st.integers(1, 9),
            seed=st.integers(0, 2**32 - 1))
     def test_table_matches_per_index_evaluation(self, k_users, n_chips, seed):
-        # Reference: score each hypothesis against its own noiseless frame
-        # and matched-filter outputs, one synthesize_received call per index.
+        # Reference: score each hypothesis against its own noiseless frame,
+        # one synthesize_received call per index.
         rng = np.random.default_rng(seed)
         sc = cdma.make_scenario("random_bipolar", k_users, n_chips, 0.2,
                                 sync_mode=cdma.CHIP_ASYNC,
@@ -174,18 +169,14 @@ class TestMlsCost:
         bits = rng.choice((-1, 1), size=k_users)
         prev = rng.choice((-1, 1), size=k_users)
         frame = cdma.synthesize_received(sc, ch, bits, prev, rng)
-        y = cdma.matched_filter_bank(frame, sc, ch)
         sc_clean = cdma.with_noise_variance(sc, 0.0)
-        chip_ref, mf_ref = [], []
+        chip_ref = []
         for m in range(1 << k_users):
             image = cdma.synthesize_received(
                 sc_clean, ch, mud.bits_from_index(m, k_users), prev, None)
             chip_ref.append(-np.sum(np.abs(frame.samples - image.samples) ** 2))
-            y_m = cdma.matched_filter_bank(image, sc_clean, ch)
-            mf_ref.append(-np.sum(np.abs(y - y_m) ** 2))
-        for kind, ref in (("mls_chip", chip_ref), ("mls_mf", mf_ref)):
-            cf = mud.make_mls_cost(frame, sc, ch, kind=kind)
-            np.testing.assert_allclose(cf.table(), ref, rtol=1e-12, atol=1e-12)
+        cf = mud.make_mls_cost(frame, sc, ch)
+        np.testing.assert_allclose(cf.table(), chip_ref, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(k_users=st.integers(1, 10), n_chips=st.integers(1, 16),
@@ -201,18 +192,17 @@ class TestMlsCost:
             self, k_users, n_chips, sigma2, sync_mode, gain_model, seed):
         frame, sc, ch = random_instance(k_users, n_chips, sigma2, sync_mode,
                                         gain_model, seed)
-        for kind in ("mls_chip", "mls_mf"):
-            ref = reference_table(frame, sc, ch, kind)
-            table = mud.make_mls_cost(frame, sc, ch, kind=kind).table()
-            # the closed form cancels terms as large as the largest score,
-            # so its rounding error scales with that, not with each entry
-            tol = 1e-12 * np.max(np.abs(ref))
-            np.testing.assert_allclose(table, ref, rtol=1e-12, atol=tol)
-            # equal argmax, up to exact ties in the reference (codes that
-            # coincide at small N_c make different hypotheses score alike)
-            assert ref[np.argmax(table)] >= ref.max() - tol
-            if np.count_nonzero(ref >= ref.max() - tol) == 1:
-                assert np.argmax(table) == np.argmax(ref)
+        ref = reference_table(frame, sc, ch)
+        table = mud.make_mls_cost(frame, sc, ch).table()
+        # the closed form cancels terms as large as the largest score,
+        # so its rounding error scales with that, not with each entry
+        tol = 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_allclose(table, ref, rtol=1e-12, atol=tol)
+        # equal argmax, up to exact ties in the reference (codes that
+        # coincide at small N_c make different hypotheses score alike)
+        assert ref[np.argmax(table)] >= ref.max() - tol
+        if np.count_nonzero(ref >= ref.max() - tol) == 1:
+            assert np.argmax(table) == np.argmax(ref)
 
     @settings(max_examples=100, deadline=None)
     @given(k_users=st.integers(1, 10), n_chips=st.integers(1, 16),
@@ -229,24 +219,21 @@ class TestMlsCost:
                                 seed=seed)
         channel, _, frame = mud._draw_trial(sc, np.random.default_rng(seed),
                                             shape)
-        for kind in ("mls_chip", "mls_mf"):
-            tables = mud.mls_tables(frame, sc, channel, kind)
-            assert tables.shape == shape + (1 << k_users,)
-            for t in np.ndindex(shape):
-                one = cdma.ReceivedFrame(samples=frame.samples[t],
-                                         prev_bits=frame.prev_bits[t])
-                ch = cdma.ChannelState(gains=channel.gains[t],
-                                       delay=channel.delay[t])
-                ref = mud.make_mls_cost(one, sc, ch, kind=kind).table()
-                tol = 1e-12 * np.max(np.abs(ref))
-                np.testing.assert_allclose(tables[t], ref, rtol=1e-12,
-                                           atol=tol)
+        tables = mud.mls_tables(frame, sc, channel)
+        assert tables.shape == shape + (1 << k_users,)
+        for t in np.ndindex(shape):
+            one = cdma.ReceivedFrame(samples=frame.samples[t],
+                                     prev_bits=frame.prev_bits[t])
+            ch = cdma.ChannelState(gains=channel.gains[t],
+                                   delay=channel.delay[t])
+            ref = mud.make_mls_cost(one, sc, ch).table()
+            tol = 1e-12 * np.max(np.abs(ref))
+            np.testing.assert_allclose(tables[t], ref, rtol=1e-12, atol=tol)
 
-    @pytest.mark.parametrize("kind", ["mls_chip", "mls_mf"])
-    def test_k20_table_memory_is_bounded(self, kind):
+    def test_k20_table_memory_is_bounded(self):
         frame, sc, ch = random_instance(20, 16, 0.1, cdma.CHIP_ASYNC,
                                         cdma.GAIN_RAYLEIGH, seed=20)
-        cf = mud.make_mls_cost(frame, sc, ch, kind=kind)
+        cf = mud.make_mls_cost(frame, sc, ch)
         tracemalloc.start()
         try:
             table = cf.table()
@@ -257,7 +244,7 @@ class TestMlsCost:
         assert peak < 32 * 2**20  # the table itself is 8 MiB
 
     def test_chip_and_mf_kinds_agree_on_argmax_synchronous(self):
-        # Nonsingular Gram + synchronous + clean frames: both forms peak at
+        # Nonsingular Gram + synchronous + clean frames: the table peaks at
         # the transmitted index, exhaustively over all bit vectors.
         for k_users in (2, 3, 4):
             sc = cdma.make_scenario("random_bipolar", k_users, 16, 0.0, seed=7)
@@ -268,10 +255,8 @@ class TestMlsCost:
                 bits = mud.bits_from_index(m, k_users)
                 frame = cdma.synthesize_received(sc, ch, bits,
                                                  np.ones(k_users), None)
-                chip = mud.make_mls_cost(frame, sc, ch, kind="mls_chip")
-                mf = mud.make_mls_cost(frame, sc, ch, kind="mls_mf")
+                chip = mud.make_mls_cost(frame, sc, ch)
                 assert int(np.argmax(chip.table())) == m
-                assert int(np.argmax(mf.table())) == m
 
     def test_argmax_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(4)
@@ -287,51 +272,6 @@ class TestMlsCost:
                 out = mud.exhaustive_ml_detect(warped)
                 np.testing.assert_array_equal(out.detected_bits,
                                               base.detected_bits)
-
-
-class TestEmpiricalCost:
-    def test_noiseless_fixed_channel_is_indicator(self):
-        frame, sc, ch = walsh2_frame()
-        y = cdma.matched_filter_bank(frame, sc, ch)
-        rng = np.random.default_rng(5)
-        truth = mud.index_from_bits([1, -1])
-        for m in range(4):
-            score = mud.empirical_cost(sc, y, m, 200, rng)
-            assert score == (1.0 if m == truth else 0.0)
-
-    def test_far_cell_scores_zero_everywhere(self):
-        frame, sc, ch = walsh2_frame()
-        rng = np.random.default_rng(6)
-        far = np.array([10 + 10j, -40 + 2j])
-        for m in range(4):
-            assert mud.empirical_cost(sc, far, m, 300, rng) == 0.0
-
-    def test_matches_mls_argmax_at_8db(self):
-        rng = np.random.default_rng(21)
-        sigma2 = cdma.ebn0_db_to_noise_variance(8.0)
-        sc = cdma.make_scenario("random_bipolar", 2, 8, sigma2, seed=5)
-        grid = mud.QuantGrid(half_width=1.0 + 3.0 * math.sqrt(sigma2),
-                             cells_per_dim=5)
-        agree = 0
-        trials = 200
-        for _ in range(trials):
-            ch = cdma.sample_channel(sc, rng)
-            bits = rng.choice((-1, 1), size=2)
-            prev = rng.choice((-1, 1), size=2)
-            frame = cdma.synthesize_received(sc, ch, bits, prev, rng)
-            y = cdma.matched_filter_bank(frame, sc, ch)
-            mls_argmax = int(np.argmax(mud.make_mls_cost(frame, sc, ch).table()))
-            emp = mud.make_empirical_cf(sc, y, 10000, rng, grid=grid)
-            agree += int(int(np.argmax(emp.table())) == mls_argmax)
-        assert agree / trials >= 0.95
-
-    def test_quantizer_outer_bins(self):
-        grid = mud.QuantGrid(half_width=1.0, cells_per_dim=9)
-        cells = mud.quantize_mf(np.array([1.0 + 0j, -3.0 + 5.0j]), grid)[0]
-        assert cells[0] == 8        # on the boundary counts as inside
-        assert cells[1] == 4        # imag 0 sits mid-grid
-        assert cells[2] == -1       # below the grid
-        assert cells[3] == 9        # above the grid
 
 
 class TestMfDetect:
@@ -419,6 +359,12 @@ class TestExhaustiveDetect:
         np.testing.assert_array_equal(
             mud.exhaustive_ml_detect(cf).detected_bits,
             mud.bits_from_index(7, 3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN first score used to win the exhaustive argmax
+        with pytest.raises(ValueError, match="finite"):
+            mud.exhaustive_ml_detect(mud.CostFunction([bad, 1.0]))
 
     def test_table_is_read_only(self):
         cf = mud.CostFunction(np.arange(8.0))

