@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .qsearch import _count
 
 SYNCHRONOUS = "synchronous"
 CHIP_ASYNC = "chip-asynchronous"
@@ -134,12 +135,13 @@ def generate_signatures(kind: str, k_users: int, n_chips: int,
     "walsh" uses the first K rows of the Sylvester Hadamard matrix of order
     N_c (pairwise orthogonal; requires a power-of-2 N_c >= K);
     "random_bipolar" draws i.i.d. ±1 chips seeded for reproducibility.
-    K·N_c is capped at MAX_SIGNATURE_ENTRIES.
+    K·N_c is capped at MAX_SIGNATURE_ENTRIES.  K and N_c that are not
+    integers >= 1 raise ConfigError.
     """
     if kind not in SIGNATURE_KINDS:
         raise ConfigError(f"signature kind must be one of {SIGNATURE_KINDS}")
-    if k_users < 1 or n_chips < 1:
-        raise ConfigError("k_users and n_chips must be positive")
+    k_users = _count(k_users, "k_users", 1)
+    n_chips = _count(n_chips, "n_chips", 1)
     if k_users * n_chips > MAX_SIGNATURE_ENTRIES:
         raise ConfigError(f"k_users * n_chips = {k_users * n_chips} exceeds "
                           f"the cap of {MAX_SIGNATURE_ENTRIES} signature chips")

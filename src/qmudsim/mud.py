@@ -32,9 +32,13 @@ def bits_from_index(m: int, k_users: int) -> np.ndarray:
     """±1 vector for hypothesis index m.
 
     Bit k of m is 0 exactly when user k sent +1 (little-endian, user k on
-    bit k), matching the register convention of the quantum modules.
+    bit k), matching the register convention of the quantum modules.  m
+    and k_users that are not integers >= 0 raise ConfigError, and
+    m >= 2^K raises ValueError.
     """
-    if not 0 <= m < (1 << k_users):
+    m = qsearch._count(m, "index", 0)
+    k_users = qsearch._count(k_users, "k_users", 0)
+    if m >= 1 << k_users:
         raise ValueError(f"index {m} outside [0, {1 << k_users})")
     set_bits = (m >> np.arange(k_users)) & 1
     return (1 - 2 * set_bits).astype(np.int8)
@@ -364,6 +368,12 @@ class AgreementResult:
 # K = 10 call peaks at 0.5 MiB with this bound and at 1.8 MiB with 2^16.
 AGREEMENT_CHUNK_SCORES = 1 << 14
 
+# First ranks that qmud_agreement collects before it runs them through
+# qsearch.threshold_search, so a call's memory does not grow with `trials`.
+# At K = 10 the kernel took about 40 us per search at 200 searches a call,
+# 9 us at 4,096 and 8 us at 16,384 (medians of 7 calls on a 2-vCPU VM).
+AGREEMENT_SEARCH_BATCH = 4096
+
 
 def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
                    trials: int, rng: np.random.Generator) -> AgreementResult:
@@ -372,16 +382,21 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
 
     Instances are drawn and scored in chunks of at most
     AGREEMENT_CHUNK_SCORES table entries: one batched _draw_trial and one
-    mls_tables call per chunk, the argmax and tie check of every row at
-    once, then qsearch.maximum_search on each row in order.  Instances
-    without a unique maximizer (ties at float precision) are redrawn so
-    agreement is well defined, at most `trials` times in total; one more tie
-    raises ConfigError, as do trials < 1 and K outside
-    [1, EXHAUSTIVE_K_LIMIT].
+    mls_tables call per chunk, and one sort of every row to find its
+    maximum and any tied scores.  Instances without a unique maximizer (ties
+    at float precision) are redrawn so agreement is well defined, at most
+    `trials` times in total; one more tie raises ConfigError.  Rows whose
+    scores are all distinct draw their first incumbents with one
+    rng.integers call per chunk and keep only their ranks (the count of
+    higher scores); up to AGREEMENT_SEARCH_BATCH ranks at a time then run
+    through qsearch.threshold_search, and a row agrees when its search ends
+    on rank 0.  A row with tied scores below its maximum runs
+    qsearch.maximum_search on its table instead.  trials that is not an
+    integer >= 1 and K outside [1, EXHAUSTIVE_K_LIMIT] raise ConfigError
+    before any draw.
     """
     k = scenario_template.k_users
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    trials = qsearch._count(trials, "trials", 1)
     if not 1 <= k <= EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"k_users must be in [1, {EXHAUSTIVE_K_LIMIT}], "
                           f"got {k}")
@@ -389,34 +404,51 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
         scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
     chunk = max(1, AGREEMENT_CHUNK_SCORES >> k)
     agree = 0
-    grover_total = 0.0
-    verify_total = 0.0
-    rounds_total = 0.0
+    grover_total = 0
+    verify_total = 0
+    rounds_total = 0
     done = 0
     redraws = 0
+    pending = []
     while done < trials:
         channel, _, frame = _draw_trial(scenario, rng,
                                         (min(chunk, trials - done),))
         tables = mls_tables(frame, scenario, channel)
-        best = tables.argmax(axis=-1)
-        top = tables.max(axis=-1, keepdims=True)
-        unique = np.count_nonzero(tables == top, axis=-1) == 1
-        for table, row_best, row_unique in zip(tables, best.tolist(),
-                                               unique.tolist()):
-            if not row_unique:
-                redraws += 1
-                if redraws > trials:
-                    raise ConfigError(
-                        f"at Eb/N0 {ebn0_db!r} dB, {redraws} instances had "
-                        f"no unique maximum (at most {trials} redraws "
-                        "allowed)")
-                continue
+        ordered = np.sort(tables, axis=-1)
+        rising = ordered[:, 1:] > ordered[:, :-1]
+        unique = rising[:, -1]
+        redraws += tables.shape[0] - int(np.count_nonzero(unique))
+        if redraws > trials:
+            raise ConfigError(
+                f"at Eb/N0 {ebn0_db!r} dB, {trials + 1} instances had no "
+                f"unique maximum (at most {trials} redraws allowed)")
+        # a row with a non-finite score goes to maximum_search, which
+        # rejects it
+        distinct = (rising.all(axis=-1)
+                    & np.isfinite(ordered[:, [0, -1]]).all(axis=-1))
+        # free the sorted copy before the next chunk's tables are built
+        del ordered, rising
+        first = np.zeros(tables.shape[0], dtype=np.int64)
+        first[distinct] = rng.integers(0, 1 << k,
+                                       size=np.count_nonzero(distinct))
+        incumbent = tables[np.arange(tables.shape[0]), first]
+        above = np.count_nonzero(tables > incumbent[:, None], axis=-1)
+        pending.append(above[distinct])
+        for table in tables[unique & ~distinct]:
             report = qsearch.maximum_search(table, rng)
-            agree += int(report.found == row_best)
+            agree += int(report.found == table.argmax())
             grover_total += report.grover_queries
             verify_total += report.verification_queries
             rounds_total += report.iterations_used
-            done += 1
+        done += int(np.count_nonzero(unique))
+        if sum(map(len, pending)) >= AGREEMENT_SEARCH_BATCH or done == trials:
+            rank, queries, verifications, rounds = qsearch.threshold_search(
+                np.concatenate(pending), 1 << k, rng)
+            agree += int(np.count_nonzero(rank == 0))
+            grover_total += int(queries.sum())
+            verify_total += int(verifications.sum())
+            rounds_total += int(rounds.sum())
+            pending = []
     return AgreementResult(k_users=k, trials=trials, ebn0_db=float(ebn0_db),
                            agreement=agree / trials,
                            mean_grover_queries=grover_total / trials,

@@ -17,6 +17,17 @@ draws two uniforms and no unmarked index: one picks j, the other decides the
 hit and, rescaled, which marked index it lands on.  A search draws the
 uniforms of ROUND_BLOCK rounds with one rng.random call, and draws another
 block when those run out; uniforms left over when it stops are discarded.
+
+maximum_search runs threshold rounds of that search on one table, each over
+the mask "table > threshold".  When the table's scores are distinct, a round
+depends only on M, the number of entries above the incumbent: the hit lands
+uniformly on them, so the next incumbent's M is uniform on 0..M-1
+(Dürr–Høyer, quant-ph/9607014).  threshold_search uses this to run many
+searches in rank space at once, as arrays of M and a few counters, with one
+rng.random call per BBHT round of all unfinished searches; it builds no
+mask, oracle or register.  Its per-round overhead is spread over the
+searches, so it pays off only for many searches: maximum_search stays the
+path for one table and for tables with tied scores.
 """
 
 from __future__ import annotations
@@ -265,11 +276,10 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
 
     True is always correct (the hit is verified); False is wrong with a
     probability that decays geometrically in confidence_rounds when at least
-    one marked item exists.
+    one marked item exists.  confidence_rounds that is not an integer >= 1
+    raises ConfigError before any draw.
     """
-    if confidence_rounds < 1:
-        raise ValueError("confidence_rounds must be >= 1")
-    for _ in range(confidence_rounds):
+    for _ in range(_count(confidence_rounds, "confidence_rounds", 1)):
         if bbht_search(oracle, rng).succeeded:
             return True
     return False
@@ -313,6 +323,94 @@ def maximum_search(table: np.ndarray,
                         verification_queries=verify_total,
                         iterations_used=rounds,
                         succeeded=True)
+
+
+def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
+    """maximum_search run in rank space on many tables with distinct scores.
+
+    An entry's rank is the number of entries scoring above it, so rank 0 is
+    the maximum and an incumbent of rank M leaves exactly M marked indices.
+    With distinct scores a threshold round depends on M alone, and a hit
+    lands uniformly on ranks 0..M-1 (see the module docstring), so each
+    instance is a few counters and needs no table, mask or oracle.  Runs one
+    search per entry of first_ranks (ranks of the first incumbents, in
+    [0, n_states)) in lock-step: every BBHT round of every unfinished
+    instance draws its (u_steps, u_hit) pair from one rng.random call, and
+    applies bbht_search's round rule under MAXIMUM_SEARCH_CONFIG.  A hit
+    moves the incumbent to rank floor(u_hit / p_hit · M) and restarts the
+    schedule; a round that spends its budget counts one failure, and
+    max_failures failures in a row stop the instance.
+
+    Returns four int64 arrays, one entry per instance: the final rank, the
+    oracle queries, the verifications and the threshold rounds, counted as
+    maximum_search counts them.  n_states that is not an integer >= 1
+    raises ConfigError, and first_ranks that is not a 1-D array of ranks in
+    range raises ValueError, both before any draw.
+    """
+    cfg = MAXIMUM_SEARCH_CONFIG
+    n_states = _count(n_states, "n_states", 1)
+    first = np.array(first_ranks, dtype=np.int64)
+    if first.ndim != 1 or ((first < 0) | (first >= n_states)).any():
+        raise ValueError(f"first_ranks must be a 1-D array of ranks in "
+                         f"[0, {n_states})")
+    sqrt_n = math.sqrt(n_states)
+    budget = math.ceil(cfg.budget_factor * sqrt_n)
+    # ceil(m) of the t-th round after a (re)start, m grown as bbht_search
+    # grows it; take(..., mode="clip") serves every later round from the end
+    caps = [1]
+    m = 1.0
+    while m < sqrt_n:
+        m = min(cfg.growth_factor * m, sqrt_n)
+        caps.append(math.ceil(m))
+    caps = np.array(caps)
+    # 2θ = 2·asin(√(M/N)) for every M; (j + 1/2)·2θ rounds exactly as
+    # bbht_search's (2j + 1)·θ does
+    two_theta = 2.0 * np.arcsin(np.sqrt(np.arange(n_states) / n_states))
+
+    # one column per unfinished instance; rows: M, rounds since the
+    # (re)start, queries spent since it, failures in a row, queries,
+    # threshold rounds, verifications (set when it stops) and its index
+    state = np.zeros((8, first.size), dtype=np.int64)
+    state[0] = first
+    state[7] = np.arange(first.size)
+    finished = []
+    step = 0
+    marked, t, used, failures, spent, ended = state[:6]
+    while state.shape[1]:
+        step += 1
+        u_steps, u_hit = rng.random((state.shape[1], 2)).T
+        j = (u_steps * caps.take(t, mode="clip")).astype(np.int64)
+        np.minimum(j, budget - used, out=j)
+        used += j
+        spent += j
+        # same p_hit as bbht_search: 0 for M = 0, so M = 0 never hits
+        p_hit = np.sin((j + 0.5) * two_theta[marked]) ** 2
+        hit = u_hit < p_hit
+        # a hit lands on rank floor(u_hit / p_hit · M), as in bbht_search
+        np.divide(u_hit, p_hit, out=u_steps, where=hit)
+        u_steps *= marked
+        np.copyto(marked, u_steps, casting="unsafe", where=hit)
+        # resets go through index arrays, which set faster than masks here
+        over = used >= budget
+        failures[hit.nonzero()[0]] = 0
+        failures += over > hit
+        restart = (over | hit).nonzero()[0]
+        ended[restart] += 1
+        t += 1
+        t[restart] = 0
+        used[restart] = 0
+        done = failures >= cfg.max_failures
+        if done.any():
+            # every BBHT round verifies once, so an instance that stops
+            # after this round has made `step` verifications
+            state[6, done] = step
+            finished.append(state[:, done])
+            state = state[:, ~done]
+            marked, t, used, failures, spent, ended = state[:6]
+    stopped = np.concatenate(finished or [state], axis=1)
+    results = np.empty_like(stopped)
+    results[:, stopped[7]] = stopped
+    return results[0], results[4], results[6], results[5]
 
 
 def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,

@@ -54,6 +54,12 @@ class TestGenerateSignatures:
         with pytest.raises(ConfigError):
             cdma.generate_signatures("gold", 2, 8, seed=0)
 
+    @pytest.mark.parametrize("kind", cdma.SIGNATURE_KINDS)
+    @pytest.mark.parametrize("k_users, n_chips", [(2.5, 4), (2, 4.0)])
+    def test_non_integer_sizes_rejected(self, kind, k_users, n_chips):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            cdma.make_scenario(kind, k_users, n_chips, 0.0)
+
     def test_walsh_rows_equal_scipy_hadamard(self):
         for n_chips in (1 << e for e in range(9)):
             full = hadamard(n_chips) / np.sqrt(n_chips)

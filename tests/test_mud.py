@@ -106,6 +106,11 @@ class TestHypothesisIndexing:
         with pytest.raises(ValueError):
             mud.bits_from_index(-1, 3)
 
+    @pytest.mark.parametrize("m, k_users", [(2.5, 3), (3, 2.5)])
+    def test_non_integer_sizes_rejected(self, m, k_users):
+        with pytest.raises(ConfigError):
+            mud.bits_from_index(m, k_users)
+
     def test_bits_validated(self):
         with pytest.raises(ValueError):
             mud.index_from_bits([1, 0, -1])
@@ -480,6 +485,78 @@ class TestQmudDetect:
         assert peak < 2 * 2**20
         assert result.agreement >= 0.98
 
+    def test_agreement_memory_does_not_grow_with_trials(self):
+        sc = cdma.make_scenario("random_bipolar", 2, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+        peaks = []
+        for trials in (5_000, 100_000):
+            tracemalloc.start()
+            try:
+                mud.qmud_agreement(sc, 8.0, trials, np.random.default_rng(22))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the margin admits one chunk's arrays still held while the next is
+        # built (0.5 MiB at K = 2); running all 100,000 searches at once
+        # peaks 11 MiB higher, while at 50,000 the chunks' own 10 MiB peak
+        # would hide it
+        assert peaks[1] < peaks[0] + 2**20
+
+    @staticmethod
+    def replay_tables(monkeypatch, tables):
+        """Make every draw free and every table the next one of `tables`,
+        so a run consumes the same tables in the same order whichever way
+        it batches them, and draws from its rng only to search."""
+        queue = iter(tables)
+        monkeypatch.setattr(mud, "_draw_trial",
+                            lambda scenario, rng, shape=(): (None, None, shape))
+        monkeypatch.setattr(mud, "mls_tables", lambda shape, *_: np.array(
+            [next(queue) for _ in range(math.prod(shape))]).reshape(
+                shape + (-1,)))
+
+    def test_tied_rows_take_the_per_row_search(self, monkeypatch):
+        # 8-entry tables with a unique maximum and a tie below it; every
+        # fourth ties at its maximum as well and is redrawn
+        base = np.random.default_rng(30)
+        tables = []
+        for i in range(60):
+            table = base.permutation(8).astype(float)
+            table[table == 1] = 2.0
+            if i % 4 == 3:
+                table[table == 6] = 7.0
+            tables.append(table)
+        sc = cdma.make_scenario("walsh", 3, 4, 0.0)
+        searched = {"rows": 0, "ranks": 0}
+        maximum_search = qsearch.maximum_search
+        threshold_search = qsearch.threshold_search
+
+        def per_row(table, rng):
+            searched["rows"] += 1
+            return maximum_search(table, rng)
+
+        def lock_step(first_ranks, n_states, rng):
+            searched["ranks"] += len(first_ranks)
+            return threshold_search(first_ranks, n_states, rng)
+
+        monkeypatch.setattr(qsearch, "maximum_search", per_row)
+        monkeypatch.setattr(qsearch, "threshold_search", lock_step)
+        self.replay_tables(monkeypatch, tables)
+        result = mud.qmud_agreement(sc, 8.0, 40, np.random.default_rng(31))
+        assert searched == {"rows": 40, "ranks": 0}
+        self.replay_tables(monkeypatch, tables)
+        ref = reference_qmud_agreement(sc, 8.0, 40, np.random.default_rng(31))
+        assert result == ref
+        assert result.redraws == 13
+
+        # rows with distinct scores go to the lock-step search instead
+        searched.update(rows=0, ranks=0)
+        distinct = [base.permutation(8).astype(float) for _ in range(30)]
+        self.replay_tables(monkeypatch, distinct + tables)
+        result = mud.qmud_agreement(sc, 8.0, 50, np.random.default_rng(32))
+        assert searched == {"rows": 20, "ranks": 30}
+        assert result.redraws == 6 and result.agreement > 0.9
+
     def test_tie_redraws_counted_and_capped(self):
         sc = cdma.make_scenario("random_bipolar", 4, 16, 0.0,
                                 sync_mode=cdma.CHIP_ASYNC,
@@ -587,6 +664,14 @@ class TestInputChecks:
         state = rng.bit_generator.state
         with pytest.raises(ConfigError):
             mud.qmud_agreement(sc, 8.0, 0, rng)
+        assert rng.bit_generator.state == state
+
+    def test_agreement_rejects_non_integer_trials(self):
+        sc = cdma.make_scenario("walsh", 2, 4, 0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="trials"):
+            mud.qmud_agreement(sc, 8.0, 2.5, rng)
         assert rng.bit_generator.state == state
 
     def test_agreement_rejects_k_above_limit(self):

@@ -5,6 +5,7 @@ one `grover_iterate` per oracle query; `qsearch.bbht_search` samples the
 same measurement from its closed form and is tested against it.
 """
 
+import functools
 import math
 from collections import Counter
 
@@ -63,6 +64,90 @@ def reference_maximum_search(table, rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsearch, "bbht_search", reference_bbht_search)
         return qsearch.maximum_search(table, rng)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_maximum_search(n_states):
+    """Exact means of maximum_search on a table of n_states distinct scores:
+    agreement (the chance it ends on the maximum), oracle queries,
+    verifications and threshold rounds.
+
+    With distinct scores a search depends only on M, the number of entries
+    above the incumbent, and M starts uniform on 0..N-1.  A dynamic program
+    over (schedule step, queries used), vectorised over M, gives for each M
+    the chance h that a threshold round hits and the expected queries and
+    BBHT rounds (one verification each) that it spends; j = 0 misses at the
+    last schedule step, which return to the same state, are summed as a
+    geometric series.  From M the search runs 1 + g + g² rounds on average
+    (g = 1 − h) and leaves on a hit with chance 1 − g³, landing uniformly on
+    0..M-1, so a prefix sum over M gives the totals.
+    """
+    cfg = qsearch.MAXIMUM_SEARCH_CONFIG
+    sqrt_n = math.sqrt(n_states)
+    budget = math.ceil(cfg.budget_factor * sqrt_n)
+    caps = [1]
+    m = 1.0
+    while m < sqrt_n:
+        m = min(cfg.growth_factor * m, sqrt_n)
+        caps.append(math.ceil(m))
+    last = len(caps) - 1
+    theta = np.arcsin(np.sqrt(np.arange(n_states) / n_states))
+    p_hit = np.sin(np.outer(2 * np.arange(max(caps) + 1) + 1, theta)) ** 2
+    # reach[t, used]: chance of starting a BBHT round at schedule step t
+    # with `used` queries spent in this threshold round, per M
+    reach = np.zeros((last + 1, budget, n_states))
+    reach[0, 0] = 1.0
+    hit = np.zeros(n_states)
+    queries = np.zeros(n_states)
+    bbht_rounds = np.zeros(n_states)
+    for used in range(budget):
+        for t, cap in enumerate(caps):
+            visits = reach[t, used]
+            if t == last:
+                visits = visits / (1 - (1 - p_hit[0]) / cap)
+            bbht_rounds += visits
+            for drawn in range(cap):
+                j = min(drawn, budget - used)
+                hit += visits * p_hit[j] / cap
+                queries += visits * j / cap
+                if used + j < budget and (t, j) != (last, 0):
+                    reach[min(t + 1, last), used + j] += (
+                        visits * (1 - p_hit[j]) / cap)
+    stop = (1 - hit) ** cfg.max_failures
+    rounds_here = sum((1 - hit) ** f for f in range(cfg.max_failures))
+    # rows: agreement, queries, verifications, threshold rounds
+    cost = rounds_here * np.stack([np.zeros(n_states), queries, bbht_rounds,
+                                   np.ones(n_states)])
+    totals = np.zeros((4, n_states))
+    below = np.zeros(4)
+    for marked in range(n_states):
+        totals[:, marked] = cost[:, marked]
+        if marked == 0:
+            totals[0, 0] = 1.0
+        else:
+            totals[:, marked] += (1 - stop[marked]) * below / marked
+        below += totals[:, marked]
+    return dict(zip(("agreement", "queries", "verifications", "rounds"),
+                    totals.mean(axis=1)))
+
+
+def assert_matches_exact(n_states, final_ranks, queries, verifications,
+                         rounds):
+    """Agreement by an exact binomial test, the mean counters by z-tests
+    with the sample's standard error, against exact_maximum_search."""
+    exact = exact_maximum_search(n_states)
+    final_ranks = np.asarray(final_ranks)
+    misses = int(np.count_nonzero(final_ranks != 0))
+    p = stats.binomtest(misses, final_ranks.size,
+                        1 - exact["agreement"]).pvalue
+    assert p > EQUIVALENCE_ALPHA, "agreement"
+    for field, sample in (("queries", queries),
+                          ("verifications", verifications),
+                          ("rounds", rounds)):
+        sample = np.asarray(sample, dtype=float)
+        z = ((sample.mean() - exact[field])
+             / (sample.std(ddof=1) / math.sqrt(sample.size)))
+        assert 2 * stats.norm.sf(abs(z)) > EQUIVALENCE_ALPHA, (field, z)
 
 
 def homogeneity_p(a, b, min_count=10):
@@ -271,6 +356,82 @@ def test_maximum_search_matches_state_vector_reference():
         assert p > EQUIVALENCE_ALPHA, field
 
 
+def test_exact_reference_matches_criterion_4():
+    # K = 10: the exact means, and acceptance criterion 4's bound on them
+    exact = exact_maximum_search(1 << 10)
+    assert exact["agreement"] == pytest.approx(0.99994, abs=5e-6)
+    assert exact["queries"] == pytest.approx(224.31, abs=0.005)
+    assert exact["verifications"] == pytest.approx(73.41, abs=0.005)
+    assert exact["rounds"] == pytest.approx(9.545, abs=0.0005)
+    assert exact["queries"] < 0.25 * (1 << 10)
+
+
+@pytest.mark.parametrize("k, seed", [(4, 131), (6, 132), (8, 133),
+                                     (10, 134)])
+def test_threshold_search_matches_exact_means(k, seed):
+    n = 1 << k
+    rng = np.random.default_rng(seed)
+    assert_matches_exact(
+        n, *qsearch.threshold_search(rng.integers(0, n, 100_000), n, rng))
+
+
+@pytest.mark.parametrize("k, seed", [(4, 141), (6, 142), (8, 143),
+                                     (10, 144)])
+def test_maximum_search_matches_exact_means(k, seed):
+    n = 1 << k
+    rng = np.random.default_rng(seed)
+    tables = rng.permutation(np.tile(np.arange(n, dtype=float), (2000, 1)),
+                             axis=1)
+    reports = [qsearch.maximum_search(t, rng) for t in tables]
+    assert_matches_exact(
+        n, [n - 1 - t[r.found] for t, r in zip(tables, reports)],
+        *([getattr(r, f) for r in reports]
+          for f in ("grover_queries", "verification_queries",
+                    "iterations_used")))
+
+
+class TestThresholdSearch:
+    def test_maximum_first_never_hits(self):
+        # M = 0 marks nothing: three rounds that each spend the budget
+        rng = np.random.default_rng(15)
+        ranks, queries, verifications, rounds = qsearch.threshold_search(
+            np.zeros(50, dtype=int), 64, rng)
+        budget = math.ceil(qsearch.MAXIMUM_SEARCH_CONFIG.budget_factor * 8)
+        np.testing.assert_array_equal(ranks, 0)
+        np.testing.assert_array_equal(queries, 3 * budget)
+        np.testing.assert_array_equal(rounds, 3)
+        assert (verifications >= 3).all()
+
+    def test_results_follow_the_input_order(self):
+        rng = np.random.default_rng(16)
+        first = np.array([0, 1023, 0, 511, 0])
+        ranks, queries, _, rounds = qsearch.threshold_search(first, 1024, rng)
+        assert ranks.shape == queries.shape == rounds.shape == (5,)
+        np.testing.assert_array_equal(rounds[first == 0], 3)
+        assert (rounds[first != 0] > 3).all()
+
+    def test_empty_input_draws_nothing(self):
+        rng = np.random.default_rng(17)
+        state = rng.bit_generator.state
+        results = qsearch.threshold_search([], 16, rng)
+        assert [r.shape for r in results] == [(0,)] * 4
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("first, n_states, error", [
+        ([0, 1], 2.5, ConfigError),
+        ([0, 1], 0, ConfigError),
+        ([0, 16], 16, ValueError),
+        ([-1], 16, ValueError),
+        ([[0, 1]], 16, ValueError),
+    ])
+    def test_bad_input_rejected_before_any_draw(self, first, n_states, error):
+        rng = np.random.default_rng(18)
+        state = rng.bit_generator.state
+        with pytest.raises(error):
+            qsearch.threshold_search(first, n_states, rng)
+        assert rng.bit_generator.state == state
+
+
 class TestExistenceTest:
     def test_empty_is_always_false(self):
         rng = np.random.default_rng(5)
@@ -294,6 +455,13 @@ class TestExistenceTest:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             qsearch.existence_test(oracle_marking(2, [0]), rng, 0)
+
+    def test_non_integer_rounds_rejected_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError):
+            qsearch.existence_test(oracle_marking(2, [0]), rng, 2.5)
+        assert rng.bit_generator.state == state
 
 
 class TestMaximumSearch:
