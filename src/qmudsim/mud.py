@@ -204,8 +204,10 @@ def qmud_detect(cf: CostFunction, rng: np.random.Generator,
     The K-qubit register holds all 2^K hypotheses at once; each threshold
     round compiles the score table into one oracle mask (counted once per
     round in cf_evaluations) and the randomized search amplifies the
-    above-threshold set, sampled in closed form by qsearch.bbht_search.
-    Returns the incumbent even when the final rounds exhaust their budgets.
+    hypotheses ahead of the incumbent, sampled in closed form by
+    qsearch.bbht_search; ties go to the lower index, as in
+    exhaustive_ml_detect.  Returns the incumbent even when the final rounds
+    exhaust their budgets.
     """
     report = qsearch.maximum_search(cf.table(), rng)
     detected = bits_from_index(report.found, cf.k_users)
@@ -280,14 +282,13 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
     noise at the point's Eb/N0; detect; accumulate bit errors over K·trials
     bits plus the mean work counters.  Deterministic under the passed rng.
     trace_fh, when given, receives one JSON line per trial.  An unknown
-    detector, trials < 1, a K above EXHAUSTIVE_K_LIMIT for the table
-    detectors, an empty Eb/N0 list and a bad Eb/N0 raise ConfigError before
-    any trial runs.
+    detector, trials that is not an integer >= 1, a K above
+    EXHAUSTIVE_K_LIMIT for the table detectors, an empty Eb/N0 list and a
+    bad Eb/N0 raise ConfigError before any trial runs.
     """
     if detector not in DETECTORS:
         raise ConfigError(f"detector must be one of {DETECTORS}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    trials = qsearch._count(trials, "trials", 1)
     k = scenario_template.k_users
     if detector != "mf" and k > EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"detector {detector} supports at most "
@@ -382,18 +383,15 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
 
     Instances are drawn and scored in chunks of at most
     AGREEMENT_CHUNK_SCORES table entries: one batched _draw_trial and one
-    mls_tables call per chunk, and one sort of every row to find its
-    maximum and any tied scores.  Instances without a unique maximizer (ties
+    mls_tables call per chunk.  Instances without a unique maximizer (ties
     at float precision) are redrawn so agreement is well defined, at most
-    `trials` times in total; one more tie raises ConfigError.  Rows whose
-    scores are all distinct draw their first incumbents with one
-    rng.integers call per chunk and keep only their ranks (the count of
-    higher scores); up to AGREEMENT_SEARCH_BATCH ranks at a time then run
-    through qsearch.threshold_search, and a row agrees when its search ends
-    on rank 0.  A row with tied scores below its maximum runs
-    qsearch.maximum_search on its table instead.  trials that is not an
-    integer >= 1 and K outside [1, EXHAUSTIVE_K_LIMIT] raise ConfigError
-    before any draw.
+    `trials` times in total; one more tie raises ConfigError.  The other
+    rows draw their first incumbents with one rng.integers call per chunk
+    and keep only their ranks in the search order (qsearch.rank); up to
+    AGREEMENT_SEARCH_BATCH ranks at a time then run through
+    qsearch.threshold_search, and a row agrees when its search ends on
+    rank 0.  trials that is not an integer >= 1 and K outside
+    [1, EXHAUSTIVE_K_LIMIT] raise ConfigError before any draw.
     """
     k = scenario_template.k_users
     trials = qsearch._count(trials, "trials", 1)
@@ -414,37 +412,20 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
         channel, _, frame = _draw_trial(scenario, rng,
                                         (min(chunk, trials - done),))
         tables = mls_tables(frame, scenario, channel)
-        ordered = np.sort(tables, axis=-1)
-        rising = ordered[:, 1:] > ordered[:, :-1]
-        unique = rising[:, -1]
+        unique = (tables == tables.max(axis=-1, keepdims=True)).sum(-1) == 1
         redraws += tables.shape[0] - int(np.count_nonzero(unique))
         if redraws > trials:
             raise ConfigError(
                 f"at Eb/N0 {ebn0_db!r} dB, {trials + 1} instances had no "
                 f"unique maximum (at most {trials} redraws allowed)")
-        # a row with a non-finite score goes to maximum_search, which
-        # rejects it
-        distinct = (rising.all(axis=-1)
-                    & np.isfinite(ordered[:, [0, -1]]).all(axis=-1))
-        # free the sorted copy before the next chunk's tables are built
-        del ordered, rising
-        first = np.zeros(tables.shape[0], dtype=np.int64)
-        first[distinct] = rng.integers(0, 1 << k,
-                                       size=np.count_nonzero(distinct))
-        incumbent = tables[np.arange(tables.shape[0]), first]
-        above = np.count_nonzero(tables > incumbent[:, None], axis=-1)
-        pending.append(above[distinct])
-        for table in tables[unique & ~distinct]:
-            report = qsearch.maximum_search(table, rng)
-            agree += int(report.found == table.argmax())
-            grover_total += report.grover_queries
-            verify_total += report.verification_queries
-            rounds_total += report.iterations_used
-        done += int(np.count_nonzero(unique))
+        tables = tables[unique]
+        first = rng.integers(0, 1 << k, size=tables.shape[0])
+        pending.append(qsearch.rank(tables, first))
+        done += tables.shape[0]
         if sum(map(len, pending)) >= AGREEMENT_SEARCH_BATCH or done == trials:
-            rank, queries, verifications, rounds = qsearch.threshold_search(
+            final, queries, verifications, rounds = qsearch.threshold_search(
                 np.concatenate(pending), 1 << k, rng)
-            agree += int(np.count_nonzero(rank == 0))
+            agree += int(np.count_nonzero(final == 0))
             grover_total += int(queries.sum())
             verify_total += int(verifications.sum())
             rounds_total += int(rounds.sum())

@@ -18,20 +18,22 @@ hit and, rescaled, which marked index it lands on.  A search draws the
 uniforms of ROUND_BLOCK rounds with one rng.random call, and draws another
 block when those run out; uniforms left over when it stops are discarded.
 
-maximum_search runs threshold rounds of that search on one table, each over
-the mask "table > threshold".  When the table's scores are distinct, a round
-depends only on M, the number of entries above the incumbent: the hit lands
-uniformly on them, so the next incumbent's M is uniform on 0..M-1
+maximum_search runs threshold rounds of that search on one table, each
+marking the entries ahead of the incumbent in one total order: higher
+scores first, equal scores by lower index, as np.argmax breaks ties
+(rank).  So a round depends only on M, the incumbent's rank: the hit lands
+uniformly on the M entries ahead, so the next rank is uniform on 0..M-1
 (Dürr–Høyer, quant-ph/9607014).  threshold_search uses this to run many
 searches in rank space at once, as arrays of M and a few counters, with one
 rng.random call per BBHT round of all unfinished searches; it builds no
 mask, oracle or register.  Its per-round overhead is spread over the
 searches, so it pays off only for many searches: maximum_search stays the
-path for one table and for tables with tied scores.
+path for one table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -219,23 +221,36 @@ def _round_uniforms(rng: np.random.Generator):
         yield from rng.random((ROUND_BLOCK, 2)).tolist()
 
 
+@functools.lru_cache(maxsize=128)
+def _schedule(n_states: int, cfg: SearchConfig):
+    """(caps, budget) of bbht_search: ceil(m) of each round after a
+    (re)start, later rounds taking caps[-1], and its query budget."""
+    sqrt_n = math.sqrt(n_states)
+    caps = [1]
+    m = 1.0
+    while m < sqrt_n:
+        m = min(cfg.growth_factor * m, sqrt_n)
+        caps.append(math.ceil(m))
+    return tuple(caps), math.ceil(cfg.budget_factor * sqrt_n)
+
+
 def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
                 cfg: SearchConfig = DEFAULT_CONFIG) -> SearchReport:
     """Randomized search when the number of marked items is unknown.
 
-    Schedule: m starts at 1; each round runs j ~ Uniform{0..ceil(m)-1}
-    amplification steps, measures, and classically verifies; on failure m
-    grows by cfg.growth_factor up to sqrt(N).  Gives up (succeeded=False,
-    not an error) once cfg.budget_factor * sqrt(N) queries are spent, which
-    covers the case of zero marked items.  Each round counts its j oracle
-    queries and samples the measurement from the closed-form distribution
-    after j steps (see the module docstring) from one pair of uniforms, taken
-    from blocks of ROUND_BLOCK pairs drawn with one rng.random call each, so
-    no register is built.
+    Schedule (_schedule): m starts at 1; each round runs
+    j ~ Uniform{0..ceil(m)-1} amplification steps, measures, and classically
+    verifies; on failure m grows by cfg.growth_factor up to sqrt(N).  Gives
+    up (succeeded=False, not an error) once cfg.budget_factor * sqrt(N)
+    queries are spent, which covers the case of zero marked items.  Each
+    round counts its j oracle queries and samples the measurement from the
+    closed-form distribution after j steps (see the module docstring) from
+    one pair of uniforms, taken from blocks of ROUND_BLOCK pairs drawn with
+    one rng.random call each, so no register is built.
     """
     n_states = oracle.n_states
-    sqrt_n = math.sqrt(n_states)
-    budget = math.ceil(cfg.budget_factor * sqrt_n)
+    caps, budget = _schedule(n_states, cfg)
+    last = len(caps) - 1
     g0, v0 = oracle.query_count, oracle.verification_count
     marked = oracle.marked_indices()
     theta = math.asin(math.sqrt(marked.size / n_states))
@@ -247,10 +262,9 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
                             iterations_used=oracle.query_count - g0,
                             succeeded=succeeded)
 
-    m = 1.0
     used = 0
-    for u_steps, u_hit in _round_uniforms(rng):
-        j = min(int(u_steps * math.ceil(m)), budget - used)
+    for t, (u_steps, u_hit) in enumerate(_round_uniforms(rng)):
+        j = min(int(u_steps * caps[min(t, last)]), budget - used)
         oracle.query_count += j
         used += j
         # sin² is exactly 0 for M = 0 and exactly 1 in the first (j = 0)
@@ -267,7 +281,6 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
         oracle.verification_count += 1
         if used >= budget:
             return report(None, False)
-        m = min(cfg.growth_factor * m, sqrt_n)
 
 
 def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
@@ -285,36 +298,50 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
     return False
 
 
+def rank(tables, index):
+    """Number of entries ahead of `index` in each of the (..., N) tables:
+    higher scores, and equal scores at lower indices.  This is the search
+    order of every maximum search; rank 0 is the maximum np.argmax picks."""
+    tables = np.asarray(tables)
+    index = np.asarray(index)[..., None]
+    score = np.take_along_axis(tables, index, axis=-1)
+    return np.count_nonzero(np.where(np.arange(tables.shape[-1]) < index,
+                                     tables >= score, tables > score), axis=-1)
+
+
 def maximum_search(table: np.ndarray,
                    rng: np.random.Generator) -> SearchReport:
     """Locate an index maximizing a score table by iterated threshold search.
 
     The table holds one score per index of an n-qubit register, so its
-    length must be 2^n and its scores finite (ValueError otherwise).  Keeps a
-    best-so-far threshold t seeded from one random sample, then repeatedly
-    searches the oracle mask "table > t" with the randomized schedule of
-    MAXIMUM_SEARCH_CONFIG; every verified hit raises the threshold.  Stops after max_failures consecutive rounds find
-    nothing and returns the incumbent.  Ties are kept by the first index
-    found.
+    length must be 2^n and its scores finite (ValueError otherwise).  Keeps
+    an incumbent seeded from one random sample, then repeatedly searches the
+    mask of the entries ahead of it (see rank) with the randomized schedule of
+    MAXIMUM_SEARCH_CONFIG; every verified hit becomes the incumbent.  Stops
+    after max_failures consecutive rounds find nothing and returns the
+    incumbent, which aims at the maximum that np.argmax picks.
     """
     table = np.asarray(table, dtype=float)
     score_bits(table)
 
     incumbent = int(rng.integers(0, table.size))
-    threshold = table[incumbent]
     grover_total = 0
     verify_total = 0
     rounds = 0
     failures = 0
     while failures < MAXIMUM_SEARCH_CONFIG.max_failures:
-        oracle = MarkingOracle(table > threshold)
+        if failures == 0:
+            # a new incumbent: mark the entries ahead of it, in rank's order
+            score = table[incumbent]
+            ahead = table > score
+            ahead[:incumbent] = table[:incumbent] >= score
+            oracle = MarkingOracle(ahead)
         rounds += 1
         rep = bbht_search(oracle, rng, MAXIMUM_SEARCH_CONFIG)
         grover_total += rep.grover_queries
         verify_total += rep.verification_queries
         if rep.succeeded:
             incumbent = rep.found
-            threshold = table[incumbent]
             failures = 0
         else:
             failures += 1
@@ -326,17 +353,16 @@ def maximum_search(table: np.ndarray,
 
 
 def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
-    """maximum_search run in rank space on many tables with distinct scores.
+    """maximum_search run in rank space on many tables.
 
-    An entry's rank is the number of entries scoring above it, so rank 0 is
-    the maximum and an incumbent of rank M leaves exactly M marked indices.
-    With distinct scores a threshold round depends on M alone, and a hit
-    lands uniformly on ranks 0..M-1 (see the module docstring), so each
-    instance is a few counters and needs no table, mask or oracle.  Runs one
-    search per entry of first_ranks (ranks of the first incumbents, in
-    [0, n_states)) in lock-step: every BBHT round of every unfinished
-    instance draws its (u_steps, u_hit) pair from one rng.random call, and
-    applies bbht_search's round rule under MAXIMUM_SEARCH_CONFIG.  A hit
+    An incumbent of rank M (see rank) leaves exactly M marked indices, a
+    threshold round depends on M alone, and a hit lands uniformly on ranks
+    0..M-1 (see the module docstring), so each instance is a few counters
+    and needs no table, mask or oracle.  Runs one search per entry of
+    first_ranks (ranks of the first incumbents, in [0, n_states)) in
+    lock-step: every BBHT round of every unfinished instance draws its
+    (u_steps, u_hit) pair from one rng.random call, and applies
+    bbht_search's round rule under MAXIMUM_SEARCH_CONFIG.  A hit
     moves the incumbent to rank floor(u_hit / p_hit · M) and restarts the
     schedule; a round that spends its budget counts one failure, and
     max_failures failures in a row stop the instance.
@@ -353,16 +379,8 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     if first.ndim != 1 or ((first < 0) | (first >= n_states)).any():
         raise ValueError(f"first_ranks must be a 1-D array of ranks in "
                          f"[0, {n_states})")
-    sqrt_n = math.sqrt(n_states)
-    budget = math.ceil(cfg.budget_factor * sqrt_n)
-    # ceil(m) of the t-th round after a (re)start, m grown as bbht_search
-    # grows it; take(..., mode="clip") serves every later round from the end
-    caps = [1]
-    m = 1.0
-    while m < sqrt_n:
-        m = min(cfg.growth_factor * m, sqrt_n)
-        caps.append(math.ceil(m))
-    caps = np.array(caps)
+    caps, budget = _schedule(n_states, cfg)
+    caps = np.array(caps)  # take(..., mode="clip") serves later rounds
     # 2θ = 2·asin(√(M/N)) for every M; (j + 1/2)·2θ rounds exactly as
     # bbht_search's (2j + 1)·θ does
     two_theta = 2.0 * np.arcsin(np.sqrt(np.arange(n_states) / n_states))

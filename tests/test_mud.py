@@ -515,7 +515,8 @@ class TestQmudDetect:
             [next(queue) for _ in range(math.prod(shape))]).reshape(
                 shape + (-1,)))
 
-    def test_tied_rows_take_the_per_row_search(self, monkeypatch):
+    def test_every_unique_maximum_row_takes_the_lock_step_search(
+            self, monkeypatch):
         # 8-entry tables with a unique maximum and a tie below it; every
         # fourth ties at its maximum as well and is redrawn
         base = np.random.default_rng(30)
@@ -543,19 +544,18 @@ class TestQmudDetect:
         monkeypatch.setattr(qsearch, "threshold_search", lock_step)
         self.replay_tables(monkeypatch, tables)
         result = mud.qmud_agreement(sc, 8.0, 40, np.random.default_rng(31))
-        assert searched == {"rows": 40, "ranks": 0}
-        self.replay_tables(monkeypatch, tables)
-        ref = reference_qmud_agreement(sc, 8.0, 40, np.random.default_rng(31))
-        assert result == ref
+        assert searched == {"rows": 0, "ranks": 40}
         assert result.redraws == 13
+        assert result.agreement > 0.9
 
-        # rows with distinct scores go to the lock-step search instead
-        searched.update(rows=0, ranks=0)
-        distinct = [base.permutation(8).astype(float) for _ in range(30)]
-        self.replay_tables(monkeypatch, distinct + tables)
-        result = mud.qmud_agreement(sc, 8.0, 50, np.random.default_rng(32))
-        assert searched == {"rows": 20, "ranks": 30}
-        assert result.redraws == 6 and result.agreement > 0.9
+    def test_tied_maximum_detected_as_exhaustive_detects_it(self):
+        # every score ties: both detectors aim at index 0
+        cf = mud.CostFunction(np.zeros(8))
+        exhaustive = mud.exhaustive_ml_detect(cf).detected_bits
+        same = sum(np.array_equal(
+            mud.qmud_detect(cf, np.random.default_rng(seed)).detected_bits,
+            exhaustive) for seed in range(200))
+        assert same >= 0.99 * 200
 
     def test_tie_redraws_counted_and_capped(self):
         sc = cdma.make_scenario("random_bipolar", 4, 16, 0.0,
@@ -696,6 +696,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("detector, k_users, trials", [
         ("zf", 2, 1),
         ("mf", 2, 0),
+        ("mf", 2, 2.5),
         ("ml_exhaustive", mud.EXHAUSTIVE_K_LIMIT + 1, 1),
         ("qmud", mud.EXHAUSTIVE_K_LIMIT + 1, 1),
     ])

@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qmudsim import qcore, qsearch
@@ -375,19 +377,76 @@ def test_threshold_search_matches_exact_means(k, seed):
         n, *qsearch.threshold_search(rng.integers(0, n, 100_000), n, rng))
 
 
-@pytest.mark.parametrize("k, seed", [(4, 141), (6, 142), (8, 143),
-                                     (10, 144)])
-def test_maximum_search_matches_exact_means(k, seed):
+def stable_rank(table, index):
+    """Position of index when the table is sorted by descending score, equal
+    scores keeping index order: the search order, computed by sorting."""
+    return int(np.flatnonzero(np.argsort(-table, kind="stable") == index)[0])
+
+
+@pytest.mark.parametrize("k, seed, levels", [
+    pytest.param(4, 141, None, id="4-141"),
+    pytest.param(6, 142, None, id="6-142"),
+    pytest.param(8, 143, None, id="8-143"),
+    pytest.param(10, 144, None, id="10-144"),
+    pytest.param(6, 145, 6, id="tied-6-145")])
+def test_maximum_search_matches_exact_means(k, seed, levels):
+    # levels=None: distinct scores; otherwise scores in {0..levels-1}, which
+    # tie often (about 11 entries per table share the maximum at K = 6), and
+    # the search is exact in rank space only under the tie rule
     n = 1 << k
     rng = np.random.default_rng(seed)
-    tables = rng.permutation(np.tile(np.arange(n, dtype=float), (2000, 1)),
-                             axis=1)
+    if levels is None:
+        tables = rng.permutation(
+            np.tile(np.arange(n, dtype=float), (2000, 1)), axis=1)
+    else:
+        tables = rng.integers(0, levels, (2000, n)).astype(float)
     reports = [qsearch.maximum_search(t, rng) for t in tables]
+    final = [stable_rank(t, r.found) for t, r in zip(tables, reports)]
+    # rank 0 in this order is np.argmax's index
+    np.testing.assert_array_equal(
+        np.equal(final, 0), [r.found == t.argmax()
+                             for t, r in zip(tables, reports)])
     assert_matches_exact(
-        n, [n - 1 - t[r.found] for t, r in zip(tables, reports)],
+        n, final,
         *([getattr(r, f) for r in reports]
           for f in ("grover_queries", "verification_queries",
                     "iterations_used")))
+
+
+class TestSearchOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 8), rows=st.integers(1, 4),
+           levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_rank_is_the_stable_descending_position(self, k, rows, levels,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        tables = rng.integers(0, levels, (rows, 1 << k)).astype(float)
+        index = rng.integers(0, 1 << k, rows)
+        expected = [stable_rank(t, i) for t, i in zip(tables, index)]
+        np.testing.assert_array_equal(qsearch.rank(tables, index), expected)
+        # one table and one index, as maximum_search passes them
+        assert qsearch.rank(tables[0], int(index[0])) == expected[0]
+
+    def test_rounds_mark_the_entries_ahead_of_the_incumbent(self,
+                                                            monkeypatch):
+        # with every round failing, each of the three rounds marks the
+        # entries of lower rank than the first incumbent, the first draw
+        table = np.array([3.0, 5.0, 3.0, 5.0, 1.0, 3.0, 5.0, 0.0])
+        ranks = np.array([stable_rank(table, i) for i in range(8)])
+        masks = []
+
+        def failing(oracle, rng, cfg):
+            masks.append(oracle.mask)
+            return qsearch.SearchReport(None, 0, 1, 0, False)
+
+        monkeypatch.setattr(qsearch, "bbht_search", failing)
+        for seed in range(20):
+            first = np.random.default_rng(seed).integers(0, 8)
+            masks.clear()
+            qsearch.maximum_search(table, np.random.default_rng(seed))
+            assert len(masks) == 3
+            for mask in masks:
+                np.testing.assert_array_equal(mask, ranks < ranks[first])
 
 
 class TestThresholdSearch:
