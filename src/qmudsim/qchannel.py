@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from . import qcore
+from . import qcore, qsearch
 from .errors import ConfigError
 
 
@@ -102,9 +102,9 @@ def transmit_quantum(bit: int, ch: FlipChannel,
 def run_demo(n_bits: int, p: float, rng: np.random.Generator) -> DemoReport:
     """Push random bits through both transports and tally error rates.
 
-    n_bits < 1 and p outside [0, 1] raise ConfigError."""
-    if n_bits < 1:
-        raise ConfigError(f"n_bits must be >= 1, got {n_bits}")
+    n_bits that is not an integer >= 1 and p outside [0, 1] raise
+    ConfigError."""
+    n_bits = qsearch._count(n_bits, "n_bits", 1)
     ch = FlipChannel(p)
     classical_errors = 0
     quantum_errors = 0

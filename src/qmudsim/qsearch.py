@@ -24,11 +24,12 @@ scores first, equal scores by lower index, as np.argmax breaks ties
 (rank).  So a round depends only on M, the incumbent's rank: the hit lands
 uniformly on the M entries ahead, so the next rank is uniform on 0..M-1
 (Dürr–Høyer, quant-ph/9607014).  threshold_search uses this to run many
-searches in rank space at once, as arrays of M and a few counters, with one
-rng.random call per BBHT round of all unfinished searches; it builds no
-mask, oracle or register.  Its per-round overhead is spread over the
-searches, so it pays off only for many searches: maximum_search stays the
-path for one table.
+searches in rank space at once, as arrays of M and a few counters; it
+builds no mask, oracle or register.  Each loop step gives every unfinished
+search a block of THRESHOLD_BLOCK BBHT rounds from one rng.random call, and
+a search's threshold round ends at the first hit or budget stop in its
+block.  Its per-step overhead is spread over the searches, so it pays off
+only for many searches: maximum_search stays the path for one table.
 """
 
 from __future__ import annotations
@@ -94,12 +95,24 @@ MAXIMUM_SEARCH_CONFIG = SearchConfig(growth_factor=1.33, budget_factor=1.8)
 
 
 def index_bits(values: np.ndarray, name: str) -> int:
-    """n for a 1-D array over the 2^n register indices; ShapeError otherwise."""
+    """n >= 1 for a 1-D array over the 2^n register indices; ShapeError
+    otherwise.  A search over one index would never spend its budget:
+    every round's j is 0 there."""
     n = values.size.bit_length() - 1
-    if values.ndim != 1 or n < 0 or values.size != 1 << n:
+    if values.ndim != 1 or n < 1 or values.size != 1 << n:
         raise ShapeError(f"{name} of shape {values.shape} is not 1-D of "
-                         "power-of-2 length")
+                         "power-of-2 length >= 2")
     return n
+
+
+def _indices(values, n: int, name: str) -> np.ndarray:
+    """values as an int64 array; ValueError unless every entry is an
+    integer (not a bool) in [0, n)."""
+    values = np.asarray(values)
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0
+                        or values.max() >= n):
+        raise ValueError(f"{name} must be integers in [0, {n})")
+    return values.astype(np.int64, copy=False)
 
 
 def score_bits(table: np.ndarray) -> int:
@@ -301,9 +314,10 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
 def rank(tables, index):
     """Number of entries ahead of `index` in each of the (..., N) tables:
     higher scores, and equal scores at lower indices.  This is the search
-    order of every maximum search; rank 0 is the maximum np.argmax picks."""
+    order of every maximum search; rank 0 is the maximum np.argmax picks.
+    An index that is not an integer in [0, N) raises ValueError."""
     tables = np.asarray(tables)
-    index = np.asarray(index)[..., None]
+    index = _indices(index, tables.shape[-1], "index")[..., None]
     score = np.take_along_axis(tables, index, axis=-1)
     return np.count_nonzero(np.where(np.arange(tables.shape[-1]) < index,
                                      tables >= score, tables > score), axis=-1)
@@ -352,6 +366,16 @@ def maximum_search(table: np.ndarray,
                         succeeded=True)
 
 
+# BBHT rounds that threshold_search gives each unfinished search per loop
+# step, drawn with one rng.random call.  Longer blocks take fewer steps, but
+# they draw and score more rounds that a stop discards.  At K = 10, a call
+# of 200 searches took 23.0, 19.7, 18.1, 18.0, 18.7 and 18.6 us per search
+# with blocks of 4, 6, 8, 10, 12 and 16 rounds (36.2 with one round per
+# step), and a call of 4,096 took 6.6, 6.7, 6.9, 8.0, 8.9 and 10.2 (7.6 with
+# one round per step); medians of 31 and 11 calls on a 2-vCPU VM.
+THRESHOLD_BLOCK = 8
+
+
 def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     """maximum_search run in rank space on many tables.
 
@@ -360,71 +384,100 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     0..M-1 (see the module docstring), so each instance is a few counters
     and needs no table, mask or oracle.  Runs one search per entry of
     first_ranks (ranks of the first incumbents, in [0, n_states)) in
-    lock-step: every BBHT round of every unfinished instance draws its
-    (u_steps, u_hit) pair from one rng.random call, and applies
-    bbht_search's round rule under MAXIMUM_SEARCH_CONFIG.  A hit
-    moves the incumbent to rank floor(u_hit / p_hit · M) and restarts the
-    schedule; a round that spends its budget counts one failure, and
-    max_failures failures in a row stop the instance.
+    lock-step: each loop step gives every unfinished instance a block of
+    THRESHOLD_BLOCK BBHT rounds, drawn for all of them with one rng.random
+    call, and applies bbht_search's round rule under MAXIMUM_SEARCH_CONFIG
+    to each.  The rounds of a block run until the first hit or until the
+    budget is spent, and the uniforms after that stop are discarded, as
+    bbht_search discards the rest of its ROUND_BLOCK; a block with no stop
+    carries its schedule step and queries into the next.  A hit moves the
+    incumbent to rank floor(u_hit / p_hit · M) and restarts the schedule; a
+    round that spends its budget counts one failure, and max_failures
+    failures in a row stop the instance.
 
     Returns four int64 arrays, one entry per instance: the final rank, the
     oracle queries, the verifications and the threshold rounds, counted as
-    maximum_search counts them.  n_states that is not an integer >= 1
-    raises ConfigError, and first_ranks that is not a 1-D array of ranks in
-    range raises ValueError, both before any draw.
+    maximum_search counts them.  n_states that is not an integer >= 2
+    raises ConfigError, and first_ranks that is not a 1-D array of integer
+    ranks in [0, n_states) raises ValueError, both before any draw.
     """
     cfg = MAXIMUM_SEARCH_CONFIG
-    n_states = _count(n_states, "n_states", 1)
-    first = np.array(first_ranks, dtype=np.int64)
-    if first.ndim != 1 or ((first < 0) | (first >= n_states)).any():
-        raise ValueError(f"first_ranks must be a 1-D array of ranks in "
-                         f"[0, {n_states})")
+    n_states = _count(n_states, "n_states", 2)
+    first = _indices(first_ranks, n_states, "first_ranks")
+    if first.ndim != 1:
+        raise ValueError(f"first_ranks must be 1-D, got shape {first.shape}")
     caps, budget = _schedule(n_states, cfg)
-    caps = np.array(caps)  # take(..., mode="clip") serves later rounds
+    # caps[b, t]: the cap of round b of a block that starts at schedule
+    # step t; steps from the last on all take the last cap
+    last_step = len(caps) - 1
+    caps = np.array(caps, dtype=float).take(
+        np.arange(THRESHOLD_BLOCK)[:, None] + np.arange(last_step + 1),
+        mode="clip")
     # 2θ = 2·asin(√(M/N)) for every M; (j + 1/2)·2θ rounds exactly as
     # bbht_search's (2j + 1)·θ does
     two_theta = 2.0 * np.arcsin(np.sqrt(np.arange(n_states) / n_states))
 
-    # one column per unfinished instance; rows: M, rounds since the
-    # (re)start, queries spent since it, failures in a row, queries,
-    # threshold rounds, verifications (set when it stops) and its index
+    # one column per unfinished instance; rows: M, schedule step since the
+    # (re)start (held at the last step), queries spent since it, failures
+    # in a row, queries, threshold rounds, verifications and its index
     state = np.zeros((8, first.size), dtype=np.int64)
     state[0] = first
     state[7] = np.arange(first.size)
     finished = []
-    step = 0
-    marked, t, used, failures, spent, ended = state[:6]
     while state.shape[1]:
-        step += 1
-        u_steps, u_hit = rng.random((state.shape[1], 2)).T
-        j = (u_steps * caps.take(t, mode="clip")).astype(np.int64)
-        np.minimum(j, budget - used, out=j)
-        used += j
-        spent += j
+        marked, t, used, failures, spent, ended, verified = state[:7]
+        cols = np.arange(state.shape[1])
+        # one row per round of the block, one column per instance; these
+        # arrays are updated in place, because allocating a fresh one cost
+        # more than the arithmetic at 4,096 instances
+        u_steps, u_hit = rng.random((2, THRESHOLD_BLOCK, cols.size))
+        j = u_steps
+        j *= caps.take(t, axis=1)
+        np.floor(j, out=j)
+        # queries spent by the end of each round
+        total = j.copy()
+        total[0] += used
+        for row in range(1, THRESHOLD_BLOCK):
+            total[row] += total[row - 1]
+        # the round that reaches the budget runs only the queries left
+        # (later rounds, which the budget stop discards, get j < 0)
+        left = np.subtract(budget, total)
+        np.minimum(left, 0, out=left)
+        j += left
         # same p_hit as bbht_search: 0 for M = 0, so M = 0 never hits
-        p_hit = np.sin((j + 0.5) * two_theta[marked]) ** 2
+        j += 0.5
+        j *= two_theta[marked]
+        p_hit = np.sin(j, out=j)
+        p_hit *= p_hit
         hit = u_hit < p_hit
+        # each instance's last round this step: its first hit or budget
+        # stop, else the block's last round
+        stop = total >= budget
+        stop |= hit
+        stops = stop.any(axis=0)
+        last = np.where(stops, stop.argmax(axis=0), THRESHOLD_BLOCK - 1)
+        pick = last * cols.size + cols
+        hit, u_hit, p_hit, total = (a.take(pick)
+                                    for a in (hit, u_hit, p_hit, total))
+        total = np.minimum(total, budget).astype(np.int64)
+        spent += total - used
+        verified += last + 1  # one verification per BBHT round
         # a hit lands on rank floor(u_hit / p_hit · M), as in bbht_search
-        np.divide(u_hit, p_hit, out=u_steps, where=hit)
-        u_steps *= marked
-        np.copyto(marked, u_steps, casting="unsafe", where=hit)
-        # resets go through index arrays, which set faster than masks here
-        over = used >= budget
-        failures[hit.nonzero()[0]] = 0
-        failures += over > hit
-        restart = (over | hit).nonzero()[0]
-        ended[restart] += 1
-        t += 1
-        t[restart] = 0
-        used[restart] = 0
+        np.divide(u_hit, p_hit, out=u_hit, where=hit)
+        u_hit *= marked
+        np.copyto(marked, u_hit, casting="unsafe", where=hit)
+        failures += stops
+        failures *= ~hit
+        ended += stops
+        # a stop restarts the schedule; otherwise the next block goes on
+        t += THRESHOLD_BLOCK
+        np.minimum(t, last_step, out=t)
+        t *= ~stops
+        np.multiply(total, ~stops, out=used)
         done = failures >= cfg.max_failures
         if done.any():
-            # every BBHT round verifies once, so an instance that stops
-            # after this round has made `step` verifications
-            state[6, done] = step
             finished.append(state[:, done])
             state = state[:, ~done]
-            marked, t, used, failures, spent, ended = state[:6]
     stopped = np.concatenate(finished or [state], axis=1)
     results = np.empty_like(stopped)
     results[:, stopped[7]] = stopped

@@ -47,6 +47,30 @@ def random_instance(k_users, n_chips, sigma2, sync_mode, gain_model, seed):
     return cdma.synthesize_received(sc, ch, bits, prev, rng), sc, ch
 
 
+@pytest.mark.parametrize("shape, seed", [((), 31), ((16,), 32),
+                                         ((3, 5), 33)])
+def test_draw_trial_bits_are_the_choice_draws(shape, seed):
+    # _draw_trial draws its bits with rng.integers; twin generators that
+    # draw them with rng.choice((-1, 1)) give the same trial and end in the
+    # same state, so seeded outputs do not depend on which form is used
+    sc = cdma.make_scenario("random_bipolar", 10, 16, 0.3,
+                            sync_mode="chip-asynchronous",
+                            gain_model="rayleigh", seed=seed)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    channel, bits, frame = mud._draw_trial(sc, rng, shape)
+    twin_channel = cdma.sample_channel(sc, twin, shape)
+    twin_bits = twin.choice((-1, 1), size=shape + (10,))
+    twin_prev = twin.choice((-1, 1), size=shape + (10,))
+    twin_frame = cdma.synthesize_received(sc, twin_channel, twin_bits,
+                                          twin_prev, twin)
+    assert bits.dtype == twin_bits.dtype
+    np.testing.assert_array_equal(bits, twin_bits)
+    np.testing.assert_array_equal(frame.prev_bits, twin_prev)
+    np.testing.assert_array_equal(frame.samples, twin_frame.samples)
+    np.testing.assert_array_equal(channel.gains, twin_channel.gains)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
     """qmud_agreement as a per-trial loop: one draw, one make_mls_cost table
     and one tie check per instance, then the search."""

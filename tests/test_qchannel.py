@@ -116,10 +116,15 @@ class TestRunDemo:
             qchannel.run_demo(0, 0.5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n_bits, p", [
-        (0, 0.5), (-3, 0.5), (10, -0.1), (10, 1.5), (10, float("nan"))])
+        (0, 0.5), (-3, 0.5), (2.5, 0.5), ("10", 0.5), (10, -0.1), (10, 1.5),
+        (10, float("nan"))])
     def test_bad_input_is_config_error(self, n_bits, p):
         with pytest.raises(ConfigError):
             qchannel.run_demo(n_bits, p, np.random.default_rng(0))
+
+    def test_n_bits_reported_as_an_int(self):
+        report = qchannel.run_demo(True, 0.5, np.random.default_rng(0))
+        assert type(report.n_bits) is int and report.n_bits == 1
 
     def test_report_serialization(self):
         report = qchannel.DemoReport(n_bits=10, classical_error_rate=0.5,

@@ -3,6 +3,9 @@
 `reference_bbht_search` is the randomized search evolved on a state vector,
 one `grover_iterate` per oracle query; `qsearch.bbht_search` samples the
 same measurement from its closed form and is tested against it.
+`reference_threshold_search` runs the rank-space searches one BBHT round per
+loop step; `qsearch.threshold_search`, which runs a block of rounds per
+step, is tested against it.
 """
 
 import functools
@@ -66,6 +69,57 @@ def reference_maximum_search(table, rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsearch, "bbht_search", reference_bbht_search)
         return qsearch.maximum_search(table, rng)
+
+
+def reference_threshold_search(first_ranks, n_states, rng):
+    """qsearch.threshold_search advanced one BBHT round per loop step: every
+    unfinished search draws one (u_steps, u_hit) pair per step, so a
+    search's verifications are the steps it ran."""
+    cfg = qsearch.MAXIMUM_SEARCH_CONFIG
+    first = np.array(first_ranks, dtype=np.int64)
+    caps, budget = qsearch._schedule(n_states, cfg)
+    caps = np.array(caps)  # take(..., mode="clip") serves later rounds
+    two_theta = 2.0 * np.arcsin(np.sqrt(np.arange(n_states) / n_states))
+
+    # one column per unfinished search; rows: M, rounds since the
+    # (re)start, queries spent since it, failures in a row, queries,
+    # threshold rounds, verifications (set when it stops) and its index
+    state = np.zeros((8, first.size), dtype=np.int64)
+    state[0] = first
+    state[7] = np.arange(first.size)
+    finished = []
+    step = 0
+    marked, t, used, failures, spent, ended = state[:6]
+    while state.shape[1]:
+        step += 1
+        u_steps, u_hit = rng.random((state.shape[1], 2)).T
+        j = (u_steps * caps.take(t, mode="clip")).astype(np.int64)
+        np.minimum(j, budget - used, out=j)
+        used += j
+        spent += j
+        p_hit = np.sin((j + 0.5) * two_theta[marked]) ** 2
+        hit = u_hit < p_hit
+        np.divide(u_hit, p_hit, out=u_steps, where=hit)
+        u_steps *= marked
+        np.copyto(marked, u_steps, casting="unsafe", where=hit)
+        over = used >= budget
+        failures[hit.nonzero()[0]] = 0
+        failures += over > hit
+        restart = (over | hit).nonzero()[0]
+        ended[restart] += 1
+        t += 1
+        t[restart] = 0
+        used[restart] = 0
+        done = failures >= cfg.max_failures
+        if done.any():
+            state[6, done] = step
+            finished.append(state[:, done])
+            state = state[:, ~done]
+            marked, t, used, failures, spent, ended = state[:6]
+    stopped = np.concatenate(finished or [state], axis=1)
+    results = np.empty_like(stopped)
+    results[:, stopped[7]] = stopped
+    return results[0], results[4], results[6], results[5]
 
 
 @functools.lru_cache(maxsize=None)
@@ -377,6 +431,37 @@ def test_threshold_search_matches_exact_means(k, seed):
         n, *qsearch.threshold_search(rng.integers(0, n, 100_000), n, rng))
 
 
+@pytest.mark.parametrize("k, seed", [(6, 151), (10, 152)])
+def test_threshold_search_matches_per_round_reference(k, seed):
+    n = 1 << k
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, n, 20_000)
+    new = qsearch.threshold_search(first, n, rng)
+    ref = reference_threshold_search(first, n, rng)
+    for field, a, b in zip(("ranks", "queries", "verifications", "rounds"),
+                           new, ref):
+        assert homogeneity_p(a, b) > EQUIVALENCE_ALPHA, field
+
+
+class CountingGenerator:
+    """A generator that counts its rng.random calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def test_threshold_search_draws_a_block_of_rounds_per_call():
+    # one BBHT round per call would take about 120 calls here
+    rng = CountingGenerator(np.random.default_rng(153))
+    qsearch.threshold_search(rng.rng.integers(0, 1024, 200), 1024, rng)
+    assert 0 < rng.random_calls <= 40
+
+
 def stable_rank(table, index):
     """Position of index when the table is sorted by descending score, equal
     scores keeping index order: the search order, computed by sorting."""
@@ -426,6 +511,12 @@ class TestSearchOrder:
         np.testing.assert_array_equal(qsearch.rank(tables, index), expected)
         # one table and one index, as maximum_search passes them
         assert qsearch.rank(tables[0], int(index[0])) == expected[0]
+
+    @pytest.mark.parametrize("index", [-1, 8, 9, 2.0, True, [3, 8]])
+    def test_rank_rejects_indices_that_are_not_entries(self, index):
+        # unchecked, -1 would wrap to the last entry and 9 would overflow
+        with pytest.raises(ValueError):
+            qsearch.rank(np.arange(16.0).reshape(2, 8), index)
 
     def test_rounds_mark_the_entries_ahead_of_the_incumbent(self,
                                                             monkeypatch):
@@ -482,6 +573,10 @@ class TestThresholdSearch:
         ([0, 16], 16, ValueError),
         ([-1], 16, ValueError),
         ([[0, 1]], 16, ValueError),
+        ([0], 1, ConfigError),
+        ([0.5, 3.7], 16, ValueError),
+        ([0.0, 3.0], 16, ValueError),
+        ([True, False], 16, ValueError),
     ])
     def test_bad_input_rejected_before_any_draw(self, first, n_states, error):
         rng = np.random.default_rng(18)
@@ -562,6 +657,17 @@ class TestMaximumSearch:
     def test_table_must_be_1d_of_power_of_two_length(self, table):
         with pytest.raises(ShapeError):
             qsearch.maximum_search(table, np.random.default_rng(0))
+
+    def test_one_entry_rejected_before_any_draw(self):
+        # a one-entry search would never end: its j is 0 in every round,
+        # so it never spends its budget
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError):
+            qsearch.maximum_search(np.array([1.0]), rng)
+        with pytest.raises(ShapeError):
+            qsearch.bbht_search(qsearch.MarkingOracle(np.array([False])), rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      -float("inf")])
@@ -652,7 +758,7 @@ class TestMarkingOracle:
         with pytest.raises(ShapeError):
             qsearch.MarkingOracle(np.zeros(3, dtype=bool))
 
-    @pytest.mark.parametrize("shape", [(0,), (2, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(0,), (2, 2), (2, 2, 2), (1,)])
     def test_mask_must_be_one_dimensional_and_nonempty(self, shape):
         with pytest.raises(ShapeError):
             qsearch.MarkingOracle(np.zeros(shape, dtype=bool))
