@@ -28,9 +28,9 @@ from . import __version__, cdma, config, mud, qchannel, qsearch
 from .errors import ConfigError
 
 
-def _emit(args, write, subcommand: str, resolved: dict) -> None:
+def _emit(args, write, subcommand: str, resolved: dict, **results) -> None:
     """Call write(fh) on --out, or on stdout without --out; with --out, also
-    write the JSON manifest of the resolved configuration next to it."""
+    write a JSON manifest of the resolved configuration (and results) by it."""
     if args.out is None:
         write(sys.stdout)
         return
@@ -41,6 +41,7 @@ def _emit(args, write, subcommand: str, resolved: dict) -> None:
         "config": resolved,
         "version": __version__,
         "out": str(args.out),
+        **results,
     }
     with open(str(args.out) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -70,9 +71,7 @@ def cmd_grover(args) -> int:
     if k_max < 0:
         raise ConfigError(f"--k-max must be >= 0, got {k_max}")
     rng = np.random.default_rng(args.seed)
-    mask = np.zeros(n, dtype=bool)
-    mask[:args.marked] = True
-    oracle = qsearch.MarkingOracle(mask)
+    oracle = qsearch.MarkingOracle(np.arange(n) < args.marked)
     rows = [["k", "predicted_success", "measured_success", "trials"]]
     for k in range(k_max + 1):
         predicted = qsearch.success_probability(n, args.marked, k)
@@ -98,8 +97,7 @@ def _grover_scaling(args) -> int:
              "exhaustive_evaluations", "trials"]]
     for exp in exponents:
         n_states = 1 << exp
-        mask = np.zeros(n_states, dtype=bool)
-        mask[:args.marked] = True
+        mask = np.arange(n_states) < args.marked
         g_sum = v_sum = 0.0
         for _ in range(args.trials):
             rep = qsearch.bbht_search(qsearch.MarkingOracle(mask), rng)
@@ -177,7 +175,7 @@ def cmd_qmud_agree(args) -> int:
              result.exhaustive_evaluations]]
     _emit(args, lambda fh: csv.writer(fh).writerows(rows), "qmud-agree", {
         "k": args.k, "n_chips": args.n_chips, "trials": args.trials,
-        "ebn0": args.ebn0, "seed": args.seed})
+        "ebn0": args.ebn0, "seed": args.seed}, redraws=result.redraws)
     return 0
 
 
@@ -240,9 +238,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
         if args.command == "grover" and not args.scaling and args.n is None:
             parser.error("grover requires --n")
         if args.seed is not None and args.seed < 0:

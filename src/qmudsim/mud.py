@@ -73,8 +73,8 @@ class CostFunction:
     writes to the caller's array do not reach it; K is read from the table's
     length, which must be a power of 2 (ShapeError), and a non-finite score
     raises ValueError.  `table` returns the scores without touching the
-    counter, so quantum-detector reports count oracle masks (one per
-    threshold round) instead.  `evaluate` reads scores from the table and
+    counter, so quantum-detector reports count oracles (one per threshold
+    round) instead.  `evaluate` reads scores from the table and
     counts one evaluation per index read.
     """
 
@@ -87,9 +87,7 @@ class CostFunction:
 
     def evaluate(self, m):
         """Score of index m, or scores of an index array; counted."""
-        m = np.asarray(m)
-        if np.any((m < 0) | (m >= self._table.size)):
-            raise ValueError(f"index outside [0, {self._table.size})")
+        m = qsearch._indices(m, self._table.size, "index")
         self.evaluations += m.size
         return self._table[m]
 
@@ -102,8 +100,8 @@ class DetectionReport:
     """One detection outcome with its work accounting.
 
     `cf_evaluations` is exact call count for classical detectors and the
-    number of oracle masks built (one per threshold round) for the
-    quantum-assisted detector; `grover_queries` is 0 for classical
+    number of oracles compiled from the table (one per threshold round)
+    for the quantum-assisted detector; `grover_queries` is 0 for classical
     detectors.  `correct` is None when the true bits were not supplied.
     """
 
@@ -202,18 +200,18 @@ def qmud_detect(cf: CostFunction, rng: np.random.Generator,
     """Quantum-assisted detection via threshold maximum search.
 
     The K-qubit register holds all 2^K hypotheses at once; each threshold
-    round compiles the score table into one oracle mask (counted once per
-    round in cf_evaluations) and the randomized search amplifies the
-    hypotheses ahead of the incumbent, sampled in closed form by
-    qsearch.bbht_search; ties go to the lower index, as in
+    round compiles the score table into one oracle (counted once per round
+    in cf_evaluations) and the randomized search amplifies the hypotheses
+    ahead of the incumbent.  qsearch.maximum_search runs those rounds in
+    rank space, on this one table; ties go to the lower index, as in
     exhaustive_ml_detect.  Returns the incumbent even when the final rounds
     exhaust their budgets.
     """
     report = qsearch.maximum_search(cf.table(), rng)
-    detected = bits_from_index(report.found, cf.k_users)
+    detected = bits_from_index(int(report.found), cf.k_users)
     return DetectionReport(detected_bits=detected,
-                           cf_evaluations=report.iterations_used,
-                           grover_queries=report.grover_queries,
+                           cf_evaluations=int(report.iterations_used),
+                           grover_queries=int(report.grover_queries),
                            correct=_correct(detected, true_bits))
 
 
@@ -274,16 +272,59 @@ class BerCurve:
             self.write_csv(fh)
 
 
+# Most scores ber_sweep holds for one qsearch.maximum_search call with qmud:
+# one K = 20 table, 8 MiB.  Per table, a call took 0.009, 0.020, 0.056, 0.18
+# and 0.78 ms at K = 8, 10, 12, 14 and 16 with this bound, and 0.044, 0.16,
+# 0.59, 3.2 and 4.3 ms with 2^14 scores a call; 2^22 scores (32 MiB) ran at
+# most 15% faster up to K = 16.  Medians of 3-15 calls on a 2-vCPU VM.
+BER_SEARCH_SCORES = 1 << 20
+
+
+def _detections(detector: str, scenario: CdmaScenario, trials: int,
+                rng: np.random.Generator):
+    """(true bits, DetectionReport) of each trial of one ber_sweep point, in
+    trial order, each frame drawn from rng by _draw_trial.  mf and
+    ml_exhaustive detect each trial as it is drawn; qmud searches up to
+    AGREEMENT_SEARCH_BATCH tables and BER_SEARCH_SCORES scores with one
+    qsearch.maximum_search call, drawn from rng.spawn(1)[0], which leaves
+    rng's stream and so every detector's frames as they are."""
+    if detector != "qmud":
+        for _ in range(trials):
+            channel, bits, frame = _draw_trial(scenario, rng)
+            if detector == "mf":
+                y = cdma.matched_filter_bank(frame, scenario, channel)
+                yield bits, mf_detect(y, channel)
+            else:
+                yield bits, exhaustive_ml_detect(
+                    make_mls_cost(frame, scenario, channel))
+        return
+    k = scenario.k_users
+    search_rng = rng.spawn(1)[0]
+    chunk = max(1, min(AGREEMENT_SEARCH_BATCH, BER_SEARCH_SCORES >> k))
+    tables = np.empty((min(chunk, trials), 1 << k))
+    for start in range(0, trials, chunk):
+        true_bits = []
+        for row in range(min(chunk, trials - start)):
+            channel, bits, frame = _draw_trial(scenario, rng)
+            true_bits.append(bits)
+            tables[row] = mls_tables(frame, scenario, channel)
+        rep = qsearch.maximum_search(tables[:len(true_bits)], search_rng)
+        for i, bits in enumerate(true_bits):
+            yield bits, DetectionReport(bits_from_index(int(rep.found[i]), k),
+                                        int(rep.iterations_used[i]),
+                                        int(rep.grover_queries[i]))
+
+
 def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
               trials: int, rng: np.random.Generator,
               trace_fh=None) -> BerCurve:
     """Monte-Carlo bit-error-rate sweep for one detector.
 
     Per point and trial: draw a channel, current and previous bits, and
-    noise at the point's Eb/N0; detect; accumulate bit errors over K·trials
-    bits plus the mean work counters.  Deterministic under the passed rng.
-    trace_fh, when given, receives one JSON line per trial.  An unknown
-    detector, trials that is not an integer >= 1, a K above
+    noise at the point's Eb/N0; detect (_detections); accumulate bit errors
+    over K·trials bits plus the mean work counters.  Deterministic under the
+    passed rng.  trace_fh, when given, receives one JSON line per trial.  An
+    unknown detector, trials that is not an integer >= 1, a K above
     EXHAUSTIVE_K_LIMIT for the table detectors, an empty Eb/N0 list and a
     bad Eb/N0 raise ConfigError before any trial runs.
     """
@@ -307,17 +348,8 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
         bit_errors = 0
         cf_total = 0.0
         grover_total = 0.0
-        for trial in range(trials):
-            channel, bits, frame = _draw_trial(scenario, point_rng)
-            if detector == "mf":
-                y = cdma.matched_filter_bank(frame, scenario, channel)
-                report = mf_detect(y, channel)
-            elif detector == "ml_exhaustive":
-                report = exhaustive_ml_detect(
-                    make_mls_cost(frame, scenario, channel))
-            else:
-                report = qmud_detect(make_mls_cost(frame, scenario, channel),
-                                     point_rng)
+        for trial, (bits, report) in enumerate(
+                _detections(detector, scenario, trials, point_rng)):
             errors = int(np.sum(report.detected_bits != bits))
             bit_errors += errors
             cf_total += report.cf_evaluations

@@ -18,18 +18,14 @@ hit and, rescaled, which marked index it lands on.  A search draws the
 uniforms of ROUND_BLOCK rounds with one rng.random call, and draws another
 block when those run out; uniforms left over when it stops are discarded.
 
-maximum_search runs threshold rounds of that search on one table, each
-marking the entries ahead of the incumbent in one total order: higher
-scores first, equal scores by lower index, as np.argmax breaks ties
-(rank).  So a round depends only on M, the incumbent's rank: the hit lands
-uniformly on the M entries ahead, so the next rank is uniform on 0..M-1
-(Dürr–Høyer, quant-ph/9607014).  threshold_search uses this to run many
-searches in rank space at once, as arrays of M and a few counters; it
-builds no mask, oracle or register.  Each loop step gives every unfinished
-search a block of THRESHOLD_BLOCK BBHT rounds from one rng.random call, and
-a search's threshold round ends at the first hit or budget stop in its
-block.  Its per-step overhead is spread over the searches, so it pays off
-only for many searches: maximum_search stays the path for one table.
+Maximum finding runs threshold rounds of that search, each marking the
+entries ahead of the incumbent in one total order: higher scores first,
+equal scores by lower index, as np.argmax breaks ties (rank).  So a round
+depends only on M, the incumbent's rank: the hit lands uniformly on the M
+entries ahead, so the next rank is uniform on 0..M-1 (Dürr–Høyer,
+quant-ph/9607014).  threshold_search runs many such searches at once in
+rank space, with no mask, oracle or register, and maximum_search maps each
+final rank back to an index of its score table.
 """
 
 from __future__ import annotations
@@ -47,26 +43,26 @@ from .errors import ConfigError, ShapeError
 
 
 def _count(value, name: str, low: int) -> int:
-    """value as an int; ConfigError unless it is an integer >= low."""
+    """value as an int; ConfigError unless it is a non-bool integer >= low."""
     try:
         count = operator.index(value)
     except TypeError:
         count = low - 1
-    if count < low:
+    if count < low or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     return count
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tunables for the randomized searches.
+    """Schedule of bbht_search (DEFAULT_CONFIG) or of threshold rounds.
 
     growth_factor: schedule multiplier for the unknown-count search; the
         cited analysis allows any value in (1, 4/3).
     budget_factor: a search gives up after budget_factor * sqrt(N) oracle
         queries (rounded up); finite and > 0.
-    max_failures: consecutive failed rounds (an integer >= 1) after which
-        maximum_search stops.
+    max_failures: consecutive failed threshold rounds (an integer >= 1)
+        after which a maximum search stops.
 
     Values outside these ranges raise ConfigError.
     """
@@ -94,14 +90,15 @@ DEFAULT_CONFIG = SearchConfig()
 MAXIMUM_SEARCH_CONFIG = SearchConfig(growth_factor=1.33, budget_factor=1.8)
 
 
-def index_bits(values: np.ndarray, name: str) -> int:
-    """n >= 1 for a 1-D array over the 2^n register indices; ShapeError
-    otherwise.  A search over one index would never spend its budget:
-    every round's j is 0 there."""
-    n = values.size.bit_length() - 1
-    if values.ndim != 1 or n < 1 or values.size != 1 << n:
-        raise ShapeError(f"{name} of shape {values.shape} is not 1-D of "
-                         "power-of-2 length >= 2")
+def index_bits(values: np.ndarray, name: str, batched: bool = False) -> int:
+    """n >= 1 for a 1-D array over the 2^n register indices, or with batched
+    for a stack of them, (..., 2^n); ShapeError otherwise.  A search over
+    one index would never spend its budget: every round's j is 0 there."""
+    length = values.shape[-1] if values.ndim else 0
+    n = length.bit_length() - 1
+    if (values.ndim > 1 and not batched) or n < 1 or length != 1 << n:
+        raise ShapeError(f"{name} of shape {values.shape} is not "
+                         f"{'(..., 2^n)' if batched else '(2^n,)'}, n >= 1")
     return n
 
 
@@ -115,9 +112,10 @@ def _indices(values, n: int, name: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def score_bits(table: np.ndarray) -> int:
-    """index_bits of a score table; ValueError unless every score is finite."""
-    n = index_bits(table, "cost table")
+def score_bits(table: np.ndarray, batched: bool = False) -> int:
+    """index_bits of a score table, or with batched of a stack of them;
+    ValueError unless every score is finite."""
+    n = index_bits(table, "cost table", batched)
     if not np.isfinite(table).all():
         raise ValueError("cost table scores must be finite")
     return n
@@ -128,8 +126,7 @@ class MarkingOracle:
 
     `query_count` increments once per application to the register;
     `verification_count` once per classical check of one index.  The flip
-    operator's diagonal and the marked index set are built from the mask on
-    first use.
+    operator's diagonal is built from the mask on first use.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -139,7 +136,7 @@ class MarkingOracle:
         self.query_count = 0
         self.verification_count = 0
         self._diag: Optional[qcore.DiagonalUnitary] = None
-        self._marked: Optional[np.ndarray] = None
+        self._marked = mask.nonzero()[0]
 
     @property
     def n_states(self) -> int:
@@ -154,8 +151,6 @@ class MarkingOracle:
 
     def marked_indices(self) -> np.ndarray:
         """Marked basis-state indices in increasing order."""
-        if self._marked is None:
-            self._marked = self.mask.nonzero()[0]
         return self._marked
 
     def verify(self, index: int) -> bool:
@@ -166,7 +161,8 @@ class MarkingOracle:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one search run.
+    """Outcome of one search run; maximum_search gives int64 arrays of its
+    tables' leading shape (0-d for one table) in place of the ints.
 
     `iterations_used` is the number of amplitude-amplification steps for the
     fixed and randomized searches, and the number of threshold rounds for
@@ -223,8 +219,9 @@ def grover_search(oracle: MarkingOracle, m_known: int,
                         succeeded=ok)
 
 
-# Rounds whose uniforms bbht_search draws with one rng.random call; a call
-# takes 7.7 rounds on average in the K = 10 threshold search.
+# Rounds whose uniforms bbht_search draws with one rng.random call; with one
+# marked index, as in `grover --scaling`, a call takes 6.9, 14.6 and 22.5
+# rounds on average at N = 2^6, 2^10 and 2^14 (2,000 calls each).
 ROUND_BLOCK = 16
 
 
@@ -236,8 +233,8 @@ def _round_uniforms(rng: np.random.Generator):
 
 @functools.lru_cache(maxsize=128)
 def _schedule(n_states: int, cfg: SearchConfig):
-    """(caps, budget) of bbht_search: ceil(m) of each round after a
-    (re)start, later rounds taking caps[-1], and its query budget."""
+    """(caps, budget) of a BBHT search under cfg: ceil(m) of each round
+    after a (re)start, later rounds taking caps[-1], and its query budget."""
     sqrt_n = math.sqrt(n_states)
     caps = [1]
     m = 1.0
@@ -247,34 +244,27 @@ def _schedule(n_states: int, cfg: SearchConfig):
     return tuple(caps), math.ceil(cfg.budget_factor * sqrt_n)
 
 
-def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
-                cfg: SearchConfig = DEFAULT_CONFIG) -> SearchReport:
+def bbht_search(oracle: MarkingOracle,
+                rng: np.random.Generator) -> SearchReport:
     """Randomized search when the number of marked items is unknown.
 
-    Schedule (_schedule): m starts at 1; each round runs
-    j ~ Uniform{0..ceil(m)-1} amplification steps, measures, and classically
-    verifies; on failure m grows by cfg.growth_factor up to sqrt(N).  Gives
-    up (succeeded=False, not an error) once cfg.budget_factor * sqrt(N)
-    queries are spent, which covers the case of zero marked items.  Each
-    round counts its j oracle queries and samples the measurement from the
-    closed-form distribution after j steps (see the module docstring) from
-    one pair of uniforms, taken from blocks of ROUND_BLOCK pairs drawn with
-    one rng.random call each, so no register is built.
+    Schedule (_schedule under DEFAULT_CONFIG): m starts at 1; each round
+    runs j ~ Uniform{0..ceil(m)-1} amplification steps, measures, and
+    classically verifies; on failure m grows by growth_factor up to
+    sqrt(N).  Gives up (succeeded=False, not an error) once budget_factor *
+    sqrt(N) queries are spent, which covers the case of zero marked items.
+    Each round counts its j oracle queries and samples the measurement from
+    the closed-form distribution after j steps (see the module docstring)
+    from one pair of uniforms, taken from blocks of ROUND_BLOCK pairs drawn
+    with one rng.random call each, so no register is built.
     """
     n_states = oracle.n_states
-    caps, budget = _schedule(n_states, cfg)
+    caps, budget = _schedule(n_states, DEFAULT_CONFIG)
     last = len(caps) - 1
     g0, v0 = oracle.query_count, oracle.verification_count
     marked = oracle.marked_indices()
     theta = math.asin(math.sqrt(marked.size / n_states))
-
-    def report(found, succeeded):
-        return SearchReport(found=found,
-                            grover_queries=oracle.query_count - g0,
-                            verification_queries=oracle.verification_count - v0,
-                            iterations_used=oracle.query_count - g0,
-                            succeeded=succeeded)
-
+    found = None
     used = 0
     for t, (u_steps, u_hit) in enumerate(_round_uniforms(rng)):
         j = min(int(u_steps * caps[min(t, last)]), budget - used)
@@ -286,14 +276,18 @@ def bbht_search(oracle: MarkingOracle, rng: np.random.Generator,
         if u_hit < p_hit:
             # given a hit, u_hit / p_hit is uniform on [0, 1), and stays
             # below 1 in floating point, so it picks a marked index
-            outcome = int(marked[int(u_hit / p_hit * marked.size)])
-            oracle.verify(outcome)
-            return report(outcome, True)
+            found = int(marked[int(u_hit / p_hit * marked.size)])
+            oracle.verify(found)
+            break
         # a miss lands on some unmarked index, which fails its (counted)
         # verification; it is never reported, so no index is drawn
         oracle.verification_count += 1
         if used >= budget:
-            return report(None, False)
+            break
+    queries = oracle.query_count - g0
+    return SearchReport(found=found, grover_queries=queries,
+                        verification_queries=oracle.verification_count - v0,
+                        iterations_used=queries, succeeded=found is not None)
 
 
 def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
@@ -305,65 +299,23 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
     one marked item exists.  confidence_rounds that is not an integer >= 1
     raises ConfigError before any draw.
     """
-    for _ in range(_count(confidence_rounds, "confidence_rounds", 1)):
-        if bbht_search(oracle, rng).succeeded:
-            return True
-    return False
+    return any(bbht_search(oracle, rng).succeeded for _ in
+               range(_count(confidence_rounds, "confidence_rounds", 1)))
 
 
 def rank(tables, index):
     """Number of entries ahead of `index` in each of the (..., N) tables:
     higher scores, and equal scores at lower indices.  This is the search
     order of every maximum search; rank 0 is the maximum np.argmax picks.
-    An index that is not an integer in [0, N) raises ValueError."""
-    tables = np.asarray(tables)
+    An index array not of the tables' leading shape raises ShapeError, and
+    an index that is not an integer in [0, N) raises ValueError."""
+    tables, index = np.asarray(tables), np.asarray(index)
+    if not tables.ndim or index.shape != tables.shape[:-1]:
+        raise ShapeError(f"index shape {index.shape}, tables {tables.shape}")
     index = _indices(index, tables.shape[-1], "index")[..., None]
     score = np.take_along_axis(tables, index, axis=-1)
     return np.count_nonzero(np.where(np.arange(tables.shape[-1]) < index,
                                      tables >= score, tables > score), axis=-1)
-
-
-def maximum_search(table: np.ndarray,
-                   rng: np.random.Generator) -> SearchReport:
-    """Locate an index maximizing a score table by iterated threshold search.
-
-    The table holds one score per index of an n-qubit register, so its
-    length must be 2^n and its scores finite (ValueError otherwise).  Keeps
-    an incumbent seeded from one random sample, then repeatedly searches the
-    mask of the entries ahead of it (see rank) with the randomized schedule of
-    MAXIMUM_SEARCH_CONFIG; every verified hit becomes the incumbent.  Stops
-    after max_failures consecutive rounds find nothing and returns the
-    incumbent, which aims at the maximum that np.argmax picks.
-    """
-    table = np.asarray(table, dtype=float)
-    score_bits(table)
-
-    incumbent = int(rng.integers(0, table.size))
-    grover_total = 0
-    verify_total = 0
-    rounds = 0
-    failures = 0
-    while failures < MAXIMUM_SEARCH_CONFIG.max_failures:
-        if failures == 0:
-            # a new incumbent: mark the entries ahead of it, in rank's order
-            score = table[incumbent]
-            ahead = table > score
-            ahead[:incumbent] = table[:incumbent] >= score
-            oracle = MarkingOracle(ahead)
-        rounds += 1
-        rep = bbht_search(oracle, rng, MAXIMUM_SEARCH_CONFIG)
-        grover_total += rep.grover_queries
-        verify_total += rep.verification_queries
-        if rep.succeeded:
-            incumbent = rep.found
-            failures = 0
-        else:
-            failures += 1
-    return SearchReport(found=incumbent,
-                        grover_queries=grover_total,
-                        verification_queries=verify_total,
-                        iterations_used=rounds,
-                        succeeded=True)
 
 
 # BBHT rounds that threshold_search gives each unfinished search per loop
@@ -377,7 +329,7 @@ THRESHOLD_BLOCK = 8
 
 
 def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
-    """maximum_search run in rank space on many tables.
+    """maximum_search's threshold rounds, in rank space, for many searches.
 
     An incumbent of rank M (see rank) leaves exactly M marked indices, a
     threshold round depends on M alone, and a hit lands uniformly on ranks
@@ -396,17 +348,16 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     failures in a row stop the instance.
 
     Returns four int64 arrays, one entry per instance: the final rank, the
-    oracle queries, the verifications and the threshold rounds, counted as
-    maximum_search counts them.  n_states that is not an integer >= 2
-    raises ConfigError, and first_ranks that is not a 1-D array of integer
-    ranks in [0, n_states) raises ValueError, both before any draw.
+    oracle queries, the verifications (one per BBHT round) and the
+    threshold rounds.  n_states that is not an integer >= 2 raises
+    ConfigError, and first_ranks that is not a 1-D array of integer ranks
+    in [0, n_states) raises ValueError, both before any draw.
     """
-    cfg = MAXIMUM_SEARCH_CONFIG
     n_states = _count(n_states, "n_states", 2)
     first = _indices(first_ranks, n_states, "first_ranks")
     if first.ndim != 1:
         raise ValueError(f"first_ranks must be 1-D, got shape {first.shape}")
-    caps, budget = _schedule(n_states, cfg)
+    caps, budget = _schedule(n_states, MAXIMUM_SEARCH_CONFIG)
     # caps[b, t]: the cap of round b of a block that starts at schedule
     # step t; steps from the last on all take the last cap
     last_step = len(caps) - 1
@@ -423,7 +374,7 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     state = np.zeros((8, first.size), dtype=np.int64)
     state[0] = first
     state[7] = np.arange(first.size)
-    finished = []
+    results = np.empty_like(state)
     while state.shape[1]:
         marked, t, used, failures, spent, ended, verified = state[:7]
         cols = np.arange(state.shape[1])
@@ -474,14 +425,36 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
         np.minimum(t, last_step, out=t)
         t *= ~stops
         np.multiply(total, ~stops, out=used)
-        done = failures >= cfg.max_failures
+        done = failures >= MAXIMUM_SEARCH_CONFIG.max_failures
         if done.any():
-            finished.append(state[:, done])
+            results[:, state[7, done]] = state[:, done]
             state = state[:, ~done]
-    stopped = np.concatenate(finished or [state], axis=1)
-    results = np.empty_like(stopped)
-    results[:, stopped[7]] = stopped
     return results[0], results[4], results[6], results[5]
+
+
+def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
+    """Locate an index maximizing each of the (..., 2^n) score tables.
+
+    Every score must be finite (ShapeError and ValueError otherwise, before
+    any draw).  Draws the first incumbents with one rng.integers call and
+    runs their ranks (see rank) through one threshold_search call.  Rank 0
+    maps to np.argmax's index; the rare search that ends elsewhere reads
+    its index from a stable descending argsort of its table (one argsort
+    per table would cost more than the search).  See SearchReport.
+    """
+    tables = np.asarray(tables, dtype=float)
+    n_states = 1 << score_bits(tables, batched=True)
+    shape, tables = tables.shape[:-1], tables.reshape(-1, n_states)
+    first = rng.integers(0, n_states, size=tables.shape[0])
+    final, queries, verifications, rounds = threshold_search(
+        rank(tables, first), n_states, rng)
+    found = tables.argmax(axis=-1).astype(np.int64)
+    elsewhere = final.nonzero()[0]
+    order = np.argsort(-tables[elsewhere], axis=-1, kind="stable")
+    found[elsewhere] = order[np.arange(elsewhere.size), final[elsewhere]]
+    return SearchReport(found.reshape(shape), queries.reshape(shape),
+                        verifications.reshape(shape), rounds.reshape(shape),
+                        succeeded=True)
 
 
 def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,

@@ -392,6 +392,17 @@ class TestQmudAgreeCommand:
     def test_k_validated(self):
         assert cli.main(["qmud-agree", "--k", "0"]) == 2
 
+    @pytest.mark.parametrize("ebn0, redraws", [("8", 0), ("-280", 7)])
+    def test_redraws_in_manifest_not_csv(self, tmp_path, ebn0, redraws):
+        # at -280 dB some instances tie at float precision and are redrawn
+        out = tmp_path / "agree.csv"
+        argv = ["qmud-agree", "--k", "3", "--trials", "20", "--ebn0", ebn0]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "agree.csv.manifest.json")
+                              .read_text())
+        assert manifest["redraws"] == redraws
+        assert "redraws" not in out.read_text()
+
     def test_nan_ebn0_rejected(self, tmp_path):
         out = tmp_path / "agree.csv"
         assert cli.main(["qmud-agree", "--k", "3", "--trials", "2",

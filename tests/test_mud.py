@@ -1,6 +1,7 @@
 """Detection layer: hypothesis indexing, cost functions, detectors, harness."""
 
 import io
+import json
 import math
 import tracemalloc
 
@@ -12,6 +13,8 @@ from scipy import stats
 
 from qmudsim import cdma, mud, qsearch
 from qmudsim.errors import ConfigError, ShapeError, SizeError
+from test_qsearch import (EQUIVALENCE_ALPHA, exact_maximum_search,
+                          homogeneity_p, reference_maximum_search)
 
 
 def fixed_channel(gains, delays):
@@ -73,7 +76,7 @@ def test_draw_trial_bits_are_the_choice_draws(shape, seed):
 
 def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
     """qmud_agreement as a per-trial loop: one draw, one make_mls_cost table
-    and one tie check per instance, then the search."""
+    and one tie check per instance, then the reference threshold loop."""
     k = scenario_template.k_users
     scenario = cdma.with_noise_variance(
         scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
@@ -88,7 +91,7 @@ def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
             if redraws > trials:
                 raise ConfigError(f"{redraws} instances had no unique maximum")
             continue
-        report = qsearch.maximum_search(table, rng)
+        report = reference_maximum_search(table, rng)
         agree += int(report.found == best)
         grover += report.grover_queries
         verify += report.verification_queries
@@ -100,6 +103,27 @@ def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
         mean_verification_queries=verify / trials,
         mean_threshold_rounds=rounds / trials, exhaustive_evaluations=1 << k,
         redraws=redraws)
+
+
+def reference_ber_qmud(scenario, trials, rng):
+    """The work counters of ber_sweep's qmud trials at one point, as a
+    per-trial loop: one draw, one make_mls_cost table and one reference
+    threshold loop per trial.  Returns (grover_queries, cf_evaluations)."""
+    queries, rounds = [], []
+    for _ in range(trials):
+        channel, _, frame = mud._draw_trial(scenario, rng)
+        report = reference_maximum_search(
+            mud.make_mls_cost(frame, scenario, channel).table(), rng)
+        queries.append(report.grover_queries)
+        rounds.append(report.iterations_used)
+    return queries, rounds
+
+
+def traced_sweep(*args):
+    """ber_sweep(*args) with a trace; its JSON lines, parsed."""
+    buf = io.StringIO()
+    mud.ber_sweep(*args, trace_fh=buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
 
 
 def two_proportion_p(successes_a, n_a, successes_b, n_b):
@@ -641,10 +665,73 @@ class TestBerSweep:
                       trace_fh=buf)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 10
-        import json
         record = json.loads(lines[0])
         assert set(record) == {"ebn0_db", "trial", "true_bits", "detected_bits",
                                "bit_errors", "cf_evaluations", "grover_queries"}
+
+    def test_detectors_see_the_same_frames(self, monkeypatch):
+        # 5 tables a search call at K = 6, so 23 trials take 5 calls, the
+        # last one short
+        monkeypatch.setattr(mud, "BER_SEARCH_SCORES", 5 << 6)
+        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=7)
+        traces = {detector: traced_sweep(sc, detector, [2.0, 6.0], 23,
+                                         np.random.default_rng(20))
+                  for detector in mud.DETECTORS}
+        for records in traces.values():
+            assert [(r["ebn0_db"], r["trial"]) for r in records] == [
+                (db, t) for db in (2.0, 6.0) for t in range(23)]
+        bits = {detector: [r["true_bits"] for r in records]
+                for detector, records in traces.items()}
+        assert bits["mf"] == bits["ml_exhaustive"] == bits["qmud"]
+
+    def test_qmud_misses_ml_at_the_exact_rate(self):
+        # qmud lands on ML's hypothesis unless its search misses the
+        # maximum, which happens with 1 − agreement of the exact reference
+        sc = cdma.make_scenario("random_bipolar", 8, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=8)
+        ml, qm = (traced_sweep(sc, detector, [4.0], 3000,
+                               np.random.default_rng(21))
+                  for detector in ("ml_exhaustive", "qmud"))
+        misses = sum(a["detected_bits"] != b["detected_bits"]
+                     for a, b in zip(ml, qm))
+        p = stats.binomtest(misses, len(qm),
+                            1 - exact_maximum_search(256)["agreement"]).pvalue
+        assert p > EQUIVALENCE_ALPHA
+
+    def test_qmud_counters_match_per_trial_reference(self):
+        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=9)
+        trials = 2000
+        new = traced_sweep(sc, "qmud", [4.0], trials,
+                           np.random.default_rng(22))
+        queries, rounds = reference_ber_qmud(
+            cdma.with_noise_variance(sc, cdma.ebn0_db_to_noise_variance(4.0)),
+            trials, np.random.default_rng(23))
+        assert homogeneity_p([r["grover_queries"] for r in new],
+                             queries) > EQUIVALENCE_ALPHA
+        assert homogeneity_p([r["cf_evaluations"] for r in new],
+                             rounds) > EQUIVALENCE_ALPHA
+
+    def test_qmud_memory_does_not_grow_with_trials(self):
+        # one search call holds 256 K = 12 tables (8 MiB); all 1,200 at
+        # once would peak 29 MiB higher
+        sc = cdma.make_scenario("random_bipolar", 12, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=10)
+        peaks = []
+        for trials in (300, 1200):
+            tracemalloc.start()
+            try:
+                mud.ber_sweep(sc, "qmud", [8.0], trials,
+                              np.random.default_rng(24))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20
 
     def test_generator_of_points(self):
         sc = cdma.make_scenario("walsh", 1, 2, 0.0)

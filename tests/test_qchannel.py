@@ -123,8 +123,10 @@ class TestRunDemo:
             qchannel.run_demo(n_bits, p, np.random.default_rng(0))
 
     def test_n_bits_reported_as_an_int(self):
-        report = qchannel.run_demo(True, 0.5, np.random.default_rng(0))
-        assert type(report.n_bits) is int and report.n_bits == 1
+        # a numpy integer count comes back as a plain int (a bool is no
+        # count: test_bools_are_not_counts)
+        report = qchannel.run_demo(np.int64(3), 0.5, np.random.default_rng(0))
+        assert type(report.n_bits) is int and report.n_bits == 3
 
     def test_report_serialization(self):
         report = qchannel.DemoReport(n_bits=10, classical_error_rate=0.5,

@@ -3,9 +3,12 @@
 `reference_bbht_search` is the randomized search evolved on a state vector,
 one `grover_iterate` per oracle query; `qsearch.bbht_search` samples the
 same measurement from its closed form and is tested against it.
-`reference_threshold_search` runs the rank-space searches one BBHT round per
-loop step; `qsearch.threshold_search`, which runs a block of rounds per
-step, is tested against it.
+`reference_maximum_search` is the threshold loop on one table, a
+`MarkingOracle` of the entries ahead of the incumbent per round searched by
+`reference_bbht_search`; `qsearch.maximum_search`, which runs the rounds in
+rank space, is tested against it.  `reference_threshold_search` runs the
+rank-space searches one BBHT round per loop step; `qsearch.threshold_search`,
+which runs a block of rounds per step, is tested against it.
 """
 
 import functools
@@ -16,10 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from qmudsim import qcore, qsearch
-from qmudsim.errors import ConfigError, ShapeError
+from qmudsim import mud, qchannel, qcore, qsearch
+from qmudsim.cdma import make_scenario
+from qmudsim.errors import ConfigError, ShapeError, SizeError
 
 # Fixed-seed equivalence tests reject at this p-value.
 EQUIVALENCE_ALPHA = 1e-3
@@ -64,11 +69,33 @@ def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
         m = min(cfg.growth_factor * m, sqrt_n)
 
 
-def reference_maximum_search(table, rng):
-    """qsearch.maximum_search with every round run by reference_bbht_search."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qsearch, "bbht_search", reference_bbht_search)
-        return qsearch.maximum_search(table, rng)
+def reference_maximum_search(table, rng, search=reference_bbht_search):
+    """The threshold loop on one table.  Keeps an incumbent seeded from one
+    random sample; each round marks the entries ahead of it (qsearch.rank's
+    order) in a MarkingOracle and runs `search` on it under
+    MAXIMUM_SEARCH_CONFIG.  Every verified hit becomes the incumbent, and
+    max_failures failed rounds in a row stop the search."""
+    cfg = qsearch.MAXIMUM_SEARCH_CONFIG
+    table = np.asarray(table, dtype=float)
+    incumbent = int(rng.integers(0, table.size))
+    queries = verifications = rounds = failures = 0
+    while failures < cfg.max_failures:
+        if failures == 0:
+            score = table[incumbent]
+            ahead = table > score
+            ahead[:incumbent] = table[:incumbent] >= score
+            oracle = qsearch.MarkingOracle(ahead)
+        rounds += 1
+        rep = search(oracle, rng, cfg)
+        queries += rep.grover_queries
+        verifications += rep.verification_queries
+        if rep.succeeded:
+            incumbent, failures = rep.found, 0
+        else:
+            failures += 1
+    return qsearch.SearchReport(found=incumbent, grover_queries=queries,
+                                verification_queries=verifications,
+                                iterations_used=rounds, succeeded=True)
 
 
 def reference_threshold_search(first_ranks, n_states, rng):
@@ -317,18 +344,15 @@ class TestBbhtSearch:
 
     def test_nothing_marked_gives_up_within_budget(self):
         rng = np.random.default_rng(2)
-        cfg = qsearch.SearchConfig(budget_factor=12.5)  # 100 queries at N=64
-        rep = qsearch.bbht_search(oracle_marking(6, []), rng, cfg)
+        rep = qsearch.bbht_search(oracle_marking(6, []), rng)
         assert not rep.succeeded
         assert rep.found is None
-        assert rep.grover_queries <= 100
+        assert rep.grover_queries <= 32  # 4·√N at N = 64
 
     def test_config_out_of_range_is_rejected(self):
-        # this config used to run and report grover_queries = -2
+        # such a schedule used to run and report grover_queries = -2
         with pytest.raises(ConfigError):
-            qsearch.bbht_search(
-                oracle_marking(4, [3]), np.random.default_rng(0),
-                qsearch.SearchConfig(growth_factor=0.5, budget_factor=-1))
+            qsearch.SearchConfig(growth_factor=0.5, budget_factor=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("growth_factor", 1.0), ("growth_factor", 4 / 3),
@@ -368,13 +392,11 @@ class TestBbhtSearch:
             assert rep.grover_queries == math.ceil(4.0 * 8) == oracle.query_count
             assert rep.verification_queries == oracle.verification_count
 
-    @pytest.mark.parametrize("cfg", [qsearch.DEFAULT_CONFIG,
-                                     qsearch.MAXIMUM_SEARCH_CONFIG])
-    def test_everything_marked_hits_in_round_one(self, cfg):
+    def test_everything_marked_hits_in_round_one(self):
         rng = np.random.default_rng(18)
         for n_qubits in range(1, 11):
             rep = qsearch.bbht_search(oracle_marking(n_qubits, range(1 << n_qubits)),
-                                      rng, cfg)
+                                      rng)
             assert rep.succeeded and 0 <= rep.found < 1 << n_qubits
             assert (rep.grover_queries, rep.verification_queries) == (0, 1)
 
@@ -401,13 +423,13 @@ def test_bbht_matches_state_vector_reference(n_qubits, n_marked, seed):
 def test_maximum_search_matches_state_vector_reference():
     rng = np.random.default_rng(106)
     tables = rng.random((1500, 64))
-    new = [qsearch.maximum_search(t, rng) for t in tables]
+    new = qsearch.maximum_search(tables, rng)
     ref = [reference_maximum_search(t, rng) for t in tables]
-    for reports in (new, ref):
-        agree = np.mean([t[r.found] == t.max() for t, r in zip(tables, reports)])
+    for found in (new.found, [r.found for r in ref]):
+        agree = np.mean([t[f] == t.max() for t, f in zip(tables, found)])
         assert agree >= 0.99
     for field in ("grover_queries", "iterations_used", "verification_queries"):
-        p = stats.ks_2samp([getattr(r, field) for r in new],
+        p = stats.ks_2samp(getattr(new, field),
                            [getattr(r, field) for r in ref]).pvalue
         assert p > EQUIVALENCE_ALPHA, field
 
@@ -485,17 +507,13 @@ def test_maximum_search_matches_exact_means(k, seed, levels):
             np.tile(np.arange(n, dtype=float), (2000, 1)), axis=1)
     else:
         tables = rng.integers(0, levels, (2000, n)).astype(float)
-    reports = [qsearch.maximum_search(t, rng) for t in tables]
-    final = [stable_rank(t, r.found) for t, r in zip(tables, reports)]
+    report = qsearch.maximum_search(tables, rng)
+    final = [stable_rank(t, f) for t, f in zip(tables, report.found)]
     # rank 0 in this order is np.argmax's index
-    np.testing.assert_array_equal(
-        np.equal(final, 0), [r.found == t.argmax()
-                             for t, r in zip(tables, reports)])
-    assert_matches_exact(
-        n, final,
-        *([getattr(r, f) for r in reports]
-          for f in ("grover_queries", "verification_queries",
-                    "iterations_used")))
+    np.testing.assert_array_equal(np.equal(final, 0),
+                                  report.found == tables.argmax(axis=1))
+    assert_matches_exact(n, final, report.grover_queries,
+                         report.verification_queries, report.iterations_used)
 
 
 class TestSearchOrder:
@@ -518,10 +536,10 @@ class TestSearchOrder:
         with pytest.raises(ValueError):
             qsearch.rank(np.arange(16.0).reshape(2, 8), index)
 
-    def test_rounds_mark_the_entries_ahead_of_the_incumbent(self,
-                                                            monkeypatch):
-        # with every round failing, each of the three rounds marks the
-        # entries of lower rank than the first incumbent, the first draw
+    def test_rounds_mark_the_entries_ahead_of_the_incumbent(self):
+        # in the reference loop with every round failing, each of the three
+        # rounds marks the entries of lower rank than the first incumbent,
+        # the first draw
         table = np.array([3.0, 5.0, 3.0, 5.0, 1.0, 3.0, 5.0, 0.0])
         ranks = np.array([stable_rank(table, i) for i in range(8)])
         masks = []
@@ -530,11 +548,11 @@ class TestSearchOrder:
             masks.append(oracle.mask)
             return qsearch.SearchReport(None, 0, 1, 0, False)
 
-        monkeypatch.setattr(qsearch, "bbht_search", failing)
         for seed in range(20):
             first = np.random.default_rng(seed).integers(0, 8)
             masks.clear()
-            qsearch.maximum_search(table, np.random.default_rng(seed))
+            reference_maximum_search(table, np.random.default_rng(seed),
+                                     search=failing)
             assert len(masks) == 3
             for mask in masks:
                 np.testing.assert_array_equal(mask, ranks < ranks[first])
@@ -653,10 +671,33 @@ class TestMaximumSearch:
             agree += int(table[rep.found] == table.max())
         assert agree / 500 >= 0.99
 
-    @pytest.mark.parametrize("table", [np.zeros(12), np.zeros((4, 4))])
-    def test_table_must_be_1d_of_power_of_two_length(self, table):
+    @pytest.mark.parametrize("tables", [np.zeros(12), np.zeros((4, 3)),
+                                        np.zeros((2, 0)), np.float64(1.0)])
+    def test_tables_must_have_power_of_two_length(self, tables):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ShapeError):
-            qsearch.maximum_search(table, np.random.default_rng(0))
+            qsearch.maximum_search(tables, rng)
+        assert rng.bit_generator.state == state
+
+    def test_stacked_tables_are_searched_one_by_one(self):
+        rng = np.random.default_rng(23)
+        tables = rng.permutation(np.tile(np.arange(16.0), (2, 3, 1)), axis=2)
+        report = qsearch.maximum_search(tables, rng)
+        for field in ("found", "grover_queries", "verification_queries",
+                      "iterations_used"):
+            value = getattr(report, field)
+            assert value.shape == (2, 3) and value.dtype == np.int64, field
+        np.testing.assert_array_equal(report.found, tables.argmax(axis=2))
+        one = qsearch.maximum_search(tables[0, 0], rng)
+        assert one.found.shape == () and one.found == tables[0, 0].argmax()
+
+    def test_no_tables_draw_nothing(self):
+        rng = np.random.default_rng(24)
+        state = rng.bit_generator.state
+        report = qsearch.maximum_search(np.zeros((0, 8)), rng)
+        assert report.found.shape == report.grover_queries.shape == (0,)
+        assert rng.bit_generator.state == state
 
     def test_one_entry_rejected_before_any_draw(self):
         # a one-entry search would never end: its j is 0 in every round,
@@ -672,8 +713,13 @@ class TestMaximumSearch:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      -float("inf")])
     def test_non_finite_scores_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="finite"):
-            qsearch.maximum_search([bad, 1, 0, 2], np.random.default_rng(0))
+            qsearch.maximum_search([bad, 1, 0, 2], rng)
+        with pytest.raises(ValueError, match="finite"):
+            qsearch.maximum_search([[0, 1, 0, 2], [bad, 1, 0, 2]], rng)
+        assert rng.bit_generator.state == state
 
     def test_reports_rounds_and_queries(self):
         rng = np.random.default_rng(13)
@@ -762,3 +808,110 @@ class TestMarkingOracle:
     def test_mask_must_be_one_dimensional_and_nonempty(self, shape):
         with pytest.raises(ShapeError):
             qsearch.MarkingOracle(np.zeros(shape, dtype=bool))
+
+
+# Every error the search entry points may raise on bad input; anything else
+# (IndexError, TypeError, MemoryError, ...) fails the fuzz tests below.
+SEARCH_ERRORS = (ConfigError, ShapeError, SizeError, ValueError)
+
+# Score tables of any leading shape, or none, with lengths that include 0, 1
+# and non-powers of 2; scores tie often and are now and then NaN or inf.
+score_tables = hnp.arrays(
+    float,
+    st.one_of(st.just(()), st.tuples(
+        st.lists(st.integers(0, 3), max_size=2),
+        st.sampled_from([0, 1, 2, 3, 4, 6, 8, 16])).map(
+            lambda shape: tuple(shape[0]) + (shape[1],))),
+    elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                       st.floats(allow_nan=True, allow_infinity=True)))
+
+# Ranks and indices: integers in and out of range, floats, bools, and arrays
+# of those of any shape.
+index_values = st.one_of(
+    st.integers(-3, 20), st.floats(-1, 20), st.booleans(),
+    hnp.arrays(st.sampled_from([np.int64, np.float64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                max_side=4)))
+
+
+class TestSearchFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(tables=score_tables, seed=st.integers(0, 2**32 - 1))
+    def test_maximum_search(self, tables, seed):
+        try:
+            report = qsearch.maximum_search(tables, np.random.default_rng(seed))
+        except SEARCH_ERRORS:
+            return
+        n = tables.shape[-1]
+        for counter in (report.grover_queries, report.verification_queries,
+                        report.iterations_used):
+            assert counter.shape == tables.shape[:-1]
+            assert (counter >= 0).all()
+        found = report.found.reshape(-1)
+        assert ((found >= 0) & (found < n)).all()
+        # the kernel's final ranks, replayed from the same seed: one draw of
+        # first incumbents, then the rank-space search
+        flat = tables.reshape(-1, n)
+        twin = np.random.default_rng(seed)
+        first = twin.integers(0, n, size=flat.shape[0])
+        final = qsearch.threshold_search(qsearch.rank(flat, first), n, twin)[0]
+        np.testing.assert_array_equal(qsearch.rank(flat, found), final)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=score_tables, index=index_values)
+    def test_rank(self, tables, index):
+        try:
+            ranks = qsearch.rank(tables, index)
+        except SEARCH_ERRORS:
+            return
+        assert ranks.shape == tables.shape[:-1]
+        assert ((ranks >= 0) & (ranks < tables.shape[-1])).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=index_values,
+           n_states=st.one_of(st.integers(-2, 300), st.floats(-1, 300),
+                              st.booleans()),
+           seed=st.integers(0, 2**32 - 1))
+    def test_threshold_search(self, first, n_states, seed):
+        try:
+            results = qsearch.threshold_search(first, n_states,
+                                               np.random.default_rng(seed))
+        except SEARCH_ERRORS:
+            return
+        final, _, _, rounds = results
+        for result in results:
+            assert result.shape == (np.size(first),)
+            assert result.dtype == np.int64 and (result >= 0).all()
+        # a search never moves to a worse rank, and ends only after
+        # max_failures empty rounds
+        assert (final <= np.asarray(first)).all()
+        assert (rounds >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures).all()
+
+
+BOOL_SCENARIO = make_scenario("walsh", 2, 4, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda rng: qchannel.run_demo(True, 0.5, rng),
+                 id="run_demo-n_bits"),
+    pytest.param(lambda rng: mud.qmud_agreement(BOOL_SCENARIO, 8.0, True, rng),
+                 id="qmud_agreement-trials"),
+    pytest.param(lambda rng: mud.ber_sweep(BOOL_SCENARIO, "mf", [4.0], True,
+                                           rng), id="ber_sweep-trials"),
+    pytest.param(lambda rng: qsearch.measured_success_rate(
+        oracle_marking(3, [1]), True, 10, rng), id="measured_success_rate-k"),
+    pytest.param(lambda rng: qsearch.measured_success_rate(
+        oracle_marking(3, [1]), 1, np.True_, rng),
+        id="measured_success_rate-trials"),
+    pytest.param(lambda rng: qsearch.existence_test(
+        oracle_marking(3, [1]), rng, True), id="existence_test-rounds"),
+    pytest.param(lambda rng: qsearch.threshold_search([0], np.True_, rng),
+                 id="threshold_search-n_states"),
+])
+def test_bools_are_not_counts(call):
+    # operator.index(True) is 1, so these ran once before they were checked
+    rng = np.random.default_rng(25)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError):
+        call(rng)
+    assert rng.bit_generator.state == state
