@@ -68,14 +68,12 @@ def cmd_grover(args) -> int:
     k_max = args.k_max
     if k_max is None:
         k_max = qsearch.optimal_iterations(n, args.marked)
-    if k_max < 0:
-        raise ConfigError(f"--k-max must be >= 0, got {k_max}")
     rng = np.random.default_rng(args.seed)
     oracle = qsearch.MarkingOracle(np.arange(n) < args.marked)
     rows = [["k", "predicted_success", "measured_success", "trials"]]
-    for k in range(k_max + 1):
+    curve = qsearch.measured_success_curve(oracle, k_max, args.trials, rng)
+    for k, measured in enumerate(curve):
         predicted = qsearch.success_probability(n, args.marked, k)
-        measured = qsearch.measured_success_rate(oracle, k, args.trials, rng)
         rows.append([k, repr(predicted), repr(measured), args.trials])
     _emit(args, lambda fh: csv.writer(fh).writerows(rows), "grover", {
         "n": n, "marked": args.marked, "trials": args.trials,

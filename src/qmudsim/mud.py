@@ -397,9 +397,10 @@ class AgreementResult:
 
 
 # Most scores qmud_agreement holds at once (128 KiB): 16 trials per chunk at
-# K = 10, one from K = 14 up.  Larger chunks ran no faster at K = 10 and
-# raise a call's peak memory in proportion: under tracemalloc, a 200-trial
-# K = 10 call peaks at 0.5 MiB with this bound and at 1.8 MiB with 2^16.
+# K = 10, one from K = 14 up.  A 200-trial K = 10 call took 52, 37, 33, 29,
+# 31 and 34 us per trial with bounds of 2^12, 2^13, 2^14, 2^15, 2^16 and
+# 2^18 (medians of 21 alternating calls in one process on a 2-vCPU VM), and
+# peaked under tracemalloc at 0.16, 0.28, 0.48, 0.93, 1.83 and 3.99 MiB.
 AGREEMENT_CHUNK_SCORES = 1 << 14
 
 # First ranks that qmud_agreement collects before it runs them through
@@ -418,12 +419,13 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     AGREEMENT_CHUNK_SCORES table entries: one batched _draw_trial and one
     mls_tables call per chunk.  Instances without a unique maximizer (ties
     at float precision) are redrawn so agreement is well defined, at most
-    `trials` times in total; one more tie raises ConfigError.  The other
-    rows draw their first incumbents with one rng.integers call per chunk
-    and keep only their ranks in the search order (qsearch.rank); up to
-    AGREEMENT_SEARCH_BATCH ranks at a time then run through
-    qsearch.threshold_search, and a row agrees when its search ends on
-    rank 0.  trials that is not an integer >= 1 and K outside
+    `trials` times in total; one more tie raises ConfigError.  For the
+    other rows, one rng.integers call per chunk draws the first ranks
+    directly: a uniform first incumbent has a uniform rank in the search
+    order (see qsearch), so the tables decide only which instances are
+    redrawn.  Up to AGREEMENT_SEARCH_BATCH first ranks at a time run
+    through qsearch.threshold_search, and a row agrees when its search ends
+    on rank 0.  trials that is not an integer >= 1 and K outside
     [1, EXHAUSTIVE_K_LIMIT] raise ConfigError before any draw.
     """
     k = scenario_template.k_users
@@ -445,16 +447,16 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
         channel, _, frame = _draw_trial(scenario, rng,
                                         (min(chunk, trials - done),))
         tables = mls_tables(frame, scenario, channel)
-        unique = (tables == tables.max(axis=-1, keepdims=True)).sum(-1) == 1
-        redraws += tables.shape[0] - int(np.count_nonzero(unique))
+        maxima = np.count_nonzero(
+            tables == tables.max(axis=-1, keepdims=True), axis=-1)
+        unique = int(np.count_nonzero(maxima == 1))
+        redraws += tables.shape[0] - unique
         if redraws > trials:
             raise ConfigError(
                 f"at Eb/N0 {ebn0_db!r} dB, {trials + 1} instances had no "
                 f"unique maximum (at most {trials} redraws allowed)")
-        tables = tables[unique]
-        first = rng.integers(0, 1 << k, size=tables.shape[0])
-        pending.append(qsearch.rank(tables, first))
-        done += tables.shape[0]
+        pending.append(rng.integers(0, 1 << k, size=unique))
+        done += unique
         if sum(map(len, pending)) >= AGREEMENT_SEARCH_BATCH or done == trials:
             final, queries, verifications, rounds = qsearch.threshold_search(
                 np.concatenate(pending), 1 << k, rng)

@@ -20,12 +20,15 @@ block when those run out; uniforms left over when it stops are discarded.
 
 Maximum finding runs threshold rounds of that search, each marking the
 entries ahead of the incumbent in one total order: higher scores first,
-equal scores by lower index, as np.argmax breaks ties (rank).  So a round
-depends only on M, the incumbent's rank: the hit lands uniformly on the M
-entries ahead, so the next rank is uniform on 0..M-1 (Dürr–Høyer,
-quant-ph/9607014).  threshold_search runs many such searches at once in
-rank space, with no mask, oracle or register, and maximum_search maps each
-final rank back to an index of its score table.
+equal scores by lower index, as np.argmax breaks ties.  The incumbent's
+rank M is the number of entries ahead of it, so a round depends only on M:
+the hit lands uniformly on the M entries ahead, so the next rank is uniform
+on 0..M-1 (Dürr–Høyer, quant-ph/9607014).  The order maps the N indices
+one-to-one onto the ranks 0..N-1, so a uniform first incumbent has a
+uniform first rank, whatever the scores.  threshold_search runs many such
+searches at once in rank space, from first ranks drawn directly, with no
+table, mask, oracle or register; maximum_search maps each final rank back
+to an index of its score table.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import qcore
-from .errors import ConfigError, ShapeError
+from . import config, qcore
+from .errors import ConfigError, ShapeError, SizeError
 
 
 def _count(value, name: str, low: int) -> int:
@@ -303,21 +306,6 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
                range(_count(confidence_rounds, "confidence_rounds", 1)))
 
 
-def rank(tables, index):
-    """Number of entries ahead of `index` in each of the (..., N) tables:
-    higher scores, and equal scores at lower indices.  This is the search
-    order of every maximum search; rank 0 is the maximum np.argmax picks.
-    An index array not of the tables' leading shape raises ShapeError, and
-    an index that is not an integer in [0, N) raises ValueError."""
-    tables, index = np.asarray(tables), np.asarray(index)
-    if not tables.ndim or index.shape != tables.shape[:-1]:
-        raise ShapeError(f"index shape {index.shape}, tables {tables.shape}")
-    index = _indices(index, tables.shape[-1], "index")[..., None]
-    score = np.take_along_axis(tables, index, axis=-1)
-    return np.count_nonzero(np.where(np.arange(tables.shape[-1]) < index,
-                                     tables >= score, tables > score), axis=-1)
-
-
 # BBHT rounds that threshold_search gives each unfinished search per loop
 # step, drawn with one rng.random call.  Longer blocks take fewer steps, but
 # they draw and score more rounds that a stop discards.  At K = 10, a call
@@ -331,10 +319,10 @@ THRESHOLD_BLOCK = 8
 def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     """maximum_search's threshold rounds, in rank space, for many searches.
 
-    An incumbent of rank M (see rank) leaves exactly M marked indices, a
-    threshold round depends on M alone, and a hit lands uniformly on ranks
-    0..M-1 (see the module docstring), so each instance is a few counters
-    and needs no table, mask or oracle.  Runs one search per entry of
+    An incumbent of rank M leaves exactly M marked indices, a threshold
+    round depends on M alone, and a hit lands uniformly on ranks 0..M-1
+    (see the module docstring), so each instance is a few counters and
+    needs no table, mask or oracle.  Runs one search per entry of
     first_ranks (ranks of the first incumbents, in [0, n_states)) in
     lock-step: each loop step gives every unfinished instance a block of
     THRESHOLD_BLOCK BBHT rounds, drawn for all of them with one rng.random
@@ -350,10 +338,14 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     Returns four int64 arrays, one entry per instance: the final rank, the
     oracle queries, the verifications (one per BBHT round) and the
     threshold rounds.  n_states that is not an integer >= 2 raises
-    ConfigError, and first_ranks that is not a 1-D array of integer ranks
-    in [0, n_states) raises ValueError, both before any draw.
+    ConfigError, n_states above 2^config.MAX_QUBITS raises SizeError, and
+    first_ranks that is not a 1-D array of integer ranks in [0, n_states)
+    raises ValueError, all before any allocation or draw.
     """
     n_states = _count(n_states, "n_states", 2)
+    if n_states > 1 << config.MAX_QUBITS:
+        raise SizeError(f"n_states={n_states} exceeds "
+                        f"2^{config.MAX_QUBITS} states")
     first = _indices(first_ranks, n_states, "first_ranks")
     if first.ndim != 1:
         raise ValueError(f"first_ranks must be 1-D, got shape {first.shape}")
@@ -386,10 +378,8 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
         j *= caps.take(t, axis=1)
         np.floor(j, out=j)
         # queries spent by the end of each round
-        total = j.copy()
-        total[0] += used
-        for row in range(1, THRESHOLD_BLOCK):
-            total[row] += total[row - 1]
+        total = np.cumsum(j, axis=0)
+        total += used
         # the round that reaches the budget runs only the queries left
         # (later rounds, which the budget stop discards, get j < 0)
         left = np.subtract(budget, total)
@@ -436,18 +426,19 @@ def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
     """Locate an index maximizing each of the (..., 2^n) score tables.
 
     Every score must be finite (ShapeError and ValueError otherwise, before
-    any draw).  Draws the first incumbents with one rng.integers call and
-    runs their ranks (see rank) through one threshold_search call.  Rank 0
-    maps to np.argmax's index; the rare search that ends elsewhere reads
-    its index from a stable descending argsort of its table (one argsort
-    per table would cost more than the search).  See SearchReport.
+    any draw).  A uniform first incumbent has a uniform first rank (see the
+    module docstring), so the first ranks are drawn with one rng.integers
+    call, without reading the tables, and run through one threshold_search
+    call.  Rank 0 maps to np.argmax's index; the rare search that ends
+    elsewhere reads its index from a stable descending argsort of its table
+    (one argsort per table would cost more than the search).  See
+    SearchReport.
     """
     tables = np.asarray(tables, dtype=float)
     n_states = 1 << score_bits(tables, batched=True)
     shape, tables = tables.shape[:-1], tables.reshape(-1, n_states)
-    first = rng.integers(0, n_states, size=tables.shape[0])
     final, queries, verifications, rounds = threshold_search(
-        rank(tables, first), n_states, rng)
+        rng.integers(0, n_states, size=tables.shape[0]), n_states, rng)
     found = tables.argmax(axis=-1).astype(np.int64)
     elsewhere = final.nonzero()[0]
     order = np.argsort(-tables[elsewhere], axis=-1, kind="stable")
@@ -457,6 +448,25 @@ def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
                         succeeded=True)
 
 
+def _grover_steps(k, n_states: int, name: str) -> int:
+    """k as an int; ConfigError unless it is a non-bool integer >= 0 and
+    (k + 1)·n_states amplitude updates stay within MAX_GROVER_UPDATES."""
+    k = _count(k, name, 0)
+    if (k + 1) * n_states > config.MAX_GROVER_UPDATES:
+        raise ConfigError(f"{name}={k} on {n_states} states exceeds "
+                          f"{config.MAX_GROVER_UPDATES} amplitude updates")
+    return k
+
+
+def _marked_fraction(oracle: MarkingOracle, s: qcore.StateVector,
+                     trials: int, rng: np.random.Generator) -> float:
+    """Fraction of `trials` measurements of s that land on a marked index,
+    drawn as one multinomial sample over s's outcome distribution."""
+    p = qcore.probabilities(s)
+    counts = rng.multinomial(trials, p / p.sum())
+    return float(counts[oracle.mask].sum() / trials)
+
+
 def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
                           rng: np.random.Generator) -> float:
     """Fraction of measurements hitting a marked index after k iterations.
@@ -464,14 +474,30 @@ def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
     Evolves the register once and draws the outcome counts of `trials`
     measurements as one multinomial sample, so memory is O(N) for any
     `trials`; statistics are identical to re-preparing the state per trial.
-    A non-integer k or trials, k < 0 and trials < 1 raise ConfigError before
-    the register is built.
+    A non-integer k or trials, k < 0, trials < 1 and (k + 1)·N above
+    config.MAX_GROVER_UPDATES raise ConfigError before the register is
+    built.
     """
-    k = _count(k, "k", 0)
+    k = _grover_steps(k, oracle.n_states, "k")
     trials = _count(trials, "trials", 1)
     s = qcore.uniform_superposition(oracle.n_qubits)
     for _ in range(k):
         s = grover_iterate(oracle, s)
-    p = qcore.probabilities(s)
-    counts = rng.multinomial(trials, p / p.sum())
-    return float(counts[oracle.mask].sum() / trials)
+    return _marked_fraction(oracle, s, trials, rng)
+
+
+def measured_success_curve(oracle: MarkingOracle, k_max: int, trials: int,
+                           rng: np.random.Generator) -> list:
+    """measured_success_rate for k = 0..k_max, from one register measured
+    after each step: the same values and draws as those calls in turn, in
+    k_max steps rather than about k_max²/2.  Bad k_max or trials raise
+    ConfigError before the register is built, as in measured_success_rate.
+    """
+    k_max = _grover_steps(k_max, oracle.n_states, "k_max")
+    trials = _count(trials, "trials", 1)
+    s = qcore.uniform_superposition(oracle.n_qubits)
+    rates = [_marked_fraction(oracle, s, trials, rng)]
+    for _ in range(k_max):
+        s = grover_iterate(oracle, s)
+        rates.append(_marked_fraction(oracle, s, trials, rng))
+    return rates

@@ -77,6 +77,13 @@ class TestGroverCommand:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_unbounded_k_max_rejected(self, tmp_path):
+        # 10^9 steps on 16 amplitudes exceed config.MAX_GROVER_UPDATES
+        out = tmp_path / "g.csv"
+        assert cli.main(["grover", "--n", "16", "--k-max", "1000000000",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_search_space_above_register_limit_rejected(self, tmp_path):
         out = tmp_path / "g.csv"
         assert cli.main(["grover", "--scaling", "--n", "33554432",

@@ -13,8 +13,9 @@ from scipy import stats
 
 from qmudsim import cdma, mud, qsearch
 from qmudsim.errors import ConfigError, ShapeError, SizeError
-from test_qsearch import (EQUIVALENCE_ALPHA, exact_maximum_search,
-                          homogeneity_p, reference_maximum_search)
+from test_qsearch import (EQUIVALENCE_ALPHA, SEARCH_ERRORS,
+                          exact_maximum_search, homogeneity_p,
+                          reference_maximum_search)
 
 
 def fixed_channel(gains, delays):
@@ -614,6 +615,47 @@ class TestQmudDetect:
         # every score ties at float precision at -400 dB
         with pytest.raises(ConfigError, match="4 instances"):
             mud.qmud_agreement(sc, -400.0, 3, np.random.default_rng(14))
+
+    def test_tables_only_decide_redraws(self):
+        # the first ranks are drawn without reading the tables, and the
+        # noise takes the same draws at every finite Eb/N0, so with no
+        # redraws one seed runs the same searches at 4 and at 12 dB
+        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+        low, high = (mud.qmud_agreement(sc, ebn0, 300,
+                                        np.random.default_rng(32))
+                     for ebn0 in (4.0, 12.0))
+        assert low.redraws == high.redraws == 0
+        for field in ("agreement", "mean_grover_queries",
+                      "mean_verification_queries", "mean_threshold_rounds"):
+            assert getattr(low, field) == getattr(high, field), field
+
+    @settings(max_examples=60, deadline=None)
+    @given(k_users=st.integers(1, 6), n_chips=st.integers(1, 8),
+           sync_mode=st.sampled_from(cdma.SYNC_MODES),
+           gain_model=st.sampled_from(cdma.GAIN_MODELS),
+           ebn0_db=st.one_of(st.sampled_from([-400.0, 0.0, 4.0, 12.0]),
+                             st.floats(allow_nan=True, allow_infinity=True)),
+           trials=st.one_of(st.integers(-2, 40), st.floats(-1, 40),
+                            st.booleans()),
+           seed=st.integers(0, 2**32 - 1))
+    def test_agreement_fuzz(self, k_users, n_chips, sync_mode, gain_model,
+                            ebn0_db, trials, seed):
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, 0.0,
+                                sync_mode=sync_mode, gain_model=gain_model,
+                                seed=3)
+        try:
+            result = mud.qmud_agreement(sc, ebn0_db, trials,
+                                        np.random.default_rng(seed))
+        except SEARCH_ERRORS:
+            return
+        assert 0 <= result.agreement <= 1
+        for counter in (result.mean_grover_queries,
+                        result.mean_verification_queries,
+                        result.mean_threshold_rounds):
+            assert math.isfinite(counter) and counter >= 0
+        assert 0 <= result.redraws <= result.trials
 
 
 class TestBerSweep:

@@ -8,7 +8,8 @@ same measurement from its closed form and is tested against it.
 `reference_bbht_search`; `qsearch.maximum_search`, which runs the rounds in
 rank space, is tested against it.  `reference_threshold_search` runs the
 rank-space searches one BBHT round per loop step; `qsearch.threshold_search`,
-which runs a block of rounds per step, is tested against it.
+which runs a block of rounds per step, is tested against it.  `rank`
+defines the search order that every maximum search follows.
 """
 
 import functools
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from qmudsim import mud, qchannel, qcore, qsearch
+from qmudsim import config, mud, qchannel, qcore, qsearch
 from qmudsim.cdma import make_scenario
 from qmudsim.errors import ConfigError, ShapeError, SizeError
 
@@ -33,6 +34,22 @@ EQUIVALENCE_ALPHA = 1e-3
 def oracle_marking(n_qubits, indices):
     return qsearch.MarkingOracle(
         np.isin(np.arange(1 << n_qubits), list(indices)))
+
+
+def rank(tables, index):
+    """Number of entries ahead of `index` in each of the (..., N) tables:
+    higher scores, and equal scores at lower indices.  This is the search
+    order of every maximum search; rank 0 is the maximum np.argmax picks,
+    and the order maps the N indices one-to-one onto the ranks 0..N-1.  An
+    index array not of the tables' leading shape raises ShapeError, and an
+    index that is not an integer in [0, N) raises ValueError."""
+    tables, index = np.asarray(tables), np.asarray(index)
+    if not tables.ndim or index.shape != tables.shape[:-1]:
+        raise ShapeError(f"index shape {index.shape}, tables {tables.shape}")
+    index = qsearch._indices(index, tables.shape[-1], "index")[..., None]
+    score = np.take_along_axis(tables, index, axis=-1)
+    return np.count_nonzero(np.where(np.arange(tables.shape[-1]) < index,
+                                     tables >= score, tables > score), axis=-1)
 
 
 def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
@@ -71,7 +88,7 @@ def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
 
 def reference_maximum_search(table, rng, search=reference_bbht_search):
     """The threshold loop on one table.  Keeps an incumbent seeded from one
-    random sample; each round marks the entries ahead of it (qsearch.rank's
+    random sample; each round marks the entries ahead of it (rank's
     order) in a MarkingOracle and runs `search` on it under
     MAXIMUM_SEARCH_CONFIG.  Every verified hit becomes the incumbent, and
     max_failures failed rounds in a row stop the search."""
@@ -526,15 +543,15 @@ class TestSearchOrder:
         tables = rng.integers(0, levels, (rows, 1 << k)).astype(float)
         index = rng.integers(0, 1 << k, rows)
         expected = [stable_rank(t, i) for t, i in zip(tables, index)]
-        np.testing.assert_array_equal(qsearch.rank(tables, index), expected)
-        # one table and one index, as maximum_search passes them
-        assert qsearch.rank(tables[0], int(index[0])) == expected[0]
+        np.testing.assert_array_equal(rank(tables, index), expected)
+        # one table and one index
+        assert rank(tables[0], int(index[0])) == expected[0]
 
     @pytest.mark.parametrize("index", [-1, 8, 9, 2.0, True, [3, 8]])
     def test_rank_rejects_indices_that_are_not_entries(self, index):
         # unchecked, -1 would wrap to the last entry and 9 would overflow
         with pytest.raises(ValueError):
-            qsearch.rank(np.arange(16.0).reshape(2, 8), index)
+            rank(np.arange(16.0).reshape(2, 8), index)
 
     def test_rounds_mark_the_entries_ahead_of_the_incumbent(self):
         # in the reference loop with every round failing, each of the three
@@ -595,6 +612,9 @@ class TestThresholdSearch:
         ([0.5, 3.7], 16, ValueError),
         ([0.0, 3.0], 16, ValueError),
         ([True, False], 16, ValueError),
+        # 2θ for 2^40 ranks would take 8 TiB
+        ([0], (1 << 24) + 1, SizeError),
+        ([0], 1 << 40, SizeError),
     ])
     def test_bad_input_rejected_before_any_draw(self, first, n_states, error):
         rng = np.random.default_rng(18)
@@ -772,6 +792,39 @@ class TestStatisticalInvariants:
             qsearch.measured_success_rate(oracle_marking(3, [1]), k, trials,
                                           np.random.default_rng(21))
 
+    def test_curve_is_the_per_k_rates_in_turn(self):
+        # one register measured after each step gives the values and the
+        # draws of a fresh register per k
+        oracle = oracle_marking(6, [13, 40])
+        rng, twin = np.random.default_rng(22), np.random.default_rng(22)
+        curve = qsearch.measured_success_curve(oracle, 12, 500, rng)
+        assert curve == [qsearch.measured_success_rate(oracle, k, 500, twin)
+                         for k in range(13)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("k_max, trials", [(-1, 10), (1.5, 10), (1, 0),
+                                               (True, 10), (10**9, 10)])
+    def test_curve_rejects_bad_counts_before_any_draw(self, k_max, trials):
+        rng = np.random.default_rng(24)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError):
+            qsearch.measured_success_curve(oracle_marking(4, [1]), k_max,
+                                           trials, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("call", [qsearch.measured_success_rate,
+                                      qsearch.measured_success_curve])
+    def test_register_updates_capped(self, call, monkeypatch):
+        # (k + 1)·N = 64 amplitude updates pass at a cap of 64, 80 do not
+        monkeypatch.setattr(config, "MAX_GROVER_UPDATES", 64)
+        oracle = oracle_marking(4, [1])
+        call(oracle, 3, 10, np.random.default_rng(23))
+        rng = np.random.default_rng(23)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="amplitude updates"):
+            call(oracle, 4, 10, rng)
+        assert rng.bit_generator.state == state
+
     def test_uniform_measurement_acceptance_rate(self):
         rng = np.random.default_rng(16)
         for n_states, marked in [(64, 1), (64, 8), (256, 16)]:
@@ -850,18 +903,18 @@ class TestSearchFuzz:
         found = report.found.reshape(-1)
         assert ((found >= 0) & (found < n)).all()
         # the kernel's final ranks, replayed from the same seed: one draw of
-        # first incumbents, then the rank-space search
+        # first ranks, passed straight to the rank-space search
         flat = tables.reshape(-1, n)
         twin = np.random.default_rng(seed)
         first = twin.integers(0, n, size=flat.shape[0])
-        final = qsearch.threshold_search(qsearch.rank(flat, first), n, twin)[0]
-        np.testing.assert_array_equal(qsearch.rank(flat, found), final)
+        final = qsearch.threshold_search(first, n, twin)[0]
+        np.testing.assert_array_equal(rank(flat, found), final)
 
     @settings(max_examples=200, deadline=None)
     @given(tables=score_tables, index=index_values)
     def test_rank(self, tables, index):
         try:
-            ranks = qsearch.rank(tables, index)
+            ranks = rank(tables, index)
         except SEARCH_ERRORS:
             return
         assert ranks.shape == tables.shape[:-1]
