@@ -17,9 +17,9 @@ oracle = qsearch.MarkingOracle(np.arange(N) == 42)
 k_star = qsearch.optimal_iterations(N, 1)
 print(f"search space N={N}, one marked index, optimal steps k* = {k_star}\n")
 print(" k   predicted   measured")
-for k in range(k_star + 3):
+curve = qsearch.measured_success_curve(oracle, k_star + 2, 20000, rng)
+for k, measured in enumerate(curve):
     predicted = qsearch.success_probability(N, 1, k)
-    measured = qsearch.measured_success_rate(oracle, k, 20000, rng)
     marker = "  <- k*" if k == k_star else ""
     print(f"{k:2d}   {predicted:.4f}      {measured:.4f}{marker}")
 

@@ -35,6 +35,13 @@ _ENERGY_TOL = 1e-12
 # Largest K·N_c a generated signature array may hold (32 MiB of float64).
 MAX_SIGNATURE_ENTRIES = 1 << 22
 
+# Largest chip-noise variance an Eb/N0 may give, 10^200 (Eb/N0 down to
+# -2000 dB).  A cost-table score sums the squares of 2·N_c <= 2^23 real chip
+# samples of variance sigma²/2, so below this ceiling every score of every
+# scenario stays near 10^207 or less, far from the float overflow (1.8e308)
+# that Eb/N0 of about -3070 dB reached.
+MAX_NOISE_VARIANCE = 1e200
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelState:
@@ -184,16 +191,16 @@ def ebn0_db_to_noise_variance(ebn0_db: float) -> float:
     Per-bit energy is E[A²] times the unit signature energy, i.e. 1 for both
     gain models, and the unit-energy matched filter passes the chip noise
     variance through unchanged, so Eb/N0 = 1/sigma².  +inf dB is the
-    noiseless channel; NaN, −inf and other values whose variance overflows
-    are rejected.
+    noiseless channel; NaN, −inf and values whose variance exceeds
+    MAX_NOISE_VARIANCE raise ConfigError.
     """
     try:
         sigma2 = 10.0 ** (-float(ebn0_db) / 10.0)
     except OverflowError:
         sigma2 = float("inf")
-    if not np.isfinite(sigma2):
-        raise ConfigError(f"Eb/N0 of {ebn0_db!r} dB gives no finite noise "
-                          "variance")
+    if not sigma2 <= MAX_NOISE_VARIANCE:
+        raise ConfigError(f"Eb/N0 of {ebn0_db!r} dB gives no noise variance "
+                          f"in [0, {MAX_NOISE_VARIANCE:g}]")
     return sigma2
 
 

@@ -124,20 +124,38 @@ def mls_tables(frame: ReceivedFrame, scenario: CdmaScenario,
     m scores −‖r − ŝ_m‖² against its noiseless chip-level reconstruction ŝ_m,
     a strictly increasing transform of the log-likelihood.
 
-    Each table is built in closed form, not from 2^K images: the previous
-    bits' spill-in is subtracted once, r′ = r − Σ_k a_k·p_k·spill_k, and
-    with one real row [Re | Im] of a_k·current_k per user stacked into W
-    every score is the quadratic form of _split_half_scores.  Leading axes
-    broadcast the way synthesize_received and matched_filter_bank do.
+    Each table is built in closed form, not from 2^K images: _mls_inputs
+    subtracts the previous bits' spill-in once and stacks the users' rows,
+    and every score is the quadratic form of _split_half_scores.  Leading
+    axes broadcast the way synthesize_received and matched_filter_bank do.
     """
+    return _split_half_scores(*_mls_inputs(frame, scenario, channel))
+
+
+def _mls_inputs(frame: ReceivedFrame, scenario: CdmaScenario,
+                channel: ChannelState):
+    """The real inputs of mls_tables' scores: rows (..., K, 2·N_c), one row
+    [Re | Im] of a_k·current_k per user, and targets (..., 2·N_c), the
+    [Re | Im] of the spill-free window r′ = r − Σ_k a_k·p_k·spill_k."""
     current, spill = cdma.delay_aligned(scenario, channel.delay)
     gains = channel.gains
     target = frame.samples - ((gains * frame.prev_bits)[..., None, :]
                               @ spill)[..., 0, :]
     rows = gains[..., None] * current
-    return _split_half_scores(
-        np.concatenate((rows.real, rows.imag), axis=-1),
-        np.concatenate((target.real, target.imag), axis=-1))
+    return (np.concatenate((rows.real, rows.imag), axis=-1),
+            np.concatenate((target.real, target.imag), axis=-1))
+
+
+@functools.lru_cache(maxsize=None)
+def _half_features(c: int) -> np.ndarray:
+    """(c + c², 2^c) read-only matrix whose column m is [b ; vec(b·bᵀ)] for
+    b = bits_from_index(m, c), so that [2z ; −vec(G)]ᵀ times it gives
+    2·b·z − bᵀGb for every b with one GEMM."""
+    bits = all_bit_vectors(c)
+    outer = (bits[:, :, None] * bits[:, None, :]).reshape(len(bits), -1)
+    features = np.concatenate((bits, outer), axis=1).T.copy()
+    features.setflags(write=False)
+    return features
 
 
 def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -148,23 +166,30 @@ def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
     rows·rowsᵀ.  The users split into the low c = ⌈K/2⌉ bits of m and the
     high K − c, so with m = hi·2^c + lo the table is s_lo[lo] + s_hi[hi] −
     2·(B_hi·G_hl·B_loᵀ)[hi, lo] − ‖target‖²: one (2^(K−c), 2^c) GEMM per
-    table.  Besides the 2^K scores each table holds O(2^c·K) memory; no
-    (2^K, K) bit matrix and no 2^K images are formed.
+    table.  Each half's scores s = 2·b·z − bᵀGb come from one flat GEMM over
+    all leading indices, [2z ; −vec(G)] times the cached _half_features of
+    that half, whose O(2^c·c²) memory is 0.9 MB at c = 10 and is held once
+    per c for the process.  Besides the 2^K scores each table holds
+    O(2^c·K) memory; no (2^K, K) bit matrix and no 2^K images are formed.
     """
     k = rows.shape[-2]
     c = (k + 1) // 2
     z = (rows @ target[..., None])[..., 0]
+    lead = z.shape[:-1]
     gram = rows @ np.swapaxes(rows, -1, -2)
-    b_lo, b_hi = all_bit_vectors(c), all_bit_vectors(k - c)
 
-    def half_scores(bits, users):
-        # b·(2z − G b) = 2 b·z − bᵀGb, restricted to one half's users
-        return ((2.0 * z[..., None, users] - bits @ gram[..., users, users])
-                * bits).sum(axis=-1)
+    def half_scores(users):
+        n = users.stop - users.start
+        weights = np.concatenate(
+            (2.0 * z[..., users],
+             -gram[..., users, users].reshape(lead + (n * n,))), axis=-1)
+        return (weights.reshape(math.prod(lead), n + n * n)
+                @ _half_features(n)).reshape(lead + (1 << n,))
 
-    table = (b_hi @ (-2.0 * gram[..., c:, :c])) @ b_lo.T
-    table += half_scores(b_lo, slice(0, c))[..., None, :]
-    table += (half_scores(b_hi, slice(c, k))
+    table = ((all_bit_vectors(k - c) @ (-2.0 * gram[..., c:, :c]))
+             @ all_bit_vectors(c).T)
+    table += half_scores(slice(0, c))[..., None, :]
+    table += (half_scores(slice(c, k))
               - (target[..., None, :] @ target[..., None])[..., 0])[..., None]
     return table.reshape(table.shape[:-2] + (-1,))
 
@@ -396,11 +421,14 @@ class AgreementResult:
     redraws: int
 
 
-# Most scores qmud_agreement holds at once (128 KiB): 16 trials per chunk at
-# K = 10, one from K = 14 up.  A 200-trial K = 10 call took 52, 37, 33, 29,
-# 31 and 34 us per trial with bounds of 2^12, 2^13, 2^14, 2^15, 2^16 and
-# 2^18 (medians of 21 alternating calls in one process on a 2-vCPU VM), and
-# peaked under tracemalloc at 0.16, 0.28, 0.48, 0.93, 1.83 and 3.99 MiB.
+# Size bound of qmud_agreement's batches, in entries: one draw batch holds
+# at most this many chip entries (K·N_c per instance: 102 instances at K = 10
+# and N_c = 16, one from K·N_c = 2^14 up), and one table slice at most this
+# many scores (128 KiB: 16 tables at K = 10, one from K = 14 up).  A 200-trial
+# K = 10, N_c = 16 call took 67, 53, 48, 50 and 50 us per trial with bounds
+# of 2^12, 2^13, 2^14, 2^15 and 2^16 (medians of 21 alternating calls in one
+# process on a 2-vCPU VM), and peaked under tracemalloc at 0.35, 0.71, 1.16,
+# 1.70 and 1.81 MiB.
 AGREEMENT_CHUNK_SCORES = 1 << 14
 
 # First ranks that qmud_agreement collects before it runs them through
@@ -415,18 +443,19 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     """Fraction of random noisy instances where the quantum-assisted detector
     lands on the exhaustive argmax.
 
-    Instances are drawn and scored in chunks of at most
-    AGREEMENT_CHUNK_SCORES table entries: one batched _draw_trial and one
-    mls_tables call per chunk.  Instances without a unique maximizer (ties
-    at float precision) are redrawn so agreement is well defined, at most
-    `trials` times in total; one more tie raises ConfigError.  For the
-    other rows, one rng.integers call per chunk draws the first ranks
-    directly: a uniform first incumbent has a uniform rank in the search
-    order (see qsearch), so the tables decide only which instances are
-    redrawn.  Up to AGREEMENT_SEARCH_BATCH first ranks at a time run
-    through qsearch.threshold_search, and a row agrees when its search ends
-    on rank 0.  trials that is not an integer >= 1 and K outside
-    [1, EXHAUSTIVE_K_LIMIT] raise ConfigError before any draw.
+    Instances are drawn in batches of at most AGREEMENT_CHUNK_SCORES chip
+    entries (K·N_c per instance), each with one _draw_trial call and one
+    _mls_inputs call, and scored in slices of at most
+    AGREEMENT_CHUNK_SCORES table entries.  Instances without a unique
+    maximizer (ties at float precision) are redrawn so agreement is well
+    defined, at most `trials` times in total; one more tie raises
+    ConfigError.  For the other rows, one rng.integers call per batch draws
+    the first ranks directly: a uniform first incumbent has a uniform rank
+    in the search order (see qsearch), so the tables decide only which
+    instances are redrawn.  Up to AGREEMENT_SEARCH_BATCH first ranks at a
+    time run through qsearch.threshold_search, and a row agrees when its
+    search ends on rank 0.  trials that is not an integer >= 1 and K
+    outside [1, EXHAUSTIVE_K_LIMIT] raise ConfigError before any draw.
     """
     k = scenario_template.k_users
     trials = qsearch._count(trials, "trials", 1)
@@ -435,6 +464,7 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
                           f"got {k}")
     scenario = cdma.with_noise_variance(
         scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
+    batch = max(1, AGREEMENT_CHUNK_SCORES // (k * scenario.n_chips))
     chunk = max(1, AGREEMENT_CHUNK_SCORES >> k)
     agree = 0
     grover_total = 0
@@ -444,13 +474,17 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     redraws = 0
     pending = []
     while done < trials:
-        channel, _, frame = _draw_trial(scenario, rng,
-                                        (min(chunk, trials - done),))
-        tables = mls_tables(frame, scenario, channel)
-        maxima = np.count_nonzero(
-            tables == tables.max(axis=-1, keepdims=True), axis=-1)
-        unique = int(np.count_nonzero(maxima == 1))
-        redraws += tables.shape[0] - unique
+        drawn = min(batch, trials - done)
+        channel, _, frame = _draw_trial(scenario, rng, (drawn,))
+        rows, target = _mls_inputs(frame, scenario, channel)
+        unique = 0
+        for start in range(0, drawn, chunk):
+            tables = _split_half_scores(rows[start:start + chunk],
+                                        target[start:start + chunk])
+            maxima = np.count_nonzero(
+                tables == tables.max(axis=-1, keepdims=True), axis=-1)
+            unique += int(np.count_nonzero(maxima == 1))
+        redraws += drawn - unique
         if redraws > trials:
             raise ConfigError(
                 f"at Eb/N0 {ebn0_db!r} dB, {trials + 1} instances had no "

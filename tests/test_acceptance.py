@@ -26,8 +26,8 @@ def test_criterion_1_grover_success_curve():
     oracle = qsearch.MarkingOracle(np.arange(64) == 21)
     t0 = time.perf_counter()
     worst = 0.0
-    for k in range(13):
-        measured = qsearch.measured_success_rate(oracle, k, 10000, rng)
+    curve = qsearch.measured_success_curve(oracle, 12, 10000, rng)
+    for k, measured in enumerate(curve):
         predicted = qsearch.success_probability(64, 1, k)
         worst = max(worst, abs(measured - predicted))
     elapsed = time.perf_counter() - t0

@@ -461,3 +461,12 @@ class TestEbn0Conversion:
     def test_no_finite_noise_variance_rejected(self, ebn0_db):
         with pytest.raises(ConfigError):
             cdma.ebn0_db_to_noise_variance(ebn0_db)
+
+    def test_variance_capped_at_the_ceiling(self):
+        # -3070 and -3080 dB give finite variances whose tables overflow
+        assert cdma.ebn0_db_to_noise_variance(-400.0) == pytest.approx(1e40)
+        assert (cdma.ebn0_db_to_noise_variance(-2000.0)
+                == cdma.MAX_NOISE_VARIANCE)
+        for ebn0_db in (-2000.001, -3070.0, -3080.0):
+            with pytest.raises(ConfigError, match="noise variance"):
+                cdma.ebn0_db_to_noise_variance(ebn0_db)

@@ -199,6 +199,22 @@ class TestBerCommand:
                              "--out", str(out)]) == 2, ebn0
             assert not out.exists()
 
+    @pytest.mark.parametrize("ebn0", ["-3070", "-3080"])
+    @pytest.mark.parametrize("detector", ["ml_exhaustive", "qmud"])
+    def test_ebn0_above_the_noise_ceiling_rejected(self, tmp_path, capsys,
+                                                   detector, ebn0):
+        # these Eb/N0 used to overflow the cost tables and exit 1
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("signature_kind = random_bipolar\nk_users = 6\n"
+                       "n_chips = 16\nsync_mode = chip-asynchronous\n"
+                       f"gain_model = rayleigh\ndetector = {detector}\n"
+                       f"ebn0_db_list = {ebn0}\ntrials = 2\n")
+        out = tmp_path / "deep.csv"
+        assert cli.main(["ber", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert "noise variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BER_CONFIG + "mystery = 1\n")
@@ -414,6 +430,17 @@ class TestQmudAgreeCommand:
         out = tmp_path / "agree.csv"
         assert cli.main(["qmud-agree", "--k", "3", "--trials", "2",
                          "--ebn0", "nan", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ebn0", ["-3070", "-3080"])
+    def test_ebn0_above_the_noise_ceiling_rejected(self, tmp_path, capsys,
+                                                   ebn0):
+        # -3080 dB used to exit 2 only through a tie message on NaN rows
+        out = tmp_path / "agree.csv"
+        assert cli.main(["qmud-agree", "--k", "6", "--trials", "3",
+                         "--ebn0", ebn0, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "noise variance" in err and "unique maximum" not in err
         assert not out.exists()
 
     def test_all_tied_instances_stop_after_trials_redraws(self):

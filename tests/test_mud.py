@@ -40,6 +40,26 @@ def reference_table(frame, scenario, channel):
     return -np.sum(diff.real**2 + diff.imag**2, axis=1)
 
 
+def stacked_split_half_scores(rows, target):
+    """mud._split_half_scores with each half's 2·b·z − bᵀGb taken as one
+    (2^c, c) @ (c, c) product per table, the form the flat GEMM replaced."""
+    k = rows.shape[-2]
+    c = (k + 1) // 2
+    z = (rows @ target[..., None])[..., 0]
+    gram = rows @ np.swapaxes(rows, -1, -2)
+    b_lo, b_hi = mud.all_bit_vectors(c), mud.all_bit_vectors(k - c)
+
+    def half_scores(bits, users):
+        return ((2.0 * z[..., None, users] - bits @ gram[..., users, users])
+                * bits).sum(axis=-1)
+
+    table = (b_hi @ (-2.0 * gram[..., c:, :c])) @ b_lo.T
+    table += half_scores(b_lo, slice(0, c))[..., None, :]
+    table += (half_scores(b_hi, slice(c, k))
+              - (target[..., None, :] @ target[..., None])[..., 0])[..., None]
+    return table.reshape(table.shape[:-2] + (-1,))
+
+
 def random_instance(k_users, n_chips, sigma2, sync_mode, gain_model, seed):
     rng = np.random.default_rng(seed)
     sc = cdma.make_scenario("random_bipolar", k_users, n_chips, sigma2,
@@ -283,6 +303,21 @@ class TestMlsCost:
             ref = mud.make_mls_cost(one, sc, ch).table()
             tol = 1e-12 * np.max(np.abs(ref))
             np.testing.assert_allclose(tables[t], ref, rtol=1e-12, atol=tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k_users=st.integers(1, 12), n_chips=st.integers(1, 8),
+           shape=st.sampled_from([(), (1,), (5,), (2, 3)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flat_half_scores_match_stacked_reference(
+            self, k_users, n_chips, shape, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal(shape + (k_users, 2 * n_chips))
+        target = rng.standard_normal(shape + (2 * n_chips,))
+        tables = mud._split_half_scores(rows, target)
+        ref = stacked_split_half_scores(rows, target)
+        assert tables.shape == ref.shape == shape + (1 << k_users,)
+        tol = 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_allclose(tables, ref, rtol=1e-12, atol=tol)
 
     def test_k20_table_memory_is_bounded(self):
         frame, sc, ch = random_instance(20, 16, 0.1, cdma.CHIP_ASYNC,
@@ -560,9 +595,11 @@ class TestQmudDetect:
         queue = iter(tables)
         monkeypatch.setattr(mud, "_draw_trial",
                             lambda scenario, rng, shape=(): (None, None, shape))
-        monkeypatch.setattr(mud, "mls_tables", lambda shape, *_: np.array(
-            [next(queue) for _ in range(math.prod(shape))]).reshape(
-                shape + (-1,)))
+        monkeypatch.setattr(mud, "_mls_inputs", lambda shape, *_: (
+            np.zeros(shape), np.zeros(shape)))
+        monkeypatch.setattr(mud, "_split_half_scores", lambda rows, _: np.array(
+            [next(queue) for _ in range(rows.size)]).reshape(
+                rows.shape + (-1,)))
 
     def test_every_unique_maximum_row_takes_the_lock_step_search(
             self, monkeypatch):
@@ -615,6 +652,47 @@ class TestQmudDetect:
         # every score ties at float precision at -400 dB
         with pytest.raises(ConfigError, match="4 instances"):
             mud.qmud_agreement(sc, -400.0, 3, np.random.default_rng(14))
+
+    def test_one_draw_per_batch_of_chip_entries(self, monkeypatch):
+        # K·N_c = 160 chip entries per instance, so a batch holds
+        # AGREEMENT_CHUNK_SCORES // 160 instances, and tables are built and
+        # tie-checked in slices of AGREEMENT_CHUNK_SCORES >> 10 rows
+        sc = cdma.make_scenario("random_bipolar", 10, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+        calls = {"draws": 0, "tables": []}
+        draw_trial = mud._draw_trial
+        split_half_scores = mud._split_half_scores
+
+        def counted_draw(scenario, rng, shape=()):
+            calls["draws"] += 1
+            return draw_trial(scenario, rng, shape)
+
+        def counted_tables(rows, target):
+            calls["tables"].append(len(target))
+            return split_half_scores(rows, target)
+
+        monkeypatch.setattr(mud, "_draw_trial", counted_draw)
+        monkeypatch.setattr(mud, "_split_half_scores", counted_tables)
+        result = mud.qmud_agreement(sc, 8.0, 200, np.random.default_rng(33))
+        assert result.redraws == 0
+        batch = mud.AGREEMENT_CHUNK_SCORES // 160
+        assert calls["draws"] == math.ceil(200 / batch)
+        assert sum(calls["tables"]) == 200
+        assert max(calls["tables"]) == mud.AGREEMENT_CHUNK_SCORES >> 10
+
+    @pytest.mark.parametrize("ebn0_db", [-3070.0, -3080.0])
+    def test_ebn0_above_the_noise_ceiling_rejected(self, ebn0_db):
+        # these used to give finite variances whose tables overflowed
+        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+        with pytest.raises(ConfigError, match="noise variance"):
+            mud.qmud_agreement(sc, ebn0_db, 3, np.random.default_rng(14))
+        for detector in ("ml_exhaustive", "qmud"):
+            with pytest.raises(ConfigError, match="noise variance"):
+                mud.ber_sweep(sc, detector, [0.0, ebn0_db], 2,
+                              np.random.default_rng(14))
 
     def test_tables_only_decide_redraws(self):
         # the first ranks are drawn without reading the tables, and the
