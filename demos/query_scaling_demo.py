@@ -17,15 +17,11 @@ print("      N   mean queries     √N   exhaustive")
 sizes, means = [], []
 for exp in range(6, 13):
     n = 1 << exp
-    mask = np.zeros(n, dtype=bool)
-    mask[n // 2] = True
-    total = 0.0
-    for _ in range(trials):
-        oracle = qsearch.MarkingOracle(mask)
-        rep = qsearch.bbht_search(oracle, rng)
-        total += rep.grover_queries + rep.verification_queries
+    # one marked index: every search of a size runs in one lock-step call
+    _, queries, verifications = qsearch.bbht_ranks(np.ones(trials, int), n,
+                                                   rng)
     sizes.append(n)
-    means.append(total / trials)
+    means.append(float((queries + verifications).mean()))
     print(f"{n:7d}   {means[-1]:10.1f}   {np.sqrt(n):6.1f}   {n:10d}")
 
 slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]

@@ -81,6 +81,11 @@ def cmd_grover(args) -> int:
     return 0
 
 
+# Most searches per bbht_ranks call in `grover --scaling` (one call per size
+# by default), which bounds its memory at a few hundred bytes per search.
+SCALING_BATCH = 1 << 14
+
+
 def _grover_scaling(args) -> int:
     rng = np.random.default_rng(args.seed)
     n_min = 64 if args.n is None else args.n
@@ -94,15 +99,15 @@ def _grover_scaling(args) -> int:
     rows = [["n", "mean_grover_queries", "mean_verifications",
              "exhaustive_evaluations", "trials"]]
     for exp in exponents:
-        n_states = 1 << exp
-        mask = np.arange(n_states) < args.marked
-        g_sum = v_sum = 0.0
-        for _ in range(args.trials):
-            rep = qsearch.bbht_search(qsearch.MarkingOracle(mask), rng)
-            g_sum += rep.grover_queries
-            v_sum += rep.verification_queries
-        rows.append([n_states, repr(g_sum / args.trials),
-                     repr(v_sum / args.trials), n_states, args.trials])
+        g_sum = v_sum = 0
+        for start in range(0, args.trials, SCALING_BATCH):
+            _, queries, verifications = qsearch.bbht_ranks(
+                np.full(min(SCALING_BATCH, args.trials - start), args.marked),
+                1 << exp, rng)
+            g_sum += int(queries.sum())
+            v_sum += int(verifications.sum())
+        rows.append([1 << exp, repr(g_sum / args.trials),
+                     repr(v_sum / args.trials), 1 << exp, args.trials])
     _emit(args, lambda fh: csv.writer(fh).writerows(rows), "grover-scaling", {
         "n_min": n_min, "max_exp": args.scaling_max_exp,
         "marked": args.marked, "trials": args.trials, "seed": args.seed})

@@ -136,12 +136,14 @@ def _mls_inputs(frame: ReceivedFrame, scenario: CdmaScenario,
                 channel: ChannelState):
     """The real inputs of mls_tables' scores: rows (..., K, 2·N_c), one row
     [Re | Im] of a_k·current_k per user, and targets (..., 2·N_c), the
-    [Re | Im] of the spill-free window r′ = r − Σ_k a_k·p_k·spill_k."""
+    [Re | Im] of the spill-free window r′ = r − Σ_k a_k·p_k·spill_k; rows
+    take the targets' leading shape, to which frames and channels broadcast."""
     current, spill = cdma.delay_aligned(scenario, channel.delay)
     gains = channel.gains
     target = frame.samples - ((gains * frame.prev_bits)[..., None, :]
                               @ spill)[..., 0, :]
-    rows = gains[..., None] * current
+    rows = np.multiply(gains[..., None], current, out=np.empty(
+        target.shape[:-1] + current.shape[-2:], complex))
     return (np.concatenate((rows.real, rows.imag), axis=-1),
             np.concatenate((target.real, target.imag), axis=-1))
 

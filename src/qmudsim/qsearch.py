@@ -14,9 +14,8 @@ sin²((2j+1)θ), θ = asin(√(M/N)), and uniform within the marked or unmarked
 set (Boyer–Brassard–Høyer–Tapp, quant-ph/9605034).  The j queries are still
 counted one per step.  Only a marked outcome is ever reported, so a round
 draws two uniforms and no unmarked index: one picks j, the other decides the
-hit and, rescaled, which marked index it lands on.  A search draws the
-uniforms of ROUND_BLOCK rounds with one rng.random call, and draws another
-block when those run out; uniforms left over when it stops are discarded.
+hit and, rescaled, which marked index it lands on, so a search depends on
+M alone and reports the rank of its hit among the marked indices.
 
 Maximum finding runs threshold rounds of that search, each marking the
 entries ahead of the incumbent in one total order: higher scores first,
@@ -28,7 +27,8 @@ one-to-one onto the ranks 0..N-1, so a uniform first incumbent has a
 uniform first rank, whatever the scores.  threshold_search runs many such
 searches at once in rank space, from first ranks drawn directly, with no
 table, mask, oracle or register; maximum_search maps each final rank back
-to an index of its score table.
+to an index of its score table; bbht_ranks runs on the same kernel, each
+BBHT search over M marked indices as one threshold round from rank M.
 """
 
 from __future__ import annotations
@@ -58,21 +58,21 @@ def _count(value, name: str, low: int) -> int:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Schedule of bbht_search (DEFAULT_CONFIG) or of threshold rounds.
+    """Schedule and stop rule of BBHT (DEFAULT_CONFIG) or threshold searches.
 
     growth_factor: schedule multiplier for the unknown-count search; the
         cited analysis allows any value in (1, 4/3).
     budget_factor: a search gives up after budget_factor * sqrt(N) oracle
         queries (rounded up); finite and > 0.
-    max_failures: consecutive failed threshold rounds (an integer >= 1)
-        after which a maximum search stops.
+    max_failures: None ends a search at its first hit or give-up; else
+        the failed threshold rounds in a row (>= 1) that end a search.
 
     Values outside these ranges raise ConfigError.
     """
 
     growth_factor: float = 6 / 5
     budget_factor: float = 4.0
-    max_failures: int = 3
+    max_failures: Optional[int] = 3
 
     def __post_init__(self):
         if not 1 < self.growth_factor < 4 / 3:
@@ -81,10 +81,11 @@ class SearchConfig:
         if not (math.isfinite(self.budget_factor) and self.budget_factor > 0):
             raise ConfigError("budget_factor must be finite and > 0, got "
                               f"{self.budget_factor!r}")
-        _count(self.max_failures, "max_failures", 1)
+        if self.max_failures is not None:
+            _count(self.max_failures, "max_failures", 1)
 
 
-DEFAULT_CONFIG = SearchConfig()
+DEFAULT_CONFIG = SearchConfig(max_failures=None)
 
 # Threshold rounds in maximum_search ramp the schedule as fast as the cited
 # analysis permits and give up earlier; this keeps the total query count well
@@ -222,18 +223,6 @@ def grover_search(oracle: MarkingOracle, m_known: int,
                         succeeded=ok)
 
 
-# Rounds whose uniforms bbht_search draws with one rng.random call; with one
-# marked index, as in `grover --scaling`, a call takes 6.9, 14.6 and 22.5
-# rounds on average at N = 2^6, 2^10 and 2^14 (2,000 calls each).
-ROUND_BLOCK = 16
-
-
-def _round_uniforms(rng: np.random.Generator):
-    """Endless (u_steps, u_hit) pairs, drawn ROUND_BLOCK rounds at a time."""
-    while True:
-        yield from rng.random((ROUND_BLOCK, 2)).tolist()
-
-
 @functools.lru_cache(maxsize=128)
 def _schedule(n_states: int, cfg: SearchConfig):
     """(caps, budget) of a BBHT search under cfg: ceil(m) of each round
@@ -247,6 +236,31 @@ def _schedule(n_states: int, cfg: SearchConfig):
     return tuple(caps), math.ceil(cfg.budget_factor * sqrt_n)
 
 
+def _rank_space(values, n_states, name: str, top: int):
+    """(values, n_states) checked as in bbht_ranks; values < n_states + top."""
+    n_states = _count(n_states, "n_states", 2)
+    if n_states > 1 << config.MAX_QUBITS:
+        raise SizeError(f"n_states={n_states} exceeds "
+                        f"2^{config.MAX_QUBITS} states")
+    values = _indices(values, n_states + top, name)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {values.shape}")
+    return values, n_states
+
+
+def bbht_ranks(counts, n_states: int, rng: np.random.Generator):
+    """bbht_search in rank space: for each entry M of counts, a search
+    over M of n_states indices, one _lockstep_search round from rank M
+    under DEFAULT_CONFIG.  Returns int64 arrays of the rank (below M for a
+    hit, uniform on 0..M-1; M for a give-up), the oracle queries and the
+    verifications.  n_states not an integer >= 2 raises ConfigError, above
+    2^config.MAX_QUBITS SizeError, and counts not a 1-D array of integers
+    in [0, n_states] ValueError, all before any allocation or draw.
+    """
+    counts, n_states = _rank_space(counts, n_states, "counts", 1)
+    return _lockstep_search(counts, n_states, DEFAULT_CONFIG, rng)[:3]
+
+
 def bbht_search(oracle: MarkingOracle,
                 rng: np.random.Generator) -> SearchReport:
     """Randomized search when the number of marked items is unknown.
@@ -256,40 +270,18 @@ def bbht_search(oracle: MarkingOracle,
     classically verifies; on failure m grows by growth_factor up to
     sqrt(N).  Gives up (succeeded=False, not an error) once budget_factor *
     sqrt(N) queries are spent, which covers the case of zero marked items.
-    Each round counts its j oracle queries and samples the measurement from
-    the closed-form distribution after j steps (see the module docstring)
-    from one pair of uniforms, taken from blocks of ROUND_BLOCK pairs drawn
-    with one rng.random call each, so no register is built.
+    Runs one bbht_ranks search, whose rank indexes marked_indices(), and
+    adds its counts to the oracle's; many searches cost less as one
+    bbht_ranks call.
     """
-    n_states = oracle.n_states
-    caps, budget = _schedule(n_states, DEFAULT_CONFIG)
-    last = len(caps) - 1
-    g0, v0 = oracle.query_count, oracle.verification_count
     marked = oracle.marked_indices()
-    theta = math.asin(math.sqrt(marked.size / n_states))
-    found = None
-    used = 0
-    for t, (u_steps, u_hit) in enumerate(_round_uniforms(rng)):
-        j = min(int(u_steps * caps[min(t, last)]), budget - used)
-        oracle.query_count += j
-        used += j
-        # sin² is exactly 0 for M = 0 and exactly 1 in the first (j = 0)
-        # round for M = N, so M = 0 never hits and M = N never misses.
-        p_hit = math.sin((2 * j + 1) * theta) ** 2
-        if u_hit < p_hit:
-            # given a hit, u_hit / p_hit is uniform on [0, 1), and stays
-            # below 1 in floating point, so it picks a marked index
-            found = int(marked[int(u_hit / p_hit * marked.size)])
-            oracle.verify(found)
-            break
-        # a miss lands on some unmarked index, which fails its (counted)
-        # verification; it is never reported, so no index is drawn
-        oracle.verification_count += 1
-        if used >= budget:
-            break
-    queries = oracle.query_count - g0
+    rank, queries, verifications = (
+        int(a[0]) for a in bbht_ranks([marked.size], oracle.n_states, rng))
+    oracle.query_count += queries
+    oracle.verification_count += verifications
+    found = int(marked[rank]) if rank < marked.size else None
     return SearchReport(found=found, grover_queries=queries,
-                        verification_queries=oracle.verification_count - v0,
+                        verification_queries=verifications,
                         iterations_used=queries, succeeded=found is not None)
 
 
@@ -306,7 +298,7 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
                range(_count(confidence_rounds, "confidence_rounds", 1)))
 
 
-# BBHT rounds that threshold_search gives each unfinished search per loop
+# BBHT rounds that _lockstep_search gives each unfinished search per loop
 # step, drawn with one rng.random call.  Longer blocks take fewer steps, but
 # they draw and score more rounds that a stop discards.  At K = 10, a call
 # of 200 searches took 23.0, 19.7, 18.1, 18.0, 18.7 and 18.6 us per search
@@ -323,42 +315,39 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     round depends on M alone, and a hit lands uniformly on ranks 0..M-1
     (see the module docstring), so each instance is a few counters and
     needs no table, mask or oracle.  Runs one search per entry of
-    first_ranks (ranks of the first incumbents, in [0, n_states)) in
-    lock-step: each loop step gives every unfinished instance a block of
-    THRESHOLD_BLOCK BBHT rounds, drawn for all of them with one rng.random
-    call, and applies bbht_search's round rule under MAXIMUM_SEARCH_CONFIG
-    to each.  The rounds of a block run until the first hit or until the
-    budget is spent, and the uniforms after that stop are discarded, as
-    bbht_search discards the rest of its ROUND_BLOCK; a block with no stop
-    carries its schedule step and queries into the next.  A hit moves the
-    incumbent to rank floor(u_hit / p_hit · M) and restarts the schedule; a
-    round that spends its budget counts one failure, and max_failures
-    failures in a row stop the instance.
-
-    Returns four int64 arrays, one entry per instance: the final rank, the
-    oracle queries, the verifications (one per BBHT round) and the
-    threshold rounds.  n_states that is not an integer >= 2 raises
-    ConfigError, n_states above 2^config.MAX_QUBITS raises SizeError, and
-    first_ranks that is not a 1-D array of integer ranks in [0, n_states)
-    raises ValueError, all before any allocation or draw.
+    first_ranks (ranks of the first incumbents) through _lockstep_search
+    under MAXIMUM_SEARCH_CONFIG, and returns its four arrays.  Inputs are
+    checked as in bbht_ranks, with first_ranks in [0, n_states).
     """
-    n_states = _count(n_states, "n_states", 2)
-    if n_states > 1 << config.MAX_QUBITS:
-        raise SizeError(f"n_states={n_states} exceeds "
-                        f"2^{config.MAX_QUBITS} states")
-    first = _indices(first_ranks, n_states, "first_ranks")
-    if first.ndim != 1:
-        raise ValueError(f"first_ranks must be 1-D, got shape {first.shape}")
-    caps, budget = _schedule(n_states, MAXIMUM_SEARCH_CONFIG)
+    first, n_states = _rank_space(first_ranks, n_states, "first_ranks", 0)
+    return _lockstep_search(first, n_states, MAXIMUM_SEARCH_CONFIG, rng)
+
+
+def _lockstep_search(first: np.ndarray, n_states: int, cfg: SearchConfig,
+                     rng: np.random.Generator):
+    """Threshold rounds of BBHT searches in rank space, in lock-step, one
+    instance per entry of first (int64 ranks M in [0, n_states]).
+
+    Each loop step gives every unfinished instance a block of
+    THRESHOLD_BLOCK rounds, drawn with one rng.random call.  A round under
+    cfg's _schedule runs j = floor(u_steps · cap) steps, cut to the budget
+    left, and hits when u_hit < sin²((2j + 1)θ).  A hit or spent budget (a
+    stop) ends a threshold round, discards the block's later uniforms and
+    restarts the schedule; a hit moves to rank floor(u_hit / p_hit · M).
+    An instance ends at its first stop, or with cfg.max_failures after that
+    many stops in a row without a hit.  Returns int64 arrays of the final
+    rank, queries, verifications (one per round) and threshold rounds.
+    """
+    caps, budget = _schedule(n_states, cfg)
     # caps[b, t]: the cap of round b of a block that starts at schedule
     # step t; steps from the last on all take the last cap
     last_step = len(caps) - 1
     caps = np.array(caps, dtype=float).take(
         np.arange(THRESHOLD_BLOCK)[:, None] + np.arange(last_step + 1),
         mode="clip")
-    # 2θ = 2·asin(√(M/N)) for every M; (j + 1/2)·2θ rounds exactly as
-    # bbht_search's (2j + 1)·θ does
-    two_theta = 2.0 * np.arcsin(np.sqrt(np.arange(n_states) / n_states))
+    # 2θ = 2·asin(√(M/N)) up to the largest start, which no rank exceeds
+    m = np.arange(first.max(initial=0) + 1)
+    two_theta = 2.0 * np.arcsin(np.sqrt(m / n_states))
 
     # one column per unfinished instance; rows: M, schedule step since the
     # (re)start (held at the last step), queries spent since it, failures
@@ -385,7 +374,8 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
         left = np.subtract(budget, total)
         np.minimum(left, 0, out=left)
         j += left
-        # same p_hit as bbht_search: 0 for M = 0, so M = 0 never hits
+        # sin² is exactly 0 for M = 0 and exactly 1 in a j = 0 round for
+        # M = N, so M = 0 never hits and M = N never misses in round one
         j += 0.5
         j *= two_theta[marked]
         p_hit = np.sin(j, out=j)
@@ -403,7 +393,8 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
         total = np.minimum(total, budget).astype(np.int64)
         spent += total - used
         verified += last + 1  # one verification per BBHT round
-        # a hit lands on rank floor(u_hit / p_hit · M), as in bbht_search
+        # given a hit, u_hit / p_hit is uniform on [0, 1) and stays below 1
+        # in floating point, so the hit lands on a rank in 0..M-1
         np.divide(u_hit, p_hit, out=u_hit, where=hit)
         u_hit *= marked
         np.copyto(marked, u_hit, casting="unsafe", where=hit)
@@ -415,7 +406,8 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
         np.minimum(t, last_step, out=t)
         t *= ~stops
         np.multiply(total, ~stops, out=used)
-        done = failures >= MAXIMUM_SEARCH_CONFIG.max_failures
+        done = (stops if cfg.max_failures is None
+                else failures >= cfg.max_failures)
         if done.any():
             results[:, state[7, done]] = state[:, done]
             state = state[:, ~done]

@@ -47,15 +47,11 @@ def test_criterion_2_query_scaling():
     sizes, means = [], []
     for exp in range(6, 15):
         n_states = 1 << exp
-        mask = np.zeros(n_states, dtype=bool)
-        mask[n_states // 3] = True
-        total = 0.0
-        for _ in range(trials):
-            oracle = qsearch.MarkingOracle(mask)
-            rep = qsearch.bbht_search(oracle, rng)
-            total += rep.grover_queries + rep.verification_queries
+        # one marked index, all trials of a size in one lock-step call
+        _, queries, verifications = qsearch.bbht_ranks(
+            np.ones(trials, dtype=int), n_states, rng)
         sizes.append(n_states)
-        means.append(total / trials)
+        means.append(float((queries + verifications).mean()))
     slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
     constants = [m / math.sqrt(n) for m, n in zip(means, sizes)]
     exhaustive_slope = float(np.polyfit(np.log(sizes), np.log(sizes), 1)[0])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmudsim import cli
+from qmudsim import cli, qsearch
 
 BER_CONFIG = """\
 signature_kind = walsh
@@ -123,6 +123,26 @@ class TestGroverCommand:
         assert [int(r[0]) for r in rows[1:]] == [64, 128, 256]
         # exhaustive contrast column equals the space size
         assert all(int(r[0]) == int(r[3]) for r in rows[1:])
+
+
+    def test_scaling_trials_run_in_bounded_batches(self, monkeypatch,
+                                                   tmp_path):
+        # a large --trials runs in bbht_ranks calls of at most SCALING_BATCH
+        # searches, so its memory does not grow with --trials
+        monkeypatch.setattr(cli, "SCALING_BATCH", 8)
+        sizes = []
+        bbht_ranks = qsearch.bbht_ranks
+
+        def recording(counts, n_states, rng):
+            sizes.append((n_states, len(counts)))
+            return bbht_ranks(counts, n_states, rng)
+
+        monkeypatch.setattr(qsearch, "bbht_ranks", recording)
+        assert cli.main(["grover", "--scaling", "--n", "64",
+                         "--scaling-max-exp", "7", "--trials", "20",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert sizes == [(64, 8), (64, 8), (64, 4),
+                         (128, 8), (128, 8), (128, 4)]
 
 
 class TestBerCommand:

@@ -284,22 +284,28 @@ class TestMlsCost:
            sync_mode=st.sampled_from(cdma.SYNC_MODES),
            gain_model=st.sampled_from(cdma.GAIN_MODELS),
            shape=st.sampled_from([(1,), (5,), (2, 3)]),
+           shared_channel=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_batched_tables_match_per_frame_tables(
             self, k_users, n_chips, sigma2, sync_mode, gain_model, shape,
-            seed):
+            shared_channel, seed):
         sc = cdma.make_scenario("random_bipolar", k_users, n_chips, sigma2,
                                 sync_mode=sync_mode, gain_model=gain_model,
                                 seed=seed)
         channel, _, frame = mud._draw_trial(sc, np.random.default_rng(seed),
                                             shape)
+        if shared_channel:
+            # one (K,) channel broadcast over every frame
+            first = (0,) * len(shape)
+            channel = cdma.ChannelState(gains=channel.gains[first],
+                                        delay=channel.delay[first])
         tables = mud.mls_tables(frame, sc, channel)
         assert tables.shape == shape + (1 << k_users,)
         for t in np.ndindex(shape):
             one = cdma.ReceivedFrame(samples=frame.samples[t],
                                      prev_bits=frame.prev_bits[t])
-            ch = cdma.ChannelState(gains=channel.gains[t],
-                                   delay=channel.delay[t])
+            ch = channel if shared_channel else cdma.ChannelState(
+                gains=channel.gains[t], delay=channel.delay[t])
             ref = mud.make_mls_cost(one, sc, ch).table()
             tol = 1e-12 * np.max(np.abs(ref))
             np.testing.assert_allclose(tables[t], ref, rtol=1e-12, atol=tol)

@@ -3,6 +3,9 @@
 `reference_bbht_search` is the randomized search evolved on a state vector,
 one `grover_iterate` per oracle query; `qsearch.bbht_search` samples the
 same measurement from its closed form and is tested against it.
+`scalar_bbht_search` samples the closed form one BBHT round per loop step;
+`qsearch.bbht_ranks`, which runs many searches in lock-step, is tested
+against it.
 `reference_maximum_search` is the threshold loop on one table, a
 `MarkingOracle` of the entries ahead of the incumbent per round searched by
 `reference_bbht_search`; `qsearch.maximum_search`, which runs the rounds in
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from qmudsim import config, mud, qchannel, qcore, qsearch
+from qmudsim import cli, config, mud, qchannel, qcore, qsearch
 from qmudsim.cdma import make_scenario
 from qmudsim.errors import ConfigError, ShapeError, SizeError
 
@@ -84,6 +87,47 @@ def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
         if used >= budget:
             return report(None, False)
         m = min(cfg.growth_factor * m, sqrt_n)
+
+
+# Rounds whose uniforms scalar_bbht_search draws with one rng.random call.
+ROUND_BLOCK = 16
+
+
+def scalar_bbht_search(oracle, rng):
+    """The closed-form BBHT search as a scalar loop over its rounds, drawing
+    the (u_steps, u_hit) pairs of ROUND_BLOCK rounds with one rng.random
+    call and discarding those left when it stops."""
+    caps, budget = qsearch._schedule(oracle.n_states, qsearch.DEFAULT_CONFIG)
+    g0, v0 = oracle.query_count, oracle.verification_count
+    marked = oracle.marked_indices()
+    theta = math.asin(math.sqrt(marked.size / oracle.n_states))
+
+    def round_uniforms():
+        while True:
+            yield from rng.random((ROUND_BLOCK, 2)).tolist()
+
+    found = None
+    used = 0
+    for t, (u_steps, u_hit) in enumerate(round_uniforms()):
+        j = min(int(u_steps * caps[min(t, len(caps) - 1)]), budget - used)
+        oracle.query_count += j
+        used += j
+        p_hit = math.sin((2 * j + 1) * theta) ** 2
+        if u_hit < p_hit:
+            # given a hit, u_hit / p_hit is uniform on [0, 1)
+            found = int(marked[int(u_hit / p_hit * marked.size)])
+            oracle.verify(found)
+            break
+        # a miss fails its verification on some unmarked index
+        oracle.verification_count += 1
+        if used >= budget:
+            break
+    queries = oracle.query_count - g0
+    return qsearch.SearchReport(found=found, grover_queries=queries,
+                                verification_queries=(
+                                    oracle.verification_count - v0),
+                                iterations_used=queries,
+                                succeeded=found is not None)
 
 
 def reference_maximum_search(table, rng, search=reference_bbht_search):
@@ -437,6 +481,27 @@ def test_bbht_matches_state_vector_reference(n_qubits, n_marked, seed):
                          [r.verification_queries for r in ref]) > EQUIVALENCE_ALPHA
 
 
+@pytest.mark.parametrize("n_qubits, seed", [(6, 161), (10, 162), (14, 163)])
+def test_bbht_ranks_match_scalar_reference(n_qubits, seed):
+    n = 1 << n_qubits
+    rng = np.random.default_rng(seed)
+    for m in (0, 1, 7, n):
+        # marking 0..M-1 makes each found index its rank
+        oracle = oracle_marking(n_qubits, range(m))
+        ref = [scalar_bbht_search(oracle, rng) for _ in range(2000)]
+        ref = [[m if r.found is None else r.found for r in ref],
+               [r.grover_queries for r in ref],
+               [r.verification_queries for r in ref]]
+        new = qsearch.bbht_ranks(np.full(2000, m), n, rng)
+        for field, a, b in zip(("ranks", "queries", "verifications"),
+                               new, ref):
+            if field == "ranks" and m > 16:
+                # 16 bins of hit ranks, and the give-up rank M as the 17th
+                a, b = (np.asarray(r) * 16 // m for r in (a, b))
+            assert homogeneity_p(list(a), list(b)) > EQUIVALENCE_ALPHA, (
+                m, field)
+
+
 def test_maximum_search_matches_state_vector_reference():
     rng = np.random.default_rng(106)
     tables = rng.random((1500, 64))
@@ -499,6 +564,23 @@ def test_threshold_search_draws_a_block_of_rounds_per_call():
     rng = CountingGenerator(np.random.default_rng(153))
     qsearch.threshold_search(rng.rng.integers(0, 1024, 200), 1024, rng)
     assert 0 < rng.random_calls <= 40
+
+
+def test_grover_scaling_draws_do_not_grow_with_trials(monkeypatch, tmp_path):
+    # every size runs its trials in lock-step, so 100x the trials take
+    # about as many rng.random calls; one search per call would take at
+    # least one per trial and size (6,000 here)
+    default_rng = np.random.default_rng
+    calls = {}
+    for trials in (20, 2000):
+        rngs = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rngs.append(
+            CountingGenerator(default_rng(seed))) or rngs[-1])
+        assert cli.main(["grover", "--scaling", "--n", "64",
+                         "--scaling-max-exp", "8", "--trials", str(trials),
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        calls[trials] = sum(rng.random_calls for rng in rngs)
+    assert 0 < calls[2000] <= 2 * calls[20] < 100
 
 
 def stable_rank(table, index):
@@ -621,6 +703,45 @@ class TestThresholdSearch:
         state = rng.bit_generator.state
         with pytest.raises(error):
             qsearch.threshold_search(first, n_states, rng)
+        assert rng.bit_generator.state == state
+
+
+class TestBbhtRanks:
+    def test_results_follow_the_input_order(self):
+        rng = np.random.default_rng(28)
+        counts = np.array([0, 1024, 0, 3, 0])
+        ranks, queries, verifications = qsearch.bbht_ranks(counts, 1024, rng)
+        assert ranks.shape == queries.shape == verifications.shape == (5,)
+        # M = 0 gives up after exactly the budget, 4·√N; M = N hits in
+        # round one, as the 2θ table reaches M = N
+        np.testing.assert_array_equal(ranks[counts == 0], 0)
+        np.testing.assert_array_equal(queries[counts == 0], 4 * 32)
+        assert ranks[1] < 1024 and (queries[1], verifications[1]) == (0, 1)
+
+    def test_empty_input_draws_nothing(self):
+        rng = np.random.default_rng(29)
+        state = rng.bit_generator.state
+        results = qsearch.bbht_ranks([], 16, rng)
+        assert [r.shape for r in results] == [(0,)] * 3
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("counts, n_states, error", [
+        ([0, 1], 2.5, ConfigError),
+        ([0], 1, ConfigError),
+        ([0, 17], 16, ValueError),
+        ([-1], 16, ValueError),
+        ([[0, 1]], 16, ValueError),
+        (3, 16, ValueError),
+        ([0.5, 3.7], 16, ValueError),
+        ([1.0], 16, ValueError),
+        ([True, False], 16, ValueError),
+        ([0], (1 << 24) + 1, SizeError),
+    ])
+    def test_bad_input_rejected_before_any_draw(self, counts, n_states, error):
+        rng = np.random.default_rng(30)
+        state = rng.bit_generator.state
+        with pytest.raises(error):
+            qsearch.bbht_ranks(counts, n_states, rng)
         assert rng.bit_generator.state == state
 
 
@@ -887,6 +1008,13 @@ index_values = st.one_of(
                                 max_side=4)))
 
 
+# Oracle masks: lengths that include 0, 1 and non-powers of 2, marking
+# nothing, everything or anything between.
+masks = hnp.arrays(bool, st.sampled_from([(0,), (1,), (3,), (2,), (4,),
+                                          (16,), (64,), (2, 2)]),
+                   elements=st.booleans())
+
+
 class TestSearchFuzz:
     @settings(max_examples=150, deadline=None)
     @given(tables=score_tables, seed=st.integers(0, 2**32 - 1))
@@ -941,6 +1069,68 @@ class TestSearchFuzz:
         assert (rounds >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures).all()
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.one_of(index_values, st.lists(st.integers(0, 300))),
+           n_states=st.one_of(st.integers(-2, 300), st.floats(-1, 300),
+                              st.booleans()),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bbht_ranks(self, counts, n_states, seed):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        try:
+            results = qsearch.bbht_ranks(counts, n_states, rng)
+        except SEARCH_ERRORS:
+            assert rng.bit_generator.state == state
+            return
+        ranks, queries, verifications = results
+        for result in results:
+            assert result.shape == (np.size(counts),)
+            assert result.dtype == np.int64 and (result >= 0).all()
+        assert (ranks <= np.asarray(counts)).all()
+        assert (queries <= math.ceil(4 * math.sqrt(n_states))).all()
+        assert (verifications >= 1).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=masks, seed=st.integers(0, 2**32 - 1))
+    def test_bbht_search(self, mask, seed):
+        try:
+            oracle = qsearch.MarkingOracle(mask)
+        except SEARCH_ERRORS:
+            return
+        report = qsearch.bbht_search(oracle, np.random.default_rng(seed))
+        assert report.succeeded == (report.found is not None)
+        assert not report.succeeded or mask[report.found]
+        assert report.succeeded or not mask.all()
+        assert (report.grover_queries, report.verification_queries) == (
+            oracle.query_count, oracle.verification_count)
+        assert 0 <= report.grover_queries <= math.ceil(4 * math.sqrt(
+            mask.size))
+        assert report.verification_queries >= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=masks,
+           rounds=st.one_of(st.integers(-2, 4), st.floats(-1, 4),
+                            st.booleans()),
+           seed=st.integers(0, 2**32 - 1))
+    def test_existence_test(self, mask, rounds, seed):
+        try:
+            oracle = qsearch.MarkingOracle(mask)
+        except SEARCH_ERRORS:
+            return
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        try:
+            exists = qsearch.existence_test(oracle, rng, rounds)
+        except SEARCH_ERRORS:
+            assert rng.bit_generator.state == state
+            return
+        assert exists in (True, False) and (mask.any() or not exists)
+        # each round is one bbht_search, stopping at the first success
+        assert 0 <= oracle.query_count <= rounds * math.ceil(
+            4 * math.sqrt(mask.size))
+        assert 1 <= oracle.verification_count
+
+
 BOOL_SCENARIO = make_scenario("walsh", 2, 4, 0.0)
 
 
@@ -960,6 +1150,8 @@ BOOL_SCENARIO = make_scenario("walsh", 2, 4, 0.0)
         oracle_marking(3, [1]), rng, True), id="existence_test-rounds"),
     pytest.param(lambda rng: qsearch.threshold_search([0], np.True_, rng),
                  id="threshold_search-n_states"),
+    pytest.param(lambda rng: qsearch.bbht_ranks([0], np.True_, rng),
+                 id="bbht_ranks-n_states"),
 ])
 def test_bools_are_not_counts(call):
     # operator.index(True) is 1, so these ran once before they were checked
