@@ -13,7 +13,7 @@ from qmudsim import cdma, mud
 
 K = 4
 scenario = cdma.make_scenario(
-    "random_bipolar", K, 16, 0.0,
+    "random_bipolar", K, 16,
     sync_mode=cdma.CHIP_ASYNC, gain_model=cdma.GAIN_RAYLEIGH, seed=2)
 points = [0.0, 2.0, 4.0, 6.0, 8.0]
 trials = 1500

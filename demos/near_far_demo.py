@@ -15,13 +15,13 @@ chips1 = np.array([1.0, 1, 1, 1]) / 2
 chips2 = np.array([1.0, 1, 1, -1]) / 2
 print("code correlation <s1, s2> =", float(chips1 @ chips2))
 
-scenario = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
-                             noise_variance=0.0)
+scenario = cdma.CdmaScenario(signatures=np.array([chips1, chips2]))
 channel = cdma.ChannelState(gains=np.array([1.0, 10.0]),
                             delay=np.zeros(2, dtype=int))
 true_bits = np.array([1, -1])
 
-frame = cdma.synthesize_received(scenario, channel, true_bits, [1, 1], None)
+frame = cdma.synthesize_received(scenario, channel, true_bits, [1, 1], 0.0,
+                                 None)
 y = cdma.matched_filter_bank(frame, scenario, channel)
 print("matched-filter outputs:", np.round(y.real, 3))
 

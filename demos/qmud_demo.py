@@ -13,19 +13,21 @@ from qmudsim import cdma, mud
 
 rng = np.random.default_rng(4)
 K = 10
+EBN0_DB = 8.0
 
 scenario = cdma.make_scenario(
-    "random_bipolar", K, 16, cdma.ebn0_db_to_noise_variance(8.0),
+    "random_bipolar", K, 16,
     sync_mode=cdma.CHIP_ASYNC, gain_model=cdma.GAIN_RAYLEIGH, seed=3)
 
-print(f"{K} users, chip-asynchronous, Rayleigh fading, Eb/N0 = 8 dB")
+print(f"{K} users, chip-asynchronous, Rayleigh fading, Eb/N0 = {EBN0_DB:g} dB")
 print(f"hypothesis space: 2^{K} = {2**K} bit vectors\n")
 
 print("one instance in detail:")
 channel = cdma.sample_channel(scenario, rng)
 bits = rng.choice((-1, 1), size=K)
 prev = rng.choice((-1, 1), size=K)
-frame = cdma.synthesize_received(scenario, channel, bits, prev, rng)
+frame = cdma.synthesize_received(scenario, channel, bits, prev,
+                                 cdma.ebn0_db_to_noise_variance(EBN0_DB), rng)
 
 cf = mud.make_mls_cost(frame, scenario, channel)
 exhaustive = mud.exhaustive_ml_detect(cf, true_bits=bits)
@@ -39,7 +41,7 @@ print(f"  quantum:    {quantum.grover_queries} oracle applications over "
 print(f"  same answer: {np.array_equal(exhaustive.detected_bits, quantum.detected_bits)}")
 
 print("\n200 random instances:")
-result = mud.qmud_agreement(scenario, 8.0, 200, rng)
+result = mud.qmud_agreement(scenario, EBN0_DB, 200, rng)
 print(f"  agreement with exhaustive argmax: {result.agreement:.3f}")
 print(f"  mean oracle applications: {result.mean_grover_queries:.1f} "
       f"(+{result.mean_verification_queries:.1f} classical verifications)")

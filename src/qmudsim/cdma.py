@@ -5,12 +5,13 @@ BPSK symbol spread by a unit-energy bipolar signature; the channel applies a
 complex gain A_k·e^{jα_k} and an integer chip delay τ_k.  With a nonzero
 delay the leading chips of the window carry the tail of the user's previous
 symbol, so synthesis takes the previous bits explicitly.  Chip samples may
-carry complex white Gaussian noise of variance sigma² per sample.
+carry complex white Gaussian noise of variance sigma² per sample.  A scenario
+holds the fixed uplink (codes and channel model); sigma² is the operating
+point that experiments sweep, so synthesize_received takes it per call.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -35,11 +36,11 @@ _ENERGY_TOL = 1e-12
 # Largest K·N_c a generated signature array may hold (32 MiB of float64).
 MAX_SIGNATURE_ENTRIES = 1 << 22
 
-# Largest chip-noise variance an Eb/N0 may give, 10^200 (Eb/N0 down to
-# -2000 dB).  A cost-table score sums the squares of 2·N_c <= 2^23 real chip
-# samples of variance sigma²/2, so below this ceiling every score of every
-# scenario stays near 10^207 or less, far from the float overflow (1.8e308)
-# that Eb/N0 of about -3070 dB reached.
+# Largest chip-noise variance synthesize_received accepts and an Eb/N0 may
+# give, 10^200 (Eb/N0 down to -2000 dB).  A cost-table score sums the
+# squares of 2·N_c <= 2^23 real chip samples of variance sigma²/2, so below
+# this ceiling every score of every scenario stays near 10^207 or less, far
+# from the float overflow (1.8e308) that Eb/N0 of about -3070 dB reached.
 MAX_NOISE_VARIANCE = 1e200
 
 
@@ -66,14 +67,14 @@ class ChannelState:
 
 @dataclass(frozen=True, eq=False)
 class CdmaScenario:
-    """Static description of one uplink: codes, channel model, noise level.
+    """Static description of one uplink: codes and channel model.  The noise
+    level is an operating point, passed to synthesize_received per call.
 
     `signatures` is the (K, N_c) array of unit-energy chip sequences, one row
     per user; the scenario keeps a read-only float copy of it.
     """
 
     signatures: np.ndarray
-    noise_variance: float
     sync_mode: str = SYNCHRONOUS
     gain_model: str = GAIN_FIXED
     seed: int = 0
@@ -93,8 +94,6 @@ class CdmaScenario:
             raise ConfigError(f"sync_mode must be one of {SYNC_MODES}")
         if self.gain_model not in GAIN_MODELS:
             raise ConfigError(f"gain_model must be one of {GAIN_MODELS}")
-        if not 0 <= self.noise_variance < np.inf:
-            raise ConfigError("noise_variance must be finite and >= 0")
 
     @property
     def k_users(self) -> int:
@@ -143,12 +142,13 @@ def generate_signatures(kind: str, k_users: int, n_chips: int,
     N_c (pairwise orthogonal; requires a power-of-2 N_c >= K);
     "random_bipolar" draws i.i.d. ±1 chips seeded for reproducibility.
     K·N_c is capped at MAX_SIGNATURE_ENTRIES.  K and N_c that are not
-    integers >= 1 raise ConfigError.
+    integers >= 1 and a seed that is not an integer >= 0 raise ConfigError.
     """
     if kind not in SIGNATURE_KINDS:
         raise ConfigError(f"signature kind must be one of {SIGNATURE_KINDS}")
     k_users = _count(k_users, "k_users", 1)
     n_chips = _count(n_chips, "n_chips", 1)
+    seed = _count(seed, "seed", 0)
     if k_users * n_chips > MAX_SIGNATURE_ENTRIES:
         raise ConfigError(f"k_users * n_chips = {k_users * n_chips} exceeds "
                           f"the cap of {MAX_SIGNATURE_ENTRIES} signature chips")
@@ -177,12 +177,12 @@ def _walsh_rows(k_users: int, n_chips: int) -> np.ndarray:
 
 
 def make_scenario(signature_kind: str, k_users: int, n_chips: int,
-                  noise_variance: float, sync_mode: str = SYNCHRONOUS,
-                  gain_model: str = GAIN_FIXED, seed: int = 0) -> CdmaScenario:
+                  sync_mode: str = SYNCHRONOUS, gain_model: str = GAIN_FIXED,
+                  seed: int = 0) -> CdmaScenario:
     """Convenience builder: generate signatures and assemble the scenario."""
     sigs = generate_signatures(signature_kind, k_users, n_chips, seed)
-    return CdmaScenario(signatures=sigs, noise_variance=noise_variance,
-                        sync_mode=sync_mode, gain_model=gain_model, seed=seed)
+    return CdmaScenario(signatures=sigs, sync_mode=sync_mode,
+                        gain_model=gain_model, seed=seed)
 
 
 def ebn0_db_to_noise_variance(ebn0_db: float) -> float:
@@ -202,11 +202,6 @@ def ebn0_db_to_noise_variance(ebn0_db: float) -> float:
         raise ConfigError(f"Eb/N0 of {ebn0_db!r} dB gives no noise variance "
                           f"in [0, {MAX_NOISE_VARIANCE:g}]")
     return sigma2
-
-
-def with_noise_variance(scenario: CdmaScenario, sigma2: float) -> CdmaScenario:
-    """Copy of the scenario at a different noise level."""
-    return dataclasses.replace(scenario, noise_variance=sigma2)
 
 
 def sample_channel(scenario: CdmaScenario, rng: np.random.Generator,
@@ -265,21 +260,24 @@ def synthesize(scenario: CdmaScenario, gains, delay, bits,
 
 
 def synthesize_received(scenario: CdmaScenario, channel: ChannelState,
-                        bits, prev_bits,
+                        bits, prev_bits, noise_variance: float,
                         rng: Optional[np.random.Generator]) -> ReceivedFrame:
     """Generate received symbol windows: synthesize() plus complex Gaussian
-    noise of variance sigma² per sample; rng may be None only when
-    sigma² = 0.  Broadcasts over leading trial dims of the (..., K) channel
-    and bit arrays, giving samples of shape (..., N_c).
+    noise of variance sigma² = noise_variance per sample; rng may be None
+    only when sigma² = 0.  Broadcasts over leading trial dims of the (..., K)
+    channel and bit arrays, giving samples of shape (..., N_c).  A sigma²
+    outside [0, MAX_NOISE_VARIANCE] raises ConfigError before any draw.
     """
+    if not 0 <= noise_variance <= MAX_NOISE_VARIANCE:
+        raise ConfigError(f"noise_variance must be in [0, "
+                          f"{MAX_NOISE_VARIANCE:g}], got {noise_variance!r}")
     b = _check_bipolar("bits", bits, scenario.k_users)
     b_prev = _check_bipolar("prev_bits", prev_bits, scenario.k_users)
     samples = synthesize(scenario, channel.gains, channel.delay, b, b_prev)
-    sigma2 = scenario.noise_variance
-    if sigma2 > 0:
+    if noise_variance > 0:
         if rng is None:
             raise ValueError("rng required when noise_variance > 0")
-        scale = np.sqrt(sigma2 / 2.0)
+        scale = np.sqrt(noise_variance / 2.0)
         samples = samples + scale * (rng.standard_normal(samples.shape)
                                      + 1j * rng.standard_normal(samples.shape))
     return ReceivedFrame(samples=samples, prev_bits=b_prev)
@@ -304,7 +302,7 @@ def matched_filter_bank(frame: ReceivedFrame, scenario: CdmaScenario,
 # Serialization: flat key=value scenario configs.
 
 SCENARIO_KEYS = ("signature_kind", "k_users", "n_chips", "sync_mode",
-                 "gain_model", "sigma2", "ebn0_db", "seed")
+                 "gain_model", "seed")
 
 
 def parse_kv_config(text: str) -> dict:
@@ -325,33 +323,21 @@ def parse_kv_config(text: str) -> dict:
 
 
 def scenario_from_config(cfg: dict) -> CdmaScenario:
-    """Build a scenario from a flat string map; unknown keys are errors.
-
-    Exactly one of sigma2 / ebn0_db must be present.
-    """
+    """Build a scenario from a flat string map; unknown keys are errors."""
     unknown = set(cfg) - set(SCENARIO_KEYS)
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     missing = {"signature_kind", "k_users", "n_chips"} - set(cfg)
     if missing:
         raise ConfigError(f"missing scenario keys: {sorted(missing)}")
-    has_sigma = "sigma2" in cfg
-    has_ebn0 = "ebn0_db" in cfg
-    if has_sigma == has_ebn0:
-        raise ConfigError("exactly one of sigma2 / ebn0_db is required")
     try:
         k_users = int(cfg["k_users"])
         n_chips = int(cfg["n_chips"])
         seed = int(cfg.get("seed", "0"))
-        sigma2 = (float(cfg["sigma2"]) if has_sigma
-                  else ebn0_db_to_noise_variance(float(cfg["ebn0_db"])))
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in scenario config: {exc}") from exc
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     return make_scenario(signature_kind=cfg["signature_kind"],
                          k_users=k_users, n_chips=n_chips,
-                         noise_variance=sigma2,
                          sync_mode=cfg.get("sync_mode", SYNCHRONOUS),
                          gain_model=cfg.get("gain_model", GAIN_FIXED),
                          seed=seed)

@@ -123,23 +123,18 @@ def cmd_ber(args) -> int:
     missing = set(BER_SWEEP_KEYS) - set(cfg)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    noise_keys = {"sigma2", "ebn0_db"} & set(cfg)
-    if noise_keys:
-        raise ConfigError(f"ber takes its noise levels from ebn0_db_list; "
-                          f"remove {sorted(noise_keys)}")
     try:
         ebn0_list = [float(v) for v in cfg["ebn0_db_list"].split(",") if v.strip()]
         trials = int(cfg["trials"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the other keys describe the scenario; ebn0_db_list sets each point's
-    # noise, so the scenario is read noiseless, with the resolved seed
+    # the other keys describe the scenario, read with the resolved seed;
+    # ebn0_db_list sets each point's noise
     scenario_cfg = {key: value for key, value in cfg.items()
                     if key not in BER_SWEEP_KEYS}
     seed = args.seed if args.seed is not None else scenario_cfg.get(
         "seed", config.DEFAULT_SEED)
-    scenario = cdma.scenario_from_config(
-        {**scenario_cfg, "seed": str(seed), "sigma2": "0"})
+    scenario = cdma.scenario_from_config({**scenario_cfg, "seed": str(seed)})
     curve = mud.ber_sweep(scenario, cfg["detector"], ebn0_list, trials,
                           np.random.default_rng(scenario.seed))
     _emit(args, curve.write_csv, "ber", {**cfg, "seed": scenario.seed})
@@ -161,9 +156,8 @@ def cmd_qmud_agree(args) -> int:
     rng = np.random.default_rng(args.seed)
     scenario = cdma.make_scenario(
         signature_kind="random_bipolar", k_users=args.k,
-        n_chips=args.n_chips, noise_variance=0.0,
-        sync_mode=cdma.CHIP_ASYNC, gain_model=cdma.GAIN_RAYLEIGH,
-        seed=args.seed)
+        n_chips=args.n_chips, sync_mode=cdma.CHIP_ASYNC,
+        gain_model=cdma.GAIN_RAYLEIGH, seed=args.seed)
     result = mud.qmud_agreement(scenario, args.ebn0, args.trials, rng)
     print(f"agreement {result.agreement:.4f} over {result.trials} trials; "
           f"mean grover queries {result.mean_grover_queries:.1f} "

@@ -251,19 +251,21 @@ def _correct(detected: np.ndarray, true_bits) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 # Monte-Carlo BER harness.
 
-def _draw_trial(scenario: CdmaScenario, rng: np.random.Generator,
-                shape: tuple = ()):
+def _draw_trial(scenario: CdmaScenario, noise_variance: float,
+                rng: np.random.Generator, shape: tuple = ()):
     """Random instances: (channel, current bits, received frames), one per
     index of `shape`, drawn with one batched call each.
 
-    Draws the channels, then the current and previous bits, then the noise.
+    Draws the channels, then the current and previous bits, then the noise
+    of variance noise_variance per chip.
     """
     channel = cdma.sample_channel(scenario, rng, shape)
     size = tuple(shape) + (scenario.k_users,)
     # the same draws as rng.choice((-1, 1), size=size), at half the cost
     bits = 2 * rng.integers(0, 2, size=size) - 1
     prev = 2 * rng.integers(0, 2, size=size) - 1
-    frame = cdma.synthesize_received(scenario, channel, bits, prev, rng)
+    frame = cdma.synthesize_received(scenario, channel, bits, prev,
+                                     noise_variance, rng)
     return channel, bits, frame
 
 
@@ -307,17 +309,17 @@ class BerCurve:
 BER_SEARCH_SCORES = 1 << 20
 
 
-def _detections(detector: str, scenario: CdmaScenario, trials: int,
-                rng: np.random.Generator):
+def _detections(detector: str, scenario: CdmaScenario, noise_variance: float,
+                trials: int, rng: np.random.Generator):
     """(true bits, DetectionReport) of each trial of one ber_sweep point, in
-    trial order, each frame drawn from rng by _draw_trial.  mf and
-    ml_exhaustive detect each trial as it is drawn; qmud searches up to
-    AGREEMENT_SEARCH_BATCH tables and BER_SEARCH_SCORES scores with one
-    qsearch.maximum_search call, drawn from rng.spawn(1)[0], which leaves
-    rng's stream and so every detector's frames as they are."""
+    trial order, each frame drawn from rng by _draw_trial at the point's
+    noise_variance.  mf and ml_exhaustive detect each trial as it is drawn;
+    qmud searches up to AGREEMENT_SEARCH_BATCH tables and BER_SEARCH_SCORES
+    scores with one qsearch.maximum_search call, drawn from rng.spawn(1)[0],
+    which leaves rng's stream and so every detector's frames as they are."""
     if detector != "qmud":
         for _ in range(trials):
-            channel, bits, frame = _draw_trial(scenario, rng)
+            channel, bits, frame = _draw_trial(scenario, noise_variance, rng)
             if detector == "mf":
                 y = cdma.matched_filter_bank(frame, scenario, channel)
                 yield bits, mf_detect(y, channel)
@@ -332,7 +334,7 @@ def _detections(detector: str, scenario: CdmaScenario, trials: int,
     for start in range(0, trials, chunk):
         true_bits = []
         for row in range(min(chunk, trials - start)):
-            channel, bits, frame = _draw_trial(scenario, rng)
+            channel, bits, frame = _draw_trial(scenario, noise_variance, rng)
             true_bits.append(bits)
             tables[row] = mls_tables(frame, scenario, channel)
         rep = qsearch.maximum_search(tables[:len(true_bits)], search_rng)
@@ -342,23 +344,25 @@ def _detections(detector: str, scenario: CdmaScenario, trials: int,
                                         int(rep.grover_queries[i]))
 
 
-def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
+def ber_sweep(scenario: CdmaScenario, detector: str, ebn0_db_list,
               trials: int, rng: np.random.Generator,
               trace_fh=None) -> BerCurve:
     """Monte-Carlo bit-error-rate sweep for one detector.
 
-    Per point and trial: draw a channel, current and previous bits, and
-    noise at the point's Eb/N0; detect (_detections); accumulate bit errors
-    over K·trials bits plus the mean work counters.  Deterministic under the
-    passed rng.  trace_fh, when given, receives one JSON line per trial.  An
-    unknown detector, trials that is not an integer >= 1, a K above
-    EXHAUSTIVE_K_LIMIT for the table detectors, an empty Eb/N0 list and a
-    bad Eb/N0 raise ConfigError before any trial runs.
+    The scenario fixes the uplink and each Eb/N0 point its noise variance
+    (ebn0_db_to_noise_variance).  Per point and trial: draw a channel,
+    current and previous bits, and noise at that variance; detect
+    (_detections); accumulate bit errors over K·trials bits plus the mean
+    work counters.  Deterministic under the passed rng.  trace_fh, when
+    given, receives one JSON line per trial.  An unknown detector, trials
+    that is not an integer >= 1, a K above EXHAUSTIVE_K_LIMIT for the table
+    detectors, an empty Eb/N0 list and a bad Eb/N0 raise ConfigError before
+    any trial runs.
     """
     if detector not in DETECTORS:
         raise ConfigError(f"detector must be one of {DETECTORS}")
     trials = qsearch._count(trials, "trials", 1)
-    k = scenario_template.k_users
+    k = scenario.k_users
     if detector != "mf" and k > EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"detector {detector} supports at most "
                           f"k_users = {EXHAUSTIVE_K_LIMIT}")
@@ -371,12 +375,11 @@ def ber_sweep(scenario_template: CdmaScenario, detector: str, ebn0_db_list,
     point_rngs = rng.spawn(len(ebn0_db_list))
     for ebn0_db, sigma2, point_rng in zip(ebn0_db_list, sigma2_list,
                                           point_rngs):
-        scenario = cdma.with_noise_variance(scenario_template, sigma2)
         bit_errors = 0
         cf_total = 0.0
         grover_total = 0.0
         for trial, (bits, report) in enumerate(
-                _detections(detector, scenario, trials, point_rng)):
+                _detections(detector, scenario, sigma2, trials, point_rng)):
             errors = int(np.sum(report.detected_bits != bits))
             bit_errors += errors
             cf_total += report.cf_evaluations
@@ -440,11 +443,13 @@ AGREEMENT_CHUNK_SCORES = 1 << 14
 AGREEMENT_SEARCH_BATCH = 4096
 
 
-def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
+def qmud_agreement(scenario: CdmaScenario, ebn0_db: float,
                    trials: int, rng: np.random.Generator) -> AgreementResult:
     """Fraction of random noisy instances where the quantum-assisted detector
     lands on the exhaustive argmax.
 
+    Every instance is drawn from the scenario at the one noise variance of
+    ebn0_db (ebn0_db_to_noise_variance, converted once per call).
     Instances are drawn in batches of at most AGREEMENT_CHUNK_SCORES chip
     entries (K·N_c per instance), each with one _draw_trial call and one
     _mls_inputs call, and scored in slices of at most
@@ -456,16 +461,16 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     in the search order (see qsearch), so the tables decide only which
     instances are redrawn.  Up to AGREEMENT_SEARCH_BATCH first ranks at a
     time run through qsearch.threshold_search, and a row agrees when its
-    search ends on rank 0.  trials that is not an integer >= 1 and K
-    outside [1, EXHAUSTIVE_K_LIMIT] raise ConfigError before any draw.
+    search ends on rank 0.  trials that is not an integer >= 1, K outside
+    [1, EXHAUSTIVE_K_LIMIT] and a bad Eb/N0 raise ConfigError before any
+    draw.
     """
-    k = scenario_template.k_users
+    k = scenario.k_users
     trials = qsearch._count(trials, "trials", 1)
     if not 1 <= k <= EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"k_users must be in [1, {EXHAUSTIVE_K_LIMIT}], "
                           f"got {k}")
-    scenario = cdma.with_noise_variance(
-        scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
+    sigma2 = cdma.ebn0_db_to_noise_variance(ebn0_db)
     batch = max(1, AGREEMENT_CHUNK_SCORES // (k * scenario.n_chips))
     chunk = max(1, AGREEMENT_CHUNK_SCORES >> k)
     agree = 0
@@ -477,7 +482,7 @@ def qmud_agreement(scenario_template: CdmaScenario, ebn0_db: float,
     pending = []
     while done < trials:
         drawn = min(batch, trials - done)
-        channel, _, frame = _draw_trial(scenario, rng, (drawn,))
+        channel, _, frame = _draw_trial(scenario, sigma2, rng, (drawn,))
         rows, target = _mls_inputs(frame, scenario, channel)
         unique = 0
         for start in range(0, drawn, chunk):

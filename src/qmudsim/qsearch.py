@@ -37,7 +37,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,42 +56,32 @@ def _count(value, name: str, low: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Schedule and stop rule of BBHT (DEFAULT_CONFIG) or threshold searches.
+class _Schedule(NamedTuple):
+    """Schedule and stop rule of BBHT (DEFAULT_CONFIG) or threshold searches
+    (MAXIMUM_SEARCH_CONFIG); both are fixed, so no search takes one.
 
     growth_factor: schedule multiplier for the unknown-count search; the
         cited analysis allows any value in (1, 4/3).
     budget_factor: a search gives up after budget_factor * sqrt(N) oracle
-        queries (rounded up); finite and > 0.
+        queries (rounded up).
     max_failures: None ends a search at its first hit or give-up; else
-        the failed threshold rounds in a row (>= 1) that end a search.
-
-    Values outside these ranges raise ConfigError.
+        the failed threshold rounds in a row that end a search.
     """
 
-    growth_factor: float = 6 / 5
-    budget_factor: float = 4.0
-    max_failures: Optional[int] = 3
-
-    def __post_init__(self):
-        if not 1 < self.growth_factor < 4 / 3:
-            raise ConfigError("growth_factor must be in (1, 4/3), got "
-                              f"{self.growth_factor!r}")
-        if not (math.isfinite(self.budget_factor) and self.budget_factor > 0):
-            raise ConfigError("budget_factor must be finite and > 0, got "
-                              f"{self.budget_factor!r}")
-        if self.max_failures is not None:
-            _count(self.max_failures, "max_failures", 1)
+    growth_factor: float
+    budget_factor: float
+    max_failures: Optional[int]
 
 
-DEFAULT_CONFIG = SearchConfig(max_failures=None)
+DEFAULT_CONFIG = _Schedule(growth_factor=6 / 5, budget_factor=4.0,
+                           max_failures=None)
 
 # Threshold rounds in maximum_search ramp the schedule as fast as the cited
 # analysis permits and give up earlier; this keeps the total query count well
 # under the exhaustive-evaluation count while leaving the miss probability of
 # a final improvement negligible over max_failures rounds.
-MAXIMUM_SEARCH_CONFIG = SearchConfig(growth_factor=1.33, budget_factor=1.8)
+MAXIMUM_SEARCH_CONFIG = _Schedule(growth_factor=1.33, budget_factor=1.8,
+                                  max_failures=3)
 
 
 def index_bits(values: np.ndarray, name: str, batched: bool = False) -> int:
@@ -224,7 +214,7 @@ def grover_search(oracle: MarkingOracle, m_known: int,
 
 
 @functools.lru_cache(maxsize=128)
-def _schedule(n_states: int, cfg: SearchConfig):
+def _schedule(n_states: int, cfg: _Schedule):
     """(caps, budget) of a BBHT search under cfg: ceil(m) of each round
     after a (re)start, later rounds taking caps[-1], and its query budget."""
     sqrt_n = math.sqrt(n_states)
@@ -323,7 +313,7 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
     return _lockstep_search(first, n_states, MAXIMUM_SEARCH_CONFIG, rng)
 
 
-def _lockstep_search(first: np.ndarray, n_states: int, cfg: SearchConfig,
+def _lockstep_search(first: np.ndarray, n_states: int, cfg: _Schedule,
                      rng: np.random.Generator):
     """Threshold rounds of BBHT searches in rank space, in lock-step, one
     instance per entry of first (int64 ranks M in [0, n_states]).

@@ -85,7 +85,7 @@ def test_criterion_4_qmud_exhaustive_agreement():
     """10³ random K=10 instances: agreement ≥ 99%, mean queries < 0.25·2¹⁰."""
     rng = np.random.default_rng(104)
     scenario = cdma.make_scenario(
-        "random_bipolar", 10, 16, 0.0, sync_mode=cdma.CHIP_ASYNC,
+        "random_bipolar", 10, 16, sync_mode=cdma.CHIP_ASYNC,
         gain_model=cdma.GAIN_RAYLEIGH, seed=3)
     t0 = time.perf_counter()
     result = mud.qmud_agreement(scenario, 8.0, 1000, rng)
@@ -102,7 +102,7 @@ def test_criterion_4_qmud_exhaustive_agreement():
 
 def test_criterion_5_single_user_ber_calibration():
     """K=1 BER matches Φ(−√(2·Eb/N0)) within 3σ, 10⁵ bits per point."""
-    scenario = cdma.make_scenario("walsh", 1, 2, 0.0)
+    scenario = cdma.make_scenario("walsh", 1, 2)
     points = [0.0, 2.0, 4.0, 6.0, 8.0]
     trials = 100000
     curve = mud.ber_sweep(scenario, "mf", points, trials,
@@ -121,7 +121,7 @@ def test_criterion_5_single_user_ber_calibration():
 def test_criterion_6_detector_ordering_and_near_far():
     """K=4 async random codes: BER(ML) ≤ BER(MF) + 3σ; near-far flip exact."""
     scenario = cdma.make_scenario(
-        "random_bipolar", 4, 16, 0.0, sync_mode=cdma.CHIP_ASYNC,
+        "random_bipolar", 4, 16, sync_mode=cdma.CHIP_ASYNC,
         gain_model=cdma.GAIN_RAYLEIGH, seed=2)
     points = [0.0, 4.0, 8.0]
     trials = 3000
@@ -140,12 +140,11 @@ def test_criterion_6_detector_ordering_and_near_far():
     # Hand-computed near-far case: correlated codes, 20 dB power imbalance.
     chips1 = np.array([1.0, 1, 1, 1]) / 2
     chips2 = np.array([1.0, 1, 1, -1]) / 2
-    nf = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
-                           noise_variance=0.0)
+    nf = cdma.CdmaScenario(signatures=np.array([chips1, chips2]))
     channel = cdma.ChannelState(gains=np.array([1.0, 10.0]),
                                 delay=np.zeros(2, dtype=int))
     bits = np.array([1, -1])
-    frame = cdma.synthesize_received(nf, channel, bits, [1, 1], None)
+    frame = cdma.synthesize_received(nf, channel, bits, [1, 1], 0.0, None)
     y = cdma.matched_filter_bank(frame, nf, channel)
     mf_rep = mud.mf_detect(y, channel, true_bits=bits)
     ml_rep = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, nf, channel),

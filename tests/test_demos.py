@@ -3,9 +3,11 @@
 `grover_search_demo.py` and `query_scaling_demo.py` build MarkingOracles;
 `qmud_demo.py` runs the quantum-assisted detector through maximum_search;
 `near_far_demo.py` builds a scenario from its own signature array and
-detects on the bare matched-filter outputs; `quantum_register_basics.py`
-builds and measures qcore registers.  The remaining demos take about 30 s
-together and are left to manual runs.
+detects on the bare matched-filter outputs; `ber_comparison_demo.py`
+sweeps all three detectors through ber_sweep and writes its CSV into the
+test's temporary directory; `quantum_register_basics.py` builds and
+measures qcore registers.  The remaining demo takes about 10 s and is left
+to manual runs.
 """
 
 import os
@@ -21,6 +23,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                   "query_scaling_demo.py",
                                   "qmud_demo.py",
                                   "near_far_demo.py",
+                                  "ber_comparison_demo.py",
                                   "quantum_register_basics.py"])
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}

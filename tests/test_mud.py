@@ -24,9 +24,9 @@ def fixed_channel(gains, delays):
 
 
 def walsh2_frame():
-    sc = cdma.make_scenario("walsh", 2, 2, 0.0)
+    sc = cdma.make_scenario("walsh", 2, 2)
     ch = fixed_channel([1, 1], [0, 0])
-    frame = cdma.synthesize_received(sc, ch, [1, -1], [1, 1], None)
+    frame = cdma.synthesize_received(sc, ch, [1, -1], [1, 1], 0.0, None)
     return frame, sc, ch
 
 
@@ -62,13 +62,13 @@ def stacked_split_half_scores(rows, target):
 
 def random_instance(k_users, n_chips, sigma2, sync_mode, gain_model, seed):
     rng = np.random.default_rng(seed)
-    sc = cdma.make_scenario("random_bipolar", k_users, n_chips, sigma2,
+    sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
                             sync_mode=sync_mode, gain_model=gain_model,
                             seed=seed)
     ch = cdma.sample_channel(sc, rng)
     bits = rng.choice((-1, 1), size=k_users)
     prev = rng.choice((-1, 1), size=k_users)
-    return cdma.synthesize_received(sc, ch, bits, prev, rng), sc, ch
+    return cdma.synthesize_received(sc, ch, bits, prev, sigma2, rng), sc, ch
 
 
 @pytest.mark.parametrize("shape, seed", [((), 31), ((16,), 32),
@@ -77,16 +77,16 @@ def test_draw_trial_bits_are_the_choice_draws(shape, seed):
     # _draw_trial draws its bits with rng.integers; twin generators that
     # draw them with rng.choice((-1, 1)) give the same trial and end in the
     # same state, so seeded outputs do not depend on which form is used
-    sc = cdma.make_scenario("random_bipolar", 10, 16, 0.3,
+    sc = cdma.make_scenario("random_bipolar", 10, 16,
                             sync_mode="chip-asynchronous",
                             gain_model="rayleigh", seed=seed)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    channel, bits, frame = mud._draw_trial(sc, rng, shape)
+    channel, bits, frame = mud._draw_trial(sc, 0.3, rng, shape)
     twin_channel = cdma.sample_channel(sc, twin, shape)
     twin_bits = twin.choice((-1, 1), size=shape + (10,))
     twin_prev = twin.choice((-1, 1), size=shape + (10,))
     twin_frame = cdma.synthesize_received(sc, twin_channel, twin_bits,
-                                          twin_prev, twin)
+                                          twin_prev, 0.3, twin)
     assert bits.dtype == twin_bits.dtype
     np.testing.assert_array_equal(bits, twin_bits)
     np.testing.assert_array_equal(frame.prev_bits, twin_prev)
@@ -95,16 +95,15 @@ def test_draw_trial_bits_are_the_choice_draws(shape, seed):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
+def reference_qmud_agreement(scenario, ebn0_db, trials, rng):
     """qmud_agreement as a per-trial loop: one draw, one make_mls_cost table
     and one tie check per instance, then the reference threshold loop."""
-    k = scenario_template.k_users
-    scenario = cdma.with_noise_variance(
-        scenario_template, cdma.ebn0_db_to_noise_variance(ebn0_db))
+    k = scenario.k_users
+    sigma2 = cdma.ebn0_db_to_noise_variance(ebn0_db)
     agree = grover = verify = rounds = 0
     done = redraws = 0
     while done < trials:
-        channel, _, frame = mud._draw_trial(scenario, rng)
+        channel, _, frame = mud._draw_trial(scenario, sigma2, rng)
         table = mud.make_mls_cost(frame, scenario, channel).table()
         best = int(np.argmax(table))
         if np.count_nonzero(table == table[best]) > 1:
@@ -126,13 +125,13 @@ def reference_qmud_agreement(scenario_template, ebn0_db, trials, rng):
         redraws=redraws)
 
 
-def reference_ber_qmud(scenario, trials, rng):
+def reference_ber_qmud(scenario, noise_variance, trials, rng):
     """The work counters of ber_sweep's qmud trials at one point, as a
     per-trial loop: one draw, one make_mls_cost table and one reference
     threshold loop per trial.  Returns (grover_queries, cf_evaluations)."""
     queries, rounds = [], []
     for _ in range(trials):
-        channel, _, frame = mud._draw_trial(scenario, rng)
+        channel, _, frame = mud._draw_trial(scenario, noise_variance, rng)
         report = reference_maximum_search(
             mud.make_mls_cost(frame, scenario, channel).table(), rng)
         queries.append(report.grover_queries)
@@ -221,7 +220,7 @@ class TestMlsCost:
                                    atol=1e-12)
 
     def test_zero_gain_scores_all_equal(self):
-        sc = cdma.make_scenario("walsh", 2, 2, 0.0)
+        sc = cdma.make_scenario("walsh", 2, 2)
         ch = fixed_channel([0, 0], [0, 0])
         frame = cdma.ReceivedFrame(samples=np.array([0.3 + 1j, -0.4j]),
                                    prev_bits=np.array([1, 1]))
@@ -236,18 +235,17 @@ class TestMlsCost:
         # Reference: score each hypothesis against its own noiseless frame,
         # one synthesize_received call per index.
         rng = np.random.default_rng(seed)
-        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, 0.2,
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=seed)
         ch = cdma.sample_channel(sc, rng)
         bits = rng.choice((-1, 1), size=k_users)
         prev = rng.choice((-1, 1), size=k_users)
-        frame = cdma.synthesize_received(sc, ch, bits, prev, rng)
-        sc_clean = cdma.with_noise_variance(sc, 0.0)
+        frame = cdma.synthesize_received(sc, ch, bits, prev, 0.2, rng)
         chip_ref = []
         for m in range(1 << k_users):
             image = cdma.synthesize_received(
-                sc_clean, ch, mud.bits_from_index(m, k_users), prev, None)
+                sc, ch, mud.bits_from_index(m, k_users), prev, 0.0, None)
             chip_ref.append(-np.sum(np.abs(frame.samples - image.samples) ** 2))
         cf = mud.make_mls_cost(frame, sc, ch)
         np.testing.assert_allclose(cf.table(), chip_ref, rtol=1e-12, atol=1e-12)
@@ -289,11 +287,11 @@ class TestMlsCost:
     def test_batched_tables_match_per_frame_tables(
             self, k_users, n_chips, sigma2, sync_mode, gain_model, shape,
             shared_channel, seed):
-        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, sigma2,
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
                                 sync_mode=sync_mode, gain_model=gain_model,
                                 seed=seed)
-        channel, _, frame = mud._draw_trial(sc, np.random.default_rng(seed),
-                                            shape)
+        channel, _, frame = mud._draw_trial(sc, sigma2,
+                                            np.random.default_rng(seed), shape)
         if shared_channel:
             # one (K,) channel broadcast over every frame
             first = (0,) * len(shape)
@@ -342,14 +340,14 @@ class TestMlsCost:
         # Nonsingular Gram + synchronous + clean frames: the table peaks at
         # the transmitted index, exhaustively over all bit vectors.
         for k_users in (2, 3, 4):
-            sc = cdma.make_scenario("random_bipolar", k_users, 16, 0.0, seed=7)
+            sc = cdma.make_scenario("random_bipolar", k_users, 16, seed=7)
             ch = fixed_channel(np.ones(k_users), np.zeros(k_users))
             gram = sc.signatures @ sc.signatures.T
             assert np.linalg.matrix_rank(gram) == k_users
             for m in range(1 << k_users):
                 bits = mud.bits_from_index(m, k_users)
                 frame = cdma.synthesize_received(sc, ch, bits,
-                                                 np.ones(k_users), None)
+                                                 np.ones(k_users), 0.0, None)
                 chip = mud.make_mls_cost(frame, sc, ch)
                 assert int(np.argmax(chip.table())) == m
 
@@ -372,12 +370,12 @@ class TestMlsCost:
 class TestMfDetect:
     def test_orthogonal_synchronous_exhaustive(self):
         for k_users in (2, 3, 4):
-            sc = cdma.make_scenario("walsh", k_users, 4, 0.0)
+            sc = cdma.make_scenario("walsh", k_users, 4)
             ch = fixed_channel(np.ones(k_users), np.zeros(k_users))
             for m in range(1 << k_users):
                 bits = mud.bits_from_index(m, k_users)
                 frame = cdma.synthesize_received(sc, ch, bits,
-                                                 np.ones(k_users), None)
+                                                 np.ones(k_users), 0.0, None)
                 y = cdma.matched_filter_bank(frame, sc, ch)
                 report = mud.mf_detect(y, ch, true_bits=bits)
                 assert report.correct
@@ -388,11 +386,10 @@ class TestMfDetect:
         chips1 = np.array([1.0, 1, 1, 1]) / 2
         chips2 = np.array([1.0, 1, 1, -1]) / 2
         assert np.dot(chips1, chips2) == pytest.approx(0.5)
-        sc = cdma.CdmaScenario(signatures=np.array([chips1, chips2]),
-                               noise_variance=0.0)
+        sc = cdma.CdmaScenario(signatures=np.array([chips1, chips2]))
         ch = fixed_channel([1, 10], [0, 0])
         bits = np.array([1, -1])
-        frame = cdma.synthesize_received(sc, ch, bits, [1, 1], None)
+        frame = cdma.synthesize_received(sc, ch, bits, [1, 1], 0.0, None)
         y = cdma.matched_filter_bank(frame, sc, ch)
         assert y[0] == pytest.approx(1 - 5, abs=1e-12)  # strong user swamps
         mf_report = mud.mf_detect(y, ch, true_bits=bits)
@@ -482,11 +479,12 @@ class TestExhaustiveDetect:
 
     def test_noiseless_detection_exact(self):
         rng = np.random.default_rng(8)
-        sc = cdma.make_scenario("random_bipolar", 4, 16, 0.0, seed=3)
+        sc = cdma.make_scenario("random_bipolar", 4, 16, seed=3)
         ch = fixed_channel(np.ones(4), np.zeros(4))
         for _ in range(20):
             bits = rng.choice((-1, 1), size=4)
-            frame = cdma.synthesize_received(sc, ch, bits, np.ones(4), None)
+            frame = cdma.synthesize_received(sc, ch, bits, np.ones(4), 0.0,
+                                             None)
             report = mud.exhaustive_ml_detect(
                 mud.make_mls_cost(frame, sc, ch), true_bits=bits)
             assert report.correct
@@ -529,7 +527,7 @@ class TestQmudDetect:
 
     def test_agreement_with_exhaustive_k8(self):
         rng = np.random.default_rng(12)
-        sc = cdma.make_scenario("random_bipolar", 8, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 8, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         result = mud.qmud_agreement(sc, 8.0, 300, rng)
@@ -539,7 +537,7 @@ class TestQmudDetect:
     def test_chunked_agreement_matches_per_trial_reference(self):
         # per-call means over 40 calls of 50 trials on each side; agreement
         # by a two-proportion test, the mean counters by Welch t-tests
-        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         calls, trials = 40, 50
@@ -561,7 +559,7 @@ class TestQmudDetect:
             assert p > 1e-3, field
 
     def test_chunked_agreement_memory_is_bounded(self):
-        sc = cdma.make_scenario("random_bipolar", 12, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 12, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         tracemalloc.start()
@@ -576,7 +574,7 @@ class TestQmudDetect:
         assert result.agreement >= 0.98
 
     def test_agreement_memory_does_not_grow_with_trials(self):
-        sc = cdma.make_scenario("random_bipolar", 2, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 2, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         peaks = []
@@ -600,7 +598,8 @@ class TestQmudDetect:
         it batches them, and draws from its rng only to search."""
         queue = iter(tables)
         monkeypatch.setattr(mud, "_draw_trial",
-                            lambda scenario, rng, shape=(): (None, None, shape))
+                            lambda scenario, noise_variance, rng, shape=():
+                            (None, None, shape))
         monkeypatch.setattr(mud, "_mls_inputs", lambda shape, *_: (
             np.zeros(shape), np.zeros(shape)))
         monkeypatch.setattr(mud, "_split_half_scores", lambda rows, _: np.array(
@@ -619,7 +618,7 @@ class TestQmudDetect:
             if i % 4 == 3:
                 table[table == 6] = 7.0
             tables.append(table)
-        sc = cdma.make_scenario("walsh", 3, 4, 0.0)
+        sc = cdma.make_scenario("walsh", 3, 4)
         searched = {"rows": 0, "ranks": 0}
         maximum_search = qsearch.maximum_search
         threshold_search = qsearch.threshold_search
@@ -650,7 +649,7 @@ class TestQmudDetect:
         assert same >= 0.99 * 200
 
     def test_tie_redraws_counted_and_capped(self):
-        sc = cdma.make_scenario("random_bipolar", 4, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 4, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         result = mud.qmud_agreement(sc, 8.0, 20, np.random.default_rng(14))
@@ -663,16 +662,16 @@ class TestQmudDetect:
         # K·N_c = 160 chip entries per instance, so a batch holds
         # AGREEMENT_CHUNK_SCORES // 160 instances, and tables are built and
         # tie-checked in slices of AGREEMENT_CHUNK_SCORES >> 10 rows
-        sc = cdma.make_scenario("random_bipolar", 10, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 10, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         calls = {"draws": 0, "tables": []}
         draw_trial = mud._draw_trial
         split_half_scores = mud._split_half_scores
 
-        def counted_draw(scenario, rng, shape=()):
+        def counted_draw(scenario, noise_variance, rng, shape=()):
             calls["draws"] += 1
-            return draw_trial(scenario, rng, shape)
+            return draw_trial(scenario, noise_variance, rng, shape)
 
         def counted_tables(rows, target):
             calls["tables"].append(len(target))
@@ -690,7 +689,7 @@ class TestQmudDetect:
     @pytest.mark.parametrize("ebn0_db", [-3070.0, -3080.0])
     def test_ebn0_above_the_noise_ceiling_rejected(self, ebn0_db):
         # these used to give finite variances whose tables overflowed
-        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         with pytest.raises(ConfigError, match="noise variance"):
@@ -704,7 +703,7 @@ class TestQmudDetect:
         # the first ranks are drawn without reading the tables, and the
         # noise takes the same draws at every finite Eb/N0, so with no
         # redraws one seed runs the same searches at 4 and at 12 dB
-        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         low, high = (mud.qmud_agreement(sc, ebn0, 300,
@@ -726,7 +725,7 @@ class TestQmudDetect:
            seed=st.integers(0, 2**32 - 1))
     def test_agreement_fuzz(self, k_users, n_chips, sync_mode, gain_model,
                             ebn0_db, trials, seed):
-        sc = cdma.make_scenario("random_bipolar", k_users, n_chips, 0.0,
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
                                 sync_mode=sync_mode, gain_model=gain_model,
                                 seed=3)
         try:
@@ -744,14 +743,14 @@ class TestQmudDetect:
 
 class TestBerSweep:
     def test_noiseless_ml_is_error_free(self):
-        sc = cdma.make_scenario("random_bipolar", 3, 16, 0.0, seed=2)
+        sc = cdma.make_scenario("random_bipolar", 3, 16, seed=2)
         curve = mud.ber_sweep(sc, "ml_exhaustive", [float("inf")], 200,
                               np.random.default_rng(13))
         assert curve.points[0].ber == 0.0
         assert curve.points[0].mean_cf_evaluations == 8.0
 
     def test_single_user_matches_analytic(self):
-        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
+        sc = cdma.make_scenario("walsh", 1, 2)
         curve = mud.ber_sweep(sc, "mf", [0.0, 6.0], 20000,
                               np.random.default_rng(14))
         for point in curve.points:
@@ -760,7 +759,7 @@ class TestBerSweep:
             assert abs(point.ber - p) <= 3 * sigma
 
     def test_deterministic_under_seed(self):
-        sc = cdma.make_scenario("random_bipolar", 2, 8, 0.0, seed=4)
+        sc = cdma.make_scenario("random_bipolar", 2, 8, seed=4)
         c1 = mud.ber_sweep(sc, "ml_exhaustive", [4.0], 300,
                            np.random.default_rng(15))
         c2 = mud.ber_sweep(sc, "ml_exhaustive", [4.0], 300,
@@ -768,7 +767,7 @@ class TestBerSweep:
         assert c1.points == c2.points
 
     def test_qmud_tracks_exhaustive_within_3_sigma(self):
-        sc = cdma.make_scenario("random_bipolar", 8, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 8, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=6)
         trials = 400
@@ -785,7 +784,7 @@ class TestBerSweep:
             assert pq.mean_grover_queries < 256.0
 
     def test_trace_lines_written(self):
-        sc = cdma.make_scenario("walsh", 2, 2, 0.0)
+        sc = cdma.make_scenario("walsh", 2, 2)
         buf = io.StringIO()
         mud.ber_sweep(sc, "mf", [4.0], 10, np.random.default_rng(17),
                       trace_fh=buf)
@@ -799,7 +798,7 @@ class TestBerSweep:
         # 5 tables a search call at K = 6, so 23 trials take 5 calls, the
         # last one short
         monkeypatch.setattr(mud, "BER_SEARCH_SCORES", 5 << 6)
-        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=7)
         traces = {detector: traced_sweep(sc, detector, [2.0, 6.0], 23,
@@ -815,7 +814,7 @@ class TestBerSweep:
     def test_qmud_misses_ml_at_the_exact_rate(self):
         # qmud lands on ML's hypothesis unless its search misses the
         # maximum, which happens with 1 − agreement of the exact reference
-        sc = cdma.make_scenario("random_bipolar", 8, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 8, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=8)
         ml, qm = (traced_sweep(sc, detector, [4.0], 3000,
@@ -828,15 +827,15 @@ class TestBerSweep:
         assert p > EQUIVALENCE_ALPHA
 
     def test_qmud_counters_match_per_trial_reference(self):
-        sc = cdma.make_scenario("random_bipolar", 6, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=9)
         trials = 2000
         new = traced_sweep(sc, "qmud", [4.0], trials,
                            np.random.default_rng(22))
         queries, rounds = reference_ber_qmud(
-            cdma.with_noise_variance(sc, cdma.ebn0_db_to_noise_variance(4.0)),
-            trials, np.random.default_rng(23))
+            sc, cdma.ebn0_db_to_noise_variance(4.0), trials,
+            np.random.default_rng(23))
         assert homogeneity_p([r["grover_queries"] for r in new],
                              queries) > EQUIVALENCE_ALPHA
         assert homogeneity_p([r["cf_evaluations"] for r in new],
@@ -845,7 +844,7 @@ class TestBerSweep:
     def test_qmud_memory_does_not_grow_with_trials(self):
         # one search call holds 256 K = 12 tables (8 MiB); all 1,200 at
         # once would peak 29 MiB higher
-        sc = cdma.make_scenario("random_bipolar", 12, 16, 0.0,
+        sc = cdma.make_scenario("random_bipolar", 12, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=10)
         peaks = []
@@ -860,7 +859,7 @@ class TestBerSweep:
         assert peaks[1] < peaks[0] + 2**20
 
     def test_generator_of_points(self):
-        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
+        sc = cdma.make_scenario("walsh", 1, 2)
         from_list = mud.ber_sweep(sc, "mf", [0.0, 2.0], 50,
                                   np.random.default_rng(19))
         from_gen = mud.ber_sweep(sc, "mf", (db for db in (0.0, 2.0)), 50,
@@ -869,12 +868,12 @@ class TestBerSweep:
         assert from_gen.points == from_list.points
 
     def test_detector_validated(self):
-        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
+        sc = cdma.make_scenario("walsh", 1, 2)
         with pytest.raises(ValueError):
             mud.ber_sweep(sc, "zf", [0.0], 10, np.random.default_rng(0))
 
     def test_csv_shape(self):
-        sc = cdma.make_scenario("walsh", 1, 2, 0.0)
+        sc = cdma.make_scenario("walsh", 1, 2)
         curve = mud.ber_sweep(sc, "mf", [0.0, 2.0], 50,
                               np.random.default_rng(18))
         buf = io.StringIO()
@@ -882,6 +881,37 @@ class TestBerSweep:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "ebn0_db,ber,trials,mean_cf_evals,mean_grover_queries"
         assert len(lines) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(k_users=st.integers(1, 6), n_chips=st.integers(1, 8),
+           sync_mode=st.sampled_from(cdma.SYNC_MODES),
+           gain_model=st.sampled_from(cdma.GAIN_MODELS),
+           detector=st.sampled_from(mud.DETECTORS + ("zf",)),
+           ebn0_db_list=st.lists(st.one_of(
+               st.sampled_from([-400.0, 0.0, 8.0, float("inf")]),
+               st.floats(allow_nan=True, allow_infinity=True)), max_size=3),
+           trials=st.one_of(st.integers(-2, 20), st.floats(-1, 20),
+                            st.booleans()),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sweep_fuzz(self, k_users, n_chips, sync_mode, gain_model,
+                        detector, ebn0_db_list, trials, seed):
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
+                                sync_mode=sync_mode, gain_model=gain_model,
+                                seed=3)
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        try:
+            curve = mud.ber_sweep(sc, detector, ebn0_db_list, trials, rng)
+        except SEARCH_ERRORS:
+            assert rng.bit_generator.state == state
+            return
+        assert len(curve.points) == len(ebn0_db_list)
+        for point in curve.points:
+            assert point.trials == trials
+            assert 0 <= point.ber <= 1
+            for counter in (point.mean_cf_evaluations,
+                            point.mean_grover_queries):
+                assert math.isfinite(counter) and counter >= 0
 
 
 class TestAnalyticBaseline:
@@ -896,7 +926,7 @@ class TestInputChecks:
     """Bad sweep and agreement inputs raise ConfigError before any draw."""
 
     def test_agreement_rejects_zero_trials(self):
-        sc = cdma.make_scenario("walsh", 2, 4, 0.0)
+        sc = cdma.make_scenario("walsh", 2, 4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError):
@@ -904,7 +934,7 @@ class TestInputChecks:
         assert rng.bit_generator.state == state
 
     def test_agreement_rejects_non_integer_trials(self):
-        sc = cdma.make_scenario("walsh", 2, 4, 0.0)
+        sc = cdma.make_scenario("walsh", 2, 4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError, match="trials"):
@@ -913,7 +943,7 @@ class TestInputChecks:
 
     def test_agreement_rejects_k_above_limit(self):
         sc = cdma.make_scenario("random_bipolar", mud.EXHAUSTIVE_K_LIMIT + 1,
-                                4, 0.0)
+                                4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError):
@@ -921,7 +951,7 @@ class TestInputChecks:
         assert rng.bit_generator.state == state
 
     def test_sweep_rejects_empty_ebn0_list(self):
-        sc = cdma.make_scenario("walsh", 2, 4, 0.0)
+        sc = cdma.make_scenario("walsh", 2, 4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         trace = io.StringIO()
@@ -938,7 +968,7 @@ class TestInputChecks:
         ("qmud", mud.EXHAUSTIVE_K_LIMIT + 1, 1),
     ])
     def test_sweep_rejects_before_any_trial(self, detector, k_users, trials):
-        sc = cdma.make_scenario("random_bipolar", k_users, 4, 0.0)
+        sc = cdma.make_scenario("random_bipolar", k_users, 4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         trace = io.StringIO()

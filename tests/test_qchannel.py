@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmudsim import qchannel, qcore
 from qmudsim.errors import ConfigError
+from test_qsearch import SEARCH_ERRORS
 
 
 class TestBscCapacity:
@@ -121,6 +124,25 @@ class TestRunDemo:
     def test_bad_input_is_config_error(self, n_bits, p):
         with pytest.raises(ConfigError):
             qchannel.run_demo(n_bits, p, np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_bits=st.one_of(st.integers(-2, 50), st.floats(-1, 50),
+                            st.booleans()),
+           p=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                       st.floats(allow_nan=True, allow_infinity=True)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fuzz(self, n_bits, p, seed):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        try:
+            report = qchannel.run_demo(n_bits, p, rng)
+        except SEARCH_ERRORS:
+            assert rng.bit_generator.state == state
+            return
+        assert report.n_bits == n_bits
+        assert 0 <= report.classical_error_rate <= 1
+        assert 0 <= report.classical_capacity <= 1
+        assert report.quantum_error_rate == 0.0
 
     def test_n_bits_reported_as_an_int(self):
         # a numpy integer count comes back as a plain int (a bool is no

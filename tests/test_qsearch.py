@@ -410,20 +410,6 @@ class TestBbhtSearch:
         assert rep.found is None
         assert rep.grover_queries <= 32  # 4·√N at N = 64
 
-    def test_config_out_of_range_is_rejected(self):
-        # such a schedule used to run and report grover_queries = -2
-        with pytest.raises(ConfigError):
-            qsearch.SearchConfig(growth_factor=0.5, budget_factor=-1)
-
-    @pytest.mark.parametrize("field, value", [
-        ("growth_factor", 1.0), ("growth_factor", 4 / 3),
-        ("growth_factor", float("nan")), ("budget_factor", 0.0),
-        ("budget_factor", float("inf")), ("budget_factor", float("nan")),
-        ("max_failures", 0), ("max_failures", 2.5)])
-    def test_config_fields_checked(self, field, value):
-        with pytest.raises(ConfigError):
-            qsearch.SearchConfig(**{field: value})
-
     def test_mean_queries_n16_m4(self):
         rng = np.random.default_rng(3)
         total = 0
@@ -1130,8 +1116,37 @@ class TestSearchFuzz:
             4 * math.sqrt(mask.size))
         assert 1 <= oracle.verification_count
 
+    @settings(max_examples=200, deadline=None)
+    @given(mask=masks,
+           k=st.one_of(st.integers(-2, 8), st.floats(-1, 8), st.booleans()),
+           trials=st.one_of(st.integers(-2, 50), st.floats(-1, 50),
+                            st.booleans()),
+           curve=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_measured_success(self, mask, k, trials, curve, seed):
+        # measured_success_curve with k_max = k, or measured_success_rate
+        try:
+            oracle = qsearch.MarkingOracle(mask)
+        except SEARCH_ERRORS:
+            return
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        measure = (qsearch.measured_success_curve if curve
+                   else qsearch.measured_success_rate)
+        try:
+            rates = measure(oracle, k, trials, rng)
+        except SEARCH_ERRORS:
+            assert rng.bit_generator.state == state
+            return
+        rates = rates if curve else [rates]
+        assert len(rates) == (k + 1 if curve else 1)
+        for rate in rates:
+            assert 0 <= rate <= 1 and (mask.any() or rate == 0)
+        assert oracle.query_count == k
+        assert oracle.verification_count == 0
 
-BOOL_SCENARIO = make_scenario("walsh", 2, 4, 0.0)
+
+BOOL_SCENARIO = make_scenario("walsh", 2, 4)
 
 
 @pytest.mark.parametrize("call", [
