@@ -40,8 +40,12 @@ print(f"  quantum:    {quantum.grover_queries} oracle applications over "
       f"{quantum.cf_evaluations} threshold rounds, correct = {quantum.correct}")
 print(f"  same answer: {np.array_equal(exhaustive.detected_bits, quantum.detected_bits)}")
 
-print("\n200 random instances:")
-result = mud.qmud_agreement(scenario, EBN0_DB, 200, rng)
+# Under the one search order the indices of any table map one-to-one onto
+# the ranks 0..2^K-1, so agreement and work counts depend on K alone:
+# qmud_agreement runs the searches from uniform first ranks and draws no
+# channels, frames or tables.
+print(f"\n200 searches from uniform first ranks (any K={K} instance):")
+result = mud.qmud_agreement(K, 200, rng)
 print(f"  agreement with exhaustive argmax: {result.agreement:.3f}")
 print(f"  mean oracle applications: {result.mean_grover_queries:.1f} "
       f"(+{result.mean_verification_queries:.1f} classical verifications)")

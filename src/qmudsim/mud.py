@@ -44,15 +44,6 @@ def bits_from_index(m: int, k_users: int) -> np.ndarray:
     return (1 - 2 * set_bits).astype(np.int8)
 
 
-def index_from_bits(bits) -> int:
-    """Inverse of bits_from_index; exact round trip."""
-    arr = np.asarray(bits)
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("bits must be ±1")
-    negative = (arr < 0).astype(np.int64)
-    return int(np.sum(negative << np.arange(arr.size)))
-
-
 @functools.lru_cache(maxsize=None)
 def all_bit_vectors(k_users: int) -> np.ndarray:
     """(2^K, K) float matrix whose row m is bits_from_index(m, K).
@@ -124,28 +115,24 @@ def mls_tables(frame: ReceivedFrame, scenario: CdmaScenario,
     m scores −‖r − ŝ_m‖² against its noiseless chip-level reconstruction ŝ_m,
     a strictly increasing transform of the log-likelihood.
 
-    Each table is built in closed form, not from 2^K images: _mls_inputs
-    subtracts the previous bits' spill-in once and stacks the users' rows,
-    and every score is the quadratic form of _split_half_scores.  Leading
-    axes broadcast the way synthesize_received and matched_filter_bank do.
+    Each table is built in closed form, not from 2^K images: the previous
+    bits' spill-in is subtracted once, giving the spill-free window r′ = r −
+    Σ_k a_k·p_k·spill_k, and every score is the quadratic form of
+    _split_half_scores in the users' rows a_k·current_k (..., K, 2·N_c) and
+    the target r′ (..., 2·N_c), both stacked as real [Re | Im].  Leading
+    axes broadcast the way synthesize_received and matched_filter_bank do:
+    the rows take the targets' leading shape, to which frames and channels
+    broadcast.
     """
-    return _split_half_scores(*_mls_inputs(frame, scenario, channel))
-
-
-def _mls_inputs(frame: ReceivedFrame, scenario: CdmaScenario,
-                channel: ChannelState):
-    """The real inputs of mls_tables' scores: rows (..., K, 2·N_c), one row
-    [Re | Im] of a_k·current_k per user, and targets (..., 2·N_c), the
-    [Re | Im] of the spill-free window r′ = r − Σ_k a_k·p_k·spill_k; rows
-    take the targets' leading shape, to which frames and channels broadcast."""
     current, spill = cdma.delay_aligned(scenario, channel.delay)
     gains = channel.gains
     target = frame.samples - ((gains * frame.prev_bits)[..., None, :]
                               @ spill)[..., 0, :]
     rows = np.multiply(gains[..., None], current, out=np.empty(
         target.shape[:-1] + current.shape[-2:], complex))
-    return (np.concatenate((rows.real, rows.imag), axis=-1),
-            np.concatenate((target.real, target.imag), axis=-1))
+    return _split_half_scores(
+        np.concatenate((rows.real, rows.imag), axis=-1),
+        np.concatenate((target.real, target.imag), axis=-1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,107 +396,58 @@ def analytic_bpsk_ber(ebn0_db: float) -> float:
 
 @dataclass(frozen=True)
 class AgreementResult:
-    """Quantum-assisted vs exhaustive detection over random instances.
-
-    `redraws` counts the instances drawn again because they had no unique
-    maximum.
-    """
+    """Quantum-assisted vs exhaustive detection over random instances."""
 
     k_users: int
     trials: int
-    ebn0_db: float
     agreement: float
     mean_grover_queries: float
     mean_verification_queries: float
     mean_threshold_rounds: float
     exhaustive_evaluations: int
-    redraws: int
 
 
-# Size bound of qmud_agreement's batches, in entries: one draw batch holds
-# at most this many chip entries (K·N_c per instance: 102 instances at K = 10
-# and N_c = 16, one from K·N_c = 2^14 up), and one table slice at most this
-# many scores (128 KiB: 16 tables at K = 10, one from K = 14 up).  A 200-trial
-# K = 10, N_c = 16 call took 67, 53, 48, 50 and 50 us per trial with bounds
-# of 2^12, 2^13, 2^14, 2^15 and 2^16 (medians of 21 alternating calls in one
-# process on a 2-vCPU VM), and peaked under tracemalloc at 0.35, 0.71, 1.16,
-# 1.70 and 1.81 MiB.
-AGREEMENT_CHUNK_SCORES = 1 << 14
-
-# First ranks that qmud_agreement collects before it runs them through
-# qsearch.threshold_search, so a call's memory does not grow with `trials`.
-# At K = 10 the kernel took about 18 us per search at 200 searches a call,
-# 6.4 us at 4,096 and 6.0 us at 16,384 (medians of 15 calls on a 2-vCPU VM).
+# First ranks that qmud_agreement draws and runs through
+# qsearch.threshold_search at a time, so a call's memory does not grow with
+# `trials`.  At K = 10 the kernel took about 18 us per search at 200
+# searches a call, 6.4 us at 4,096 and 6.0 us at 16,384 (medians of 15
+# calls on a 2-vCPU VM).
 AGREEMENT_SEARCH_BATCH = 4096
 
 
-def qmud_agreement(scenario: CdmaScenario, ebn0_db: float,
-                   trials: int, rng: np.random.Generator) -> AgreementResult:
-    """Fraction of random noisy instances where the quantum-assisted detector
-    lands on the exhaustive argmax.
+def qmud_agreement(k_users: int, trials: int,
+                   rng: np.random.Generator) -> AgreementResult:
+    """Fraction of random K-user instances where the quantum-assisted
+    detector lands on the exhaustive argmax, with its mean work counters.
 
-    Every instance is drawn from the scenario at the one noise variance of
-    ebn0_db (ebn0_db_to_noise_variance, converted once per call).
-    Instances are drawn in batches of at most AGREEMENT_CHUNK_SCORES chip
-    entries (K·N_c per instance), each with one _draw_trial call and one
-    _mls_inputs call, and scored in slices of at most
-    AGREEMENT_CHUNK_SCORES table entries.  Instances without a unique
-    maximizer (ties at float precision) are redrawn so agreement is well
-    defined, at most `trials` times in total; one more tie raises
-    ConfigError.  For the other rows, one rng.integers call per batch draws
-    the first ranks directly: a uniform first incumbent has a uniform rank
-    in the search order (see qsearch), so the tables decide only which
-    instances are redrawn.  Up to AGREEMENT_SEARCH_BATCH first ranks at a
-    time run through qsearch.threshold_search, and a row agrees when its
-    search ends on rank 0.  trials that is not an integer >= 1, K outside
-    [1, EXHAUSTIVE_K_LIMIT] and a bad Eb/N0 raise ConfigError before any
-    draw.
+    Under the one search order (see qsearch) the 2^K indices of any table
+    map one-to-one onto the ranks 0..2^K−1, so a uniform first incumbent has
+    a uniform first rank, and each threshold round depends on the rank
+    alone.  Agreement and counters therefore depend on K only, and no
+    channel, frame or table is drawn: one rng.integers call draws the first
+    ranks of up to AGREEMENT_SEARCH_BATCH trials, one
+    qsearch.threshold_search call runs them, and a trial agrees when its
+    search ends on rank 0.  k_users and trials that are not integers >= 1,
+    and K above EXHAUSTIVE_K_LIMIT, raise ConfigError before any draw.
     """
-    k = scenario.k_users
+    k = qsearch._count(k_users, "k_users", 1)
     trials = qsearch._count(trials, "trials", 1)
-    if not 1 <= k <= EXHAUSTIVE_K_LIMIT:
+    if k > EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"k_users must be in [1, {EXHAUSTIVE_K_LIMIT}], "
                           f"got {k}")
-    sigma2 = cdma.ebn0_db_to_noise_variance(ebn0_db)
-    batch = max(1, AGREEMENT_CHUNK_SCORES // (k * scenario.n_chips))
-    chunk = max(1, AGREEMENT_CHUNK_SCORES >> k)
-    agree = 0
-    grover_total = 0
-    verify_total = 0
-    rounds_total = 0
-    done = 0
-    redraws = 0
-    pending = []
-    while done < trials:
-        drawn = min(batch, trials - done)
-        channel, _, frame = _draw_trial(scenario, sigma2, rng, (drawn,))
-        rows, target = _mls_inputs(frame, scenario, channel)
-        unique = 0
-        for start in range(0, drawn, chunk):
-            tables = _split_half_scores(rows[start:start + chunk],
-                                        target[start:start + chunk])
-            maxima = np.count_nonzero(
-                tables == tables.max(axis=-1, keepdims=True), axis=-1)
-            unique += int(np.count_nonzero(maxima == 1))
-        redraws += drawn - unique
-        if redraws > trials:
-            raise ConfigError(
-                f"at Eb/N0 {ebn0_db!r} dB, {trials + 1} instances had no "
-                f"unique maximum (at most {trials} redraws allowed)")
-        pending.append(rng.integers(0, 1 << k, size=unique))
-        done += unique
-        if sum(map(len, pending)) >= AGREEMENT_SEARCH_BATCH or done == trials:
-            final, queries, verifications, rounds = qsearch.threshold_search(
-                np.concatenate(pending), 1 << k, rng)
-            agree += int(np.count_nonzero(final == 0))
-            grover_total += int(queries.sum())
-            verify_total += int(verifications.sum())
-            rounds_total += int(rounds.sum())
-            pending = []
-    return AgreementResult(k_users=k, trials=trials, ebn0_db=float(ebn0_db),
+    agree = grover_total = verify_total = rounds_total = 0
+    for start in range(0, trials, AGREEMENT_SEARCH_BATCH):
+        first = rng.integers(0, 1 << k,
+                             size=min(AGREEMENT_SEARCH_BATCH, trials - start))
+        final, queries, verifications, rounds = qsearch.threshold_search(
+            first, 1 << k, rng)
+        agree += int(np.count_nonzero(final == 0))
+        grover_total += int(queries.sum())
+        verify_total += int(verifications.sum())
+        rounds_total += int(rounds.sum())
+    return AgreementResult(k_users=k, trials=trials,
                            agreement=agree / trials,
                            mean_grover_queries=grover_total / trials,
                            mean_verification_queries=verify_total / trials,
                            mean_threshold_rounds=rounds_total / trials,
-                           exhaustive_evaluations=1 << k,
-                           redraws=redraws)
+                           exhaustive_evaluations=1 << k)

@@ -12,10 +12,10 @@ sample the flip, then apply the unitary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import qcore, qsearch
 from .errors import ConfigError
@@ -57,7 +57,7 @@ class DemoReport:
 
 def binary_entropy(p: float) -> float:
     """H₂(p) in bits, with 0·log0 taken as 0."""
-    return float(-(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / np.log(2.0))
+    return -sum(x * math.log(x) for x in (p, 1.0 - p) if x > 0) / math.log(2.0)
 
 
 def bsc_capacity(p: float) -> float:

@@ -181,15 +181,28 @@ def grover_iterate(oracle: MarkingOracle, s: qcore.StateVector) -> qcore.StateVe
     return qcore.StateVector(s.n_qubits, 2.0 * mean - flipped)
 
 
+def _grover_angle(n_states, n_marked, low: int) -> float:
+    """θ = asin(sqrt(M/N)); ConfigError unless N >= 1 and M in [low, N]."""
+    n_states = _count(n_states, "n_states", 1)
+    n_marked = _count(n_marked, "n_marked", low)
+    if n_marked > n_states:
+        raise ConfigError(f"n_marked must be at most n_states = {n_states}, "
+                          f"got {n_marked}")
+    return math.asin(math.sqrt(n_marked / n_states))
+
+
 def optimal_iterations(n_states: int, n_marked: int) -> int:
-    """Iteration count maximizing success probability for a known M."""
-    theta = math.asin(math.sqrt(n_marked / n_states))
+    """Iteration count maximizing success probability for a known M in
+    [1, N]; other counts raise ConfigError."""
+    theta = _grover_angle(n_states, n_marked, 1)
     return max(0, round(math.pi / (4.0 * theta) - 0.5))
 
 
 def success_probability(n_states: int, n_marked: int, k: int) -> float:
-    """Closed-form success probability sin²((2k+1)·asin(sqrt(M/N)))."""
-    theta = math.asin(math.sqrt(n_marked / n_states))
+    """Closed-form success probability sin²((2k+1)·asin(sqrt(M/N))) for M
+    in [0, N] and k >= 0; other counts raise ConfigError."""
+    theta = _grover_angle(n_states, n_marked, 0)
+    k = _count(k, "k", 0)
     return math.sin((2 * k + 1) * theta) ** 2
 
 

