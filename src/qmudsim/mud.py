@@ -289,10 +289,11 @@ class BerCurve:
 
 
 # Most scores ber_sweep holds for one qsearch.maximum_search call with qmud:
-# one K = 20 table, 8 MiB.  Per table, a call took 0.009, 0.020, 0.056, 0.18
-# and 0.78 ms at K = 8, 10, 12, 14 and 16 with this bound, and 0.044, 0.16,
-# 0.59, 3.2 and 4.3 ms with 2^14 scores a call; 2^22 scores (32 MiB) ran at
-# most 15% faster up to K = 16.  Medians of 3-15 calls on a 2-vCPU VM.
+# one K = 20 table, 8 MiB.  Per table, a call took 0.006, 0.010, 0.023,
+# 0.064 and 0.25 ms at K = 8, 10, 12, 14 and 16 with this bound, and 0.018,
+# 0.060, 0.23, 1.1 and 1.6 ms with 2^14 scores a call; 2^22 scores (32 MiB)
+# ran at most 25% faster up to K = 16.  Medians of 3-15 calls on a 2-vCPU
+# VM.
 BER_SEARCH_SCORES = 1 << 20
 
 
@@ -409,8 +410,8 @@ class AgreementResult:
 
 # First ranks that qmud_agreement draws and runs through
 # qsearch.threshold_search at a time, so a call's memory does not grow with
-# `trials`.  At K = 10 the kernel took about 18 us per search at 200
-# searches a call, 6.4 us at 4,096 and 6.0 us at 16,384 (medians of 15
+# `trials`.  At K = 10 the search took about 11 us per search at 200
+# searches a call, 6.9 us at 4,096 and 6.3 us at 16,384 (medians of 7-15
 # calls on a 2-vCPU VM).
 AGREEMENT_SEARCH_BATCH = 4096
 

@@ -14,8 +14,9 @@ sin²((2j+1)θ), θ = asin(√(M/N)), and uniform within the marked or unmarked
 set (Boyer–Brassard–Høyer–Tapp, quant-ph/9605034).  The j queries are still
 counted one per step.  Only a marked outcome is ever reported, so a round
 draws two uniforms and no unmarked index: one picks j, the other decides the
-hit and, rescaled, which marked index it lands on, so a search depends on
-M alone and reports the rank of its hit among the marked indices.
+hit.  Given a hit, the outcome is uniform on the marked indices whatever
+the round drew, so a search depends on M alone, and the rank of its hit
+among the marked indices is drawn apart, uniform on 0..M-1.
 
 Maximum finding runs threshold rounds of that search, each marking the
 entries ahead of the incumbent in one total order: higher scores first,
@@ -26,9 +27,11 @@ on 0..M-1 (Dürr–Høyer, quant-ph/9607014).  The order maps the N indices
 one-to-one onto the ranks 0..N-1, so a uniform first incumbent has a
 uniform first rank, whatever the scores.  threshold_search runs many such
 searches at once in rank space, from first ranks drawn directly, with no
-table, mask, oracle or register; maximum_search maps each final rank back
-to an index of its score table; bbht_ranks runs on the same kernel, each
-BBHT search over M marked indices as one threshold round from rank M.
+table, mask, oracle or register: it draws each search's descent of ranks
+up front and runs the rounds at all its levels at once.  maximum_search
+maps each final rank back to an index of its score table; bbht_ranks runs
+on the same kernel, each BBHT search over M marked indices as one
+threshold round at rank M, and existence_test runs its rounds as one job.
 """
 
 from __future__ import annotations
@@ -64,17 +67,17 @@ class _Schedule(NamedTuple):
         cited analysis allows any value in (1, 4/3).
     budget_factor: a search gives up after budget_factor * sqrt(N) oracle
         queries (rounded up).
-    max_failures: None ends a search at its first hit or give-up; else
-        the failed threshold rounds in a row that end a search.
+    max_failures: the threshold rounds in a row without a hit that end a
+        search at one rank; 1 ends a BBHT search at its first give-up.
     """
 
     growth_factor: float
     budget_factor: float
-    max_failures: Optional[int]
+    max_failures: int
 
 
 DEFAULT_CONFIG = _Schedule(growth_factor=6 / 5, budget_factor=4.0,
-                           max_failures=None)
+                           max_failures=1)
 
 # Threshold rounds in maximum_search ramp the schedule as fast as the cited
 # analysis permits and give up earlier; this keeps the total query count well
@@ -251,17 +254,29 @@ def _rank_space(values, n_states, name: str, top: int):
     return values, n_states
 
 
+def _below(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Where a hit from each rank M >= 1 of counts lands: a rank uniform on
+    0..M-1, from one rng.random call (u·M stays below M in floating point
+    for every M up to 2^53)."""
+    return (rng.random(counts.size) * counts).astype(np.int64)
+
+
 def bbht_ranks(counts, n_states: int, rng: np.random.Generator):
     """bbht_search in rank space: for each entry M of counts, a search
-    over M of n_states indices, one _lockstep_search round from rank M
-    under DEFAULT_CONFIG.  Returns int64 arrays of the rank (below M for a
-    hit, uniform on 0..M-1; M for a give-up), the oracle queries and the
-    verifications.  n_states not an integer >= 2 raises ConfigError, above
-    2^config.MAX_QUBITS SizeError, and counts not a 1-D array of integers
-    in [0, n_states] ValueError, all before any allocation or draw.
+    over M of n_states indices, one _lockstep_search job at rank M under
+    DEFAULT_CONFIG, and for a hit its rank below M (_below).  Returns
+    int64 arrays of the rank (below M for a hit, uniform on 0..M-1; M for a
+    give-up), the oracle queries and the verifications.  n_states not an
+    integer >= 2 raises ConfigError, above 2^config.MAX_QUBITS SizeError,
+    and counts not a 1-D array of integers in [0, n_states] ValueError, all
+    before any allocation or draw.
     """
     counts, n_states = _rank_space(counts, n_states, "counts", 1)
-    return _lockstep_search(counts, n_states, DEFAULT_CONFIG, rng)[:3]
+    hit, queries, verifications, _ = _lockstep_search(
+        counts, n_states, DEFAULT_CONFIG, rng)
+    ranks = counts.copy()
+    ranks[hit] = _below(counts[hit], rng)
+    return ranks, queries, verifications
 
 
 def bbht_search(oracle: MarkingOracle,
@@ -292,23 +307,43 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
                    confidence_rounds: int) -> bool:
     """One-sided test of whether any index is marked.
 
-    True is always correct (the hit is verified); False is wrong with a
-    probability that decays geometrically in confidence_rounds when at least
-    one marked item exists.  confidence_rounds that is not an integer >= 1
-    raises ConfigError before any draw.
+    Runs up to confidence_rounds bbht_search rounds, up to the first
+    success, as one _lockstep_search job under DEFAULT_CONFIG with
+    max_failures = confidence_rounds, and adds the queries and
+    verifications of the rounds it ran to the oracle's.  True is always
+    correct (the hit is verified); False is wrong with a probability that
+    decays geometrically in confidence_rounds when at least one marked
+    item exists.  confidence_rounds that is not an integer >= 1 raises
+    ConfigError before any draw.
     """
-    return any(bbht_search(oracle, rng).succeeded for _ in
-               range(_count(confidence_rounds, "confidence_rounds", 1)))
+    cfg = DEFAULT_CONFIG._replace(max_failures=_count(
+        confidence_rounds, "confidence_rounds", 1))
+    counts, n_states = _rank_space([oracle.marked_indices().size],
+                                   oracle.n_states, "counts", 1)
+    hit, queries, verifications, _ = _lockstep_search(counts, n_states, cfg,
+                                                       rng)
+    oracle.query_count += int(queries[0])
+    oracle.verification_count += int(verifications[0])
+    return bool(hit[0])
 
 
-# BBHT rounds that _lockstep_search gives each unfinished search per loop
+# BBHT rounds that _lockstep_search gives each unfinished job per loop
 # step, drawn with one rng.random call.  Longer blocks take fewer steps, but
-# they draw and score more rounds that a stop discards.  At K = 10, a call
-# of 200 searches took 23.0, 19.7, 18.1, 18.0, 18.7 and 18.6 us per search
-# with blocks of 4, 6, 8, 10, 12 and 16 rounds (36.2 with one round per
-# step), and a call of 4,096 took 6.6, 6.7, 6.9, 8.0, 8.9 and 10.2 (7.6 with
-# one round per step); medians of 31 and 11 calls on a 2-vCPU VM.
+# they draw and score more rounds that a stop discards.  At K = 10, calls
+# of 1, 200 and 4,096 searches took 1194, 946, 749, 730 and 704; 13.3,
+# 11.6, 11.0, 11.5 and 12.4; and 7.0, 7.3, 7.7, 8.5 and 9.6 us per search
+# with blocks of 4, 6, 8, 10 and 12 rounds, and at K = 4 the 4,096-search
+# calls 2.5 us with 4 rounds against 3.6 with 8 (medians of 15 calls, 45
+# for one search, on a 2-vCPU VM).  8 is the fastest at 200 searches, the
+# size of a qmud-agree call.
 THRESHOLD_BLOCK = 8
+
+# Jobs that _lockstep_search runs at once; the others wait for a place,
+# which keeps a step's arrays in cache.  A K = 10 call of 4,096 searches
+# (about 30,000 jobs) took 7.4, 6.7, 6.6 and 7.0 us per search with 1,024,
+# 2,048, 4,096 and 8,192 places, and 8.4 with every job at once (medians
+# of 11 calls on a 2-vCPU VM).
+LOCKSTEP_WIDTH = 4096
 
 
 def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
@@ -316,30 +351,54 @@ def threshold_search(first_ranks, n_states: int, rng: np.random.Generator):
 
     An incumbent of rank M leaves exactly M marked indices, a threshold
     round depends on M alone, and a hit lands uniformly on ranks 0..M-1
-    (see the module docstring), so each instance is a few counters and
-    needs no table, mask or oracle.  Runs one search per entry of
-    first_ranks (ranks of the first incumbents) through _lockstep_search
-    under MAXIMUM_SEARCH_CONFIG, and returns its four arrays.  Inputs are
+    whatever the round drew (see the module docstring).  So each search's
+    ranks form a descent chain from its first rank down to 0, drawn up
+    front with one _below call per level, and the rounds at one level
+    depend on that level's rank alone.  All levels of all searches run as
+    the jobs of one _lockstep_search call under MAXIMUM_SEARCH_CONFIG; a
+    search ends at its first level whose job did not hit (rank 0 never
+    hits), with that level's rank and the counters of the levels up to it.
+    Returns int64 arrays of the final rank, queries, verifications and
+    threshold rounds, one entry per entry of first_ranks.  Inputs are
     checked as in bbht_ranks, with first_ranks in [0, n_states).
     """
     first, n_states = _rank_space(first_ranks, n_states, "first_ranks", 0)
-    return _lockstep_search(first, n_states, MAXIMUM_SEARCH_CONFIG, rng)
+    # the jobs, level by level and in search order within a level
+    ranks, owners = [first], [np.arange(first.size)]
+    while True:
+        descending = ranks[-1].nonzero()[0]
+        if not descending.size:
+            break
+        owners.append(owners[-1][descending])
+        ranks.append(_below(ranks[-1][descending], rng))
+    ranks, owners = np.concatenate(ranks), np.concatenate(owners)
+    hit, *counters = _lockstep_search(ranks, n_states, MAXIMUM_SEARCH_CONFIG,
+                                      rng)
+    # a search's first miss is its miss at the lowest position
+    end = np.full(first.size, ranks.size)
+    misses = (~hit).nonzero()[0]
+    np.minimum.at(end, owners[misses], misses)
+    counted = np.arange(ranks.size) <= end[owners]
+    owners = owners[counted]
+    return (ranks[end], *(np.bincount(owners, weights=c[counted],
+                                      minlength=first.size).astype(np.int64)
+                          for c in counters))
 
 
-def _lockstep_search(first: np.ndarray, n_states: int, cfg: _Schedule,
+def _lockstep_search(ranks: np.ndarray, n_states: int, cfg: _Schedule,
                      rng: np.random.Generator):
     """Threshold rounds of BBHT searches in rank space, in lock-step, one
-    instance per entry of first (int64 ranks M in [0, n_states]).
+    job per entry of ranks (int64 ranks M in [0, n_states]), which keeps
+    its rank M throughout.
 
-    Each loop step gives every unfinished instance a block of
-    THRESHOLD_BLOCK rounds, drawn with one rng.random call.  A round under
-    cfg's _schedule runs j = floor(u_steps · cap) steps, cut to the budget
-    left, and hits when u_hit < sin²((2j + 1)θ).  A hit or spent budget (a
-    stop) ends a threshold round, discards the block's later uniforms and
-    restarts the schedule; a hit moves to rank floor(u_hit / p_hit · M).
-    An instance ends at its first stop, or with cfg.max_failures after that
-    many stops in a row without a hit.  Returns int64 arrays of the final
-    rank, queries, verifications (one per round) and threshold rounds.
+    Each loop step gives every unfinished job a block of THRESHOLD_BLOCK
+    rounds, drawn with one rng.random call.  A round under cfg's _schedule
+    runs j = floor(u_steps · cap) steps, cut to the budget left, and hits
+    when u_hit < sin²((2j + 1)θ).  A hit or spent budget (a stop) ends a
+    threshold round, discards the block's later uniforms and restarts the
+    schedule.  A job ends at its first hit, or after cfg.max_failures
+    stops without one.  Returns a bool array of hits and int64 arrays of
+    queries, verifications (one per round) and threshold rounds.
     """
     caps, budget = _schedule(n_states, cfg)
     # caps[b, t]: the cap of round b of a block that starts at schedule
@@ -348,29 +407,38 @@ def _lockstep_search(first: np.ndarray, n_states: int, cfg: _Schedule,
     caps = np.array(caps, dtype=float).take(
         np.arange(THRESHOLD_BLOCK)[:, None] + np.arange(last_step + 1),
         mode="clip")
-    # 2θ = 2·asin(√(M/N)) up to the largest start, which no rank exceeds
-    m = np.arange(first.max(initial=0) + 1)
+    # a product with this lower-triangular matrix sums a block's rows up
+    # to each round, exactly for these small integers, and much faster
+    # than np.cumsum along the rounds
+    running = np.tri(THRESHOLD_BLOCK)
+    # 2^(B-1-b) for round b: a block's stops, read as binary digits
+    digits = 2.0 ** np.arange(THRESHOLD_BLOCK - 1, -1, -1)
+    # 2θ = 2·asin(√(M/N)) up to the largest rank
+    m = np.arange(ranks.max(initial=0) + 1)
     two_theta = 2.0 * np.arcsin(np.sqrt(m / n_states))
 
-    # one column per unfinished instance; rows: M, schedule step since the
-    # (re)start (held at the last step), queries spent since it, failures
-    # in a row, queries, threshold rounds, verifications and its index
-    state = np.zeros((8, first.size), dtype=np.int64)
-    state[0] = first
-    state[7] = np.arange(first.size)
-    results = np.empty_like(state)
+    # one column per job; rows: M, schedule step since the (re)start (held
+    # at the last step), queries spent since it, queries, threshold rounds,
+    # verifications and its index.  The first LOCKSTEP_WIDTH columns run,
+    # and each finished one hands its place to the next waiting job.
+    jobs = np.zeros((7, ranks.size), dtype=np.int64)
+    jobs[0] = ranks
+    jobs[6] = np.arange(ranks.size)
+    admitted = min(ranks.size, LOCKSTEP_WIDTH)
+    state = jobs[:, :admitted].copy()
+    hits = np.zeros(ranks.size, dtype=bool)
     while state.shape[1]:
-        marked, t, used, failures, spent, ended, verified = state[:7]
+        marked, t, used, spent, ended, verified = state[:6]
         cols = np.arange(state.shape[1])
-        # one row per round of the block, one column per instance; these
+        # one row per round of the block, one column per job; these
         # arrays are updated in place, because allocating a fresh one cost
-        # more than the arithmetic at 4,096 instances
+        # more than the arithmetic at 4,096 jobs
         u_steps, u_hit = rng.random((2, THRESHOLD_BLOCK, cols.size))
         j = u_steps
         j *= caps.take(t, axis=1)
         np.floor(j, out=j)
         # queries spent by the end of each round
-        total = np.cumsum(j, axis=0)
+        total = running @ j
         total += used
         # the round that reaches the budget runs only the queries left
         # (later rounds, which the budget stop discards, get j < 0)
@@ -384,37 +452,41 @@ def _lockstep_search(first: np.ndarray, n_states: int, cfg: _Schedule,
         p_hit = np.sin(j, out=j)
         p_hit *= p_hit
         hit = u_hit < p_hit
-        # each instance's last round this step: its first hit or budget
-        # stop, else the block's last round
-        stop = total >= budget
-        stop |= hit
-        stops = stop.any(axis=0)
-        last = np.where(stops, stop.argmax(axis=0), THRESHOLD_BLOCK - 1)
+        # each job's last round this step: its first hit or budget stop,
+        # else the block's last round.  The stops go into p_hit's buffer as
+        # 0 and 1, and read as binary digits, round 0 the highest, they
+        # make a number whose binary exponent (np.frexp; 0 for 0) is B
+        # minus the round of the first stop.
+        stop = np.greater_equal(total, budget, out=p_hit)
+        np.logical_or(stop, hit, out=stop)
+        clear = THRESHOLD_BLOCK - np.frexp(digits @ stop)[1]
+        stops = clear < THRESHOLD_BLOCK
+        going = ~stops
+        last = np.minimum(clear, THRESHOLD_BLOCK - 1)
         pick = last * cols.size + cols
-        hit, u_hit, p_hit, total = (a.take(pick)
-                                    for a in (hit, u_hit, p_hit, total))
+        hit, total = hit.take(pick), total.take(pick)
         total = np.minimum(total, budget).astype(np.int64)
         spent += total - used
         verified += last + 1  # one verification per BBHT round
-        # given a hit, u_hit / p_hit is uniform on [0, 1) and stays below 1
-        # in floating point, so the hit lands on a rank in 0..M-1
-        np.divide(u_hit, p_hit, out=u_hit, where=hit)
-        u_hit *= marked
-        np.copyto(marked, u_hit, casting="unsafe", where=hit)
-        failures += stops
-        failures *= ~hit
         ended += stops
         # a stop restarts the schedule; otherwise the next block goes on
         t += THRESHOLD_BLOCK
         np.minimum(t, last_step, out=t)
-        t *= ~stops
-        np.multiply(total, ~stops, out=used)
-        done = (stops if cfg.max_failures is None
-                else failures >= cfg.max_failures)
+        t *= going
+        np.multiply(total, going, out=used)
+        done = ended >= cfg.max_failures
+        done |= hit
         if done.any():
-            results[:, state[7, done]] = state[:, done]
-            state = state[:, ~done]
-    return results[0], results[4], results[6], results[5]
+            # integer takes, which cost less than boolean masks here
+            finished = done.nonzero()[0]
+            index = state[6].take(finished)
+            jobs[:, index] = state.take(finished, axis=1)
+            hits[index] = hit.take(finished)
+            waiting = jobs[:, admitted:admitted + index.size]
+            admitted += waiting.shape[1]
+            state = np.concatenate(
+                (state.take((~done).nonzero()[0], axis=1), waiting), axis=1)
+    return hits, jobs[3], jobs[5], jobs[4]
 
 
 def maximum_search(tables, rng: np.random.Generator) -> SearchReport:

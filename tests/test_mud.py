@@ -535,7 +535,7 @@ class TestQmudDetect:
             finally:
                 tracemalloc.stop()
         # both peak at one batch of AGREEMENT_SEARCH_BATCH searches (about
-        # 2.5 MiB at K = 2); running all 100,000 searches at once peaks
+        # 2.8 MiB at K = 2); running all 100,000 searches at once peaks
         # 47 MiB higher
         assert peaks[1] < peaks[0] + 2**20
 

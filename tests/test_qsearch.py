@@ -11,8 +11,11 @@ against it.
 `reference_bbht_search`; `qsearch.maximum_search`, which runs the rounds in
 rank space, is tested against it.  `reference_threshold_search` runs the
 rank-space searches one BBHT round per loop step; `qsearch.threshold_search`,
-which runs a block of rounds per step, is tested against it.  `rank`
-defines the search order that every maximum search follows.
+which runs every level of each search's descent at once and a block of
+rounds per step, is tested against it.  `reference_existence_test` runs one
+`bbht_search` per confidence round; `qsearch.existence_test`, which runs its
+rounds as one lock-step job, is tested against it.  `rank` defines the
+search order that every maximum search follows.
 """
 
 import functools
@@ -558,22 +561,60 @@ def test_threshold_search_matches_per_round_reference(k, seed):
 
 
 class CountingGenerator:
-    """A generator that counts its rng.random calls."""
+    """A generator that counts its rng.random calls, and apart those that
+    draw a lock-step block: a (2, THRESHOLD_BLOCK, jobs) array, one per
+    loop step of the kernel."""
 
     def __init__(self, rng):
         self.rng = rng
         self.random_calls = 0
+        self.block_calls = 0
 
-    def random(self, *args, **kwargs):
+    def random(self, size=None, *args, **kwargs):
         self.random_calls += 1
-        return self.rng.random(*args, **kwargs)
+        self.block_calls += np.ndim(size) == 1 and len(size) == 3
+        return self.rng.random(size, *args, **kwargs)
 
 
 def test_threshold_search_draws_a_block_of_rounds_per_call():
-    # one BBHT round per call would take about 120 calls here
-    rng = CountingGenerator(np.random.default_rng(153))
-    qsearch.threshold_search(rng.rng.integers(0, 1024, 200), 1024, rng)
-    assert 0 < rng.random_calls <= 40
+    # all levels of every descent run at once, so a 200-search K = 10 call
+    # takes about as many loop steps as one search's longest level (the
+    # three give-ups at rank 0); one level per step took a median of 23,
+    # and one BBHT round per step about 120
+    rng = np.random.default_rng(153)
+    steps = []
+    for _ in range(11):
+        counting = CountingGenerator(rng)
+        qsearch.threshold_search(rng.integers(0, 1024, 200), 1024, counting)
+        steps.append(counting.block_calls)
+    assert 0 < np.median(steps) <= 8 and max(steps) <= 10, steps
+
+
+def test_threshold_search_does_not_depend_on_the_call_size():
+    # lone searches against one call of 4,096, whose levels (about 21,000
+    # jobs at K = 6) wait for a place in the kernel's lock-step width
+    n = 1 << 6
+    rng = np.random.default_rng(154)
+    lone = [qsearch.threshold_search(rng.integers(0, n, 1), n, rng)
+            for _ in range(2000)]
+    lone = [np.concatenate(field) for field in zip(*lone)]
+    shared = qsearch.threshold_search(rng.integers(0, n, 4096), n, rng)
+    for field, a, b in zip(("ranks", "queries", "verifications", "rounds"),
+                           lone, shared):
+        assert homogeneity_p(a, b) > EQUIVALENCE_ALPHA, field
+
+
+@pytest.mark.parametrize("m, seed", [(1, 155), (3, 156), (64, 157)])
+def test_bbht_ranks_hit_ranks_are_uniform(m, seed):
+    # a give-up keeps rank M; a hit lands on 0..M-1, each equally likely
+    ranks = qsearch.bbht_ranks(np.full(20_000, m), 256,
+                               np.random.default_rng(seed))[0]
+    assert ((ranks >= 0) & (ranks <= m)).all()
+    hits = ranks[ranks < m]
+    assert hits.size > 10_000
+    if m > 1:
+        counts = np.bincount(hits, minlength=m)
+        assert stats.chisquare(counts).pvalue > EQUIVALENCE_ALPHA
 
 
 def test_grover_scaling_draws_do_not_grow_with_trials(monkeypatch, tmp_path):
@@ -679,6 +720,27 @@ class TestThresholdSearch:
         np.testing.assert_array_equal(rounds, 3)
         assert (verifications >= 3).all()
 
+    def test_a_search_ends_at_its_first_level_that_misses(self,
+                                                          monkeypatch):
+        # a stand-in kernel whose jobs miss at ranks 0, 1, 4, 7, ... and
+        # spend 2^M queries at rank M, so that a search's queries are the
+        # set of the levels it counted
+        def kernel(ranks, n_states, cfg, rng):
+            ones = np.ones_like(ranks)
+            return (ranks % 3 != 1) & (ranks > 0), 1 << ranks, ones, ones
+
+        monkeypatch.setattr(qsearch, "_lockstep_search", kernel)
+        first = np.arange(32).repeat(20)
+        final, queries, verifications, rounds = qsearch.threshold_search(
+            first, 32, np.random.default_rng(19))
+        np.testing.assert_array_equal(verifications, rounds)
+        for start, end, spent, counted in zip(first, final, queries, rounds):
+            levels = [m for m in range(32) if spent >> m & 1]
+            assert (levels[0], levels[-1], len(levels)) == (end, start,
+                                                            counted)
+            assert end % 3 == 1 or end == 0
+            assert all(m % 3 != 1 for m in levels[1:])
+
     def test_results_follow_the_input_order(self):
         rng = np.random.default_rng(16)
         first = np.array([0, 1023, 0, 511, 0])
@@ -755,7 +817,41 @@ class TestBbhtRanks:
         assert rng.bit_generator.state == state
 
 
+def reference_existence_test(oracle, rng, confidence_rounds):
+    """existence_test as one bbht_search per round, up to the first
+    success."""
+    return any(qsearch.bbht_search(oracle, rng).succeeded
+               for _ in range(confidence_rounds))
+
+
 class TestExistenceTest:
+    @pytest.mark.parametrize("n_qubits, n_marked, rounds, seed", [
+        (4, 0, 2, 171), (6, 1, 3, 172), (8, 1, 2, 173), (10, 3, 3, 174),
+        (5, 32, 1, 175)])
+    def test_matches_per_round_reference(self, n_qubits, n_marked, rounds,
+                                         seed):
+        rng = np.random.default_rng(seed)
+        samples = []
+        for test in (qsearch.existence_test, reference_existence_test):
+            sample = []
+            for _ in range(1500):
+                oracle = oracle_marking(n_qubits, range(n_marked))
+                exists = test(oracle, rng, rounds)
+                sample.append((exists, oracle.query_count,
+                               oracle.verification_count))
+            samples.append(sample)
+        for field, a, b in zip(("result", "queries", "verifications"),
+                               *(zip(*sample) for sample in samples)):
+            assert homogeneity_p(a, b) > EQUIVALENCE_ALPHA, field
+
+    def test_empty_oracle_spends_every_round_budget(self):
+        rng = np.random.default_rng(176)
+        for rounds in (1, 3):
+            oracle = oracle_marking(14, [])
+            assert not qsearch.existence_test(oracle, rng, rounds)
+            assert oracle.query_count == rounds * math.ceil(4 * 128)
+            assert oracle.verification_count >= rounds
+
     def test_empty_is_always_false(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
