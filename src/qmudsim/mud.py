@@ -40,7 +40,12 @@ def bits_from_index(m: int, k_users: int) -> np.ndarray:
     k_users = qsearch._count(k_users, "k_users", 0)
     if m >= 1 << k_users:
         raise ValueError(f"index {m} outside [0, {1 << k_users})")
-    set_bits = (m >> np.arange(k_users)) & 1
+    return _index_bits(m, k_users)
+
+
+def _index_bits(m, k_users: int) -> np.ndarray:
+    """(..., K) int8 bits_from_index rows of the unchecked index array m."""
+    set_bits = (np.asarray(m)[..., None] >> np.arange(k_users)) & 1
     return (1 - 2 * set_bits).astype(np.int8)
 
 
@@ -51,8 +56,7 @@ def all_bit_vectors(k_users: int) -> np.ndarray:
     Cached per K and read-only; the cost tables ask for at most ⌈K/2⌉ bits,
     so the cache holds small arrays.
     """
-    m = np.arange(1 << k_users)[:, None]
-    bits = (1 - 2 * ((m >> np.arange(k_users)) & 1)).astype(float)
+    bits = _index_bits(np.arange(1 << k_users), k_users).astype(float)
     bits.setflags(write=False)
     return bits
 
@@ -60,13 +64,14 @@ def all_bit_vectors(k_users: int) -> np.ndarray:
 class CostFunction:
     """Score map over hypothesis indices; higher means more likely.
 
-    Holds a read-only float copy of the scores of all 2^K indices, so later
-    writes to the caller's array do not reach it; K is read from the table's
-    length, which must be a power of 2 (ShapeError), and a non-finite score
-    raises ValueError.  `table` returns the scores without touching the
-    counter, so quantum-detector reports count oracles (one per threshold
-    round) instead.  `evaluate` reads scores from the table and
-    counts one evaluation per index read.
+    Holds a read-only float copy of the scores of all 2^K indices of one
+    table or a (..., 2^K) stack, so later writes to the caller's array do
+    not reach it; K is read from the last axis's length, which must be a
+    power of 2 (ShapeError), and a non-finite score raises ValueError.
+    `table` returns the scores without touching the counter, so
+    quantum-detector reports count oracles (one per threshold round)
+    instead.  `evaluate` reads scores from every table and counts one
+    evaluation per index read.
     """
 
     def __init__(self, table):
@@ -77,10 +82,10 @@ class CostFunction:
         self.evaluations = 0
 
     def evaluate(self, m):
-        """Score of index m, or scores of an index array; counted."""
-        m = qsearch._indices(m, self._table.size, "index")
+        """Scores of index m or an index array in every table; counted."""
+        m = qsearch._indices(m, self._table.shape[-1], "index")
         self.evaluations += m.size
-        return self._table[m]
+        return self._table[..., m]
 
     def table(self) -> np.ndarray:
         return self._table
@@ -88,23 +93,24 @@ class CostFunction:
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
-    """One detection outcome with its work accounting.
+    """Detection outcomes of (..., K) bits with their work accounting; the
+    counters and `correct` are arrays of the leading shape, 0-d for one.
 
-    `cf_evaluations` is exact call count for classical detectors and the
-    number of oracles compiled from the table (one per threshold round)
-    for the quantum-assisted detector; `grover_queries` is 0 for classical
-    detectors.  `correct` is None when the true bits were not supplied.
+    `cf_evaluations` is the exact evaluation count for classical detectors
+    and the number of oracles compiled from the table (one per threshold
+    round) for the quantum-assisted detector; `grover_queries` is 0 for
+    classical detectors.  `correct` is None without the true bits.
     """
 
     detected_bits: np.ndarray
-    cf_evaluations: int
-    grover_queries: int
-    correct: Optional[bool] = None
+    cf_evaluations: np.ndarray
+    grover_queries: np.ndarray
+    correct: Optional[np.ndarray] = None
 
 
 def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
                   channel: ChannelState) -> CostFunction:
-    """Maximum-likelihood cost function of one frame: the mls_tables scores."""
+    """Maximum-likelihood cost function of frames: the mls_tables scores."""
     return CostFunction(mls_tables(frame, scenario, channel))
 
 
@@ -188,25 +194,23 @@ def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def mf_detect(y: np.ndarray, channel: ChannelState,
               true_bits=None) -> DetectionReport:
-    """Per-user slicer on the phase-derotated filter outputs; 0 slices to +1."""
+    """Per-user slicer on phase-derotated (..., K) outputs; 0 slices to +1."""
     metric = np.real(np.conj(channel.gains) * y)
     detected = np.where(metric < 0, -1, 1).astype(np.int8)
-    return DetectionReport(detected_bits=detected, cf_evaluations=0,
-                           grover_queries=0,
-                           correct=_correct(detected, true_bits))
+    zeros = np.zeros(detected.shape[:-1], np.int64)
+    return DetectionReport(detected, zeros, zeros,
+                           _correct(detected, true_bits))
 
 
 def exhaustive_ml_detect(cf: CostFunction, true_bits=None) -> DetectionReport:
-    """Evaluate every hypothesis; first index wins ties."""
+    """Evaluate every hypothesis of each table; first index wins ties."""
     if cf.k_users > EXHAUSTIVE_K_LIMIT:
         raise SizeError(f"exhaustive search capped at K={EXHAUSTIVE_K_LIMIT}")
-    start = cf.evaluations
     scores = cf.evaluate(np.arange(1 << cf.k_users))
-    detected = bits_from_index(int(np.argmax(scores)), cf.k_users)
-    return DetectionReport(detected_bits=detected,
-                           cf_evaluations=cf.evaluations - start,
-                           grover_queries=0,
-                           correct=_correct(detected, true_bits))
+    detected = _index_bits(scores.argmax(axis=-1), cf.k_users)
+    counts = np.full(scores.shape[:-1], scores.shape[-1])
+    return DetectionReport(detected, counts, 0 * counts,
+                           _correct(detected, true_bits))
 
 
 def qmud_detect(cf: CostFunction, rng: np.random.Generator,
@@ -216,23 +220,21 @@ def qmud_detect(cf: CostFunction, rng: np.random.Generator,
     The K-qubit register holds all 2^K hypotheses at once; each threshold
     round compiles the score table into one oracle (counted once per round
     in cf_evaluations) and the randomized search amplifies the hypotheses
-    ahead of the incumbent.  qsearch.maximum_search runs those rounds in
-    rank space, on this one table; ties go to the lower index, as in
-    exhaustive_ml_detect.  Returns the incumbent even when the final rounds
-    exhaust their budgets.
+    ahead of the incumbent.  One qsearch.maximum_search call runs those
+    rounds in rank space, for every table of the stack; ties go to the
+    lower index, as in exhaustive_ml_detect.  Returns the incumbent even
+    when the final rounds exhaust their budgets.
     """
-    report = qsearch.maximum_search(cf.table(), rng)
-    detected = bits_from_index(int(report.found), cf.k_users)
-    return DetectionReport(detected_bits=detected,
-                           cf_evaluations=int(report.iterations_used),
-                           grover_queries=int(report.grover_queries),
-                           correct=_correct(detected, true_bits))
+    rep = qsearch.maximum_search(cf.table(), rng)
+    detected = _index_bits(rep.found, cf.k_users)
+    return DetectionReport(detected, rep.iterations_used, rep.grover_queries,
+                           _correct(detected, true_bits))
 
 
-def _correct(detected: np.ndarray, true_bits) -> Optional[bool]:
+def _correct(detected: np.ndarray, true_bits):
     if true_bits is None:
         return None
-    return bool(np.array_equal(detected, np.asarray(true_bits)))
+    return (detected == np.asarray(true_bits)).all(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,48 +290,48 @@ class BerCurve:
             self.write_csv(fh)
 
 
-# Most scores ber_sweep holds for one qsearch.maximum_search call with qmud:
-# one K = 20 table, 8 MiB.  Per table, a call took 0.006, 0.010, 0.023,
-# 0.064 and 0.25 ms at K = 8, 10, 12, 14 and 16 with this bound, and 0.018,
-# 0.060, 0.23, 1.1 and 1.6 ms with 2^14 scores a call; 2^22 scores (32 MiB)
-# ran at most 25% faster up to K = 16.  Medians of 3-15 calls on a 2-vCPU
-# VM.
+# Most scores a ber_sweep chunk holds, counting a frame's K·N_c
+# delay-aligned chips as scores: a chunk's trials are drawn, stacked and
+# detected together, at most AGREEMENT_SEARCH_BATCH of them, and at least
+# one trial.  One K = 20 table (8 MiB) fills it.
 BER_SEARCH_SCORES = 1 << 20
+
+
+def _stacked_trials(scenario: CdmaScenario, noise_variance: float, n: int,
+                    rng: np.random.Generator):
+    """n trials drawn one at a time by _draw_trial, so rng's stream is the
+    per-trial one, stacked on a leading axis: (channel, bits, frame)."""
+    draws = [_draw_trial(scenario, noise_variance, rng) for _ in range(n)]
+    gains, delay, bits, samples, prev = (np.stack(column) for column in zip(
+        *((c.gains, c.delay, b, f.samples, f.prev_bits) for c, b, f in draws)))
+    return ChannelState(gains, delay), bits, ReceivedFrame(samples, prev)
 
 
 def _detections(detector: str, scenario: CdmaScenario, noise_variance: float,
                 trials: int, rng: np.random.Generator):
-    """(true bits, DetectionReport) of each trial of one ber_sweep point, in
-    trial order, each frame drawn from rng by _draw_trial at the point's
-    noise_variance.  mf and ml_exhaustive detect each trial as it is drawn;
-    qmud searches up to AGREEMENT_SEARCH_BATCH tables and BER_SEARCH_SCORES
-    scores with one qsearch.maximum_search call, drawn from rng.spawn(1)[0],
-    which leaves rng's stream and so every detector's frames as they are."""
-    if detector != "qmud":
-        for _ in range(trials):
-            channel, bits, frame = _draw_trial(scenario, noise_variance, rng)
-            if detector == "mf":
-                y = cdma.matched_filter_bank(frame, scenario, channel)
-                yield bits, mf_detect(y, channel)
-            else:
-                yield bits, exhaustive_ml_detect(
-                    make_mls_cost(frame, scenario, channel))
-        return
+    """(true bits, DetectionReport) of each chunk of one ber_sweep point's
+    trials, in trial order, drawn from rng at the point's noise_variance.
+    A chunk's size depends on K and N_c alone (BER_SEARCH_SCORES), so every
+    detector reads the same frames; qmud's searches draw from
+    rng.spawn(1)[0], which leaves rng's stream as it is."""
     k = scenario.k_users
+    chunk = max(1, min(AGREEMENT_SEARCH_BATCH, BER_SEARCH_SCORES
+                       // max(1 << k, k * scenario.n_chips)))
     search_rng = rng.spawn(1)[0]
-    chunk = max(1, min(AGREEMENT_SEARCH_BATCH, BER_SEARCH_SCORES >> k))
-    tables = np.empty((min(chunk, trials), 1 << k))
     for start in range(0, trials, chunk):
-        true_bits = []
-        for row in range(min(chunk, trials - start)):
-            channel, bits, frame = _draw_trial(scenario, noise_variance, rng)
-            true_bits.append(bits)
-            tables[row] = mls_tables(frame, scenario, channel)
-        rep = qsearch.maximum_search(tables[:len(true_bits)], search_rng)
-        for i, bits in enumerate(true_bits):
-            yield bits, DetectionReport(bits_from_index(int(rep.found[i]), k),
-                                        int(rep.iterations_used[i]),
-                                        int(rep.grover_queries[i]))
+        channel, bits, frame = _stacked_trials(
+            scenario, noise_variance, min(chunk, trials - start), rng)
+        if detector == "mf":
+            report = mf_detect(
+                cdma.matched_filter_bank(frame, scenario, channel), channel)
+        elif detector == "ml_exhaustive":
+            report = exhaustive_ml_detect(
+                make_mls_cost(frame, scenario, channel))
+        else:
+            report = qmud_detect(make_mls_cost(frame, scenario, channel),
+                                 search_rng)
+        del channel, frame  # so the next draw holds one chunk, not two
+        yield bits, report
 
 
 def ber_sweep(scenario: CdmaScenario, detector: str, ebn0_db_list,
@@ -338,9 +340,9 @@ def ber_sweep(scenario: CdmaScenario, detector: str, ebn0_db_list,
     """Monte-Carlo bit-error-rate sweep for one detector.
 
     The scenario fixes the uplink and each Eb/N0 point its noise variance
-    (ebn0_db_to_noise_variance).  Per point and trial: draw a channel,
-    current and previous bits, and noise at that variance; detect
-    (_detections); accumulate bit errors over K·trials bits plus the mean
+    (ebn0_db_to_noise_variance).  Per point: draw each trial's channel,
+    current and previous bits, and noise at that variance; detect them
+    chunk by chunk (_detections); sum bit errors over K·trials bits and the
     work counters.  Deterministic under the passed rng.  trace_fh, when
     given, receives one JSON line per trial.  An unknown detector, trials
     that is not an integer >= 1, a K above EXHAUSTIVE_K_LIMIT for the table
@@ -363,24 +365,22 @@ def ber_sweep(scenario: CdmaScenario, detector: str, ebn0_db_list,
     point_rngs = rng.spawn(len(ebn0_db_list))
     for ebn0_db, sigma2, point_rng in zip(ebn0_db_list, sigma2_list,
                                           point_rngs):
-        bit_errors = 0
-        cf_total = 0.0
-        grover_total = 0.0
-        for trial, (bits, report) in enumerate(
-                _detections(detector, scenario, sigma2, trials, point_rng)):
-            errors = int(np.sum(report.detected_bits != bits))
-            bit_errors += errors
-            cf_total += report.cf_evaluations
-            grover_total += report.grover_queries
+        bit_errors = cf_total = grover_total = trial = 0
+        for bits, report in _detections(detector, scenario, sigma2, trials,
+                                        point_rng):
+            errors = (report.detected_bits != bits).sum(axis=-1)
+            bit_errors += int(errors.sum())
+            cf_total += int(report.cf_evaluations.sum())
+            grover_total += int(report.grover_queries.sum())
             if trace_fh is not None:
-                trace_fh.write(json.dumps({
-                    "ebn0_db": ebn0_db, "trial": trial,
-                    "true_bits": [int(b) for b in bits],
-                    "detected_bits": [int(b) for b in report.detected_bits],
-                    "bit_errors": errors,
-                    "cf_evaluations": report.cf_evaluations,
-                    "grover_queries": report.grover_queries,
-                }) + "\n")
+                columns = (bits, report.detected_bits, errors,
+                           report.cf_evaluations, report.grover_queries)
+                for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+                    trace_fh.write(json.dumps(dict(zip(
+                        ("ebn0_db", "trial", "true_bits", "detected_bits",
+                         "bit_errors", "cf_evaluations", "grover_queries"),
+                        (float(ebn0_db), trial + i) + row))) + "\n")
+            trial += len(bits)
         points.append(BerPoint(ebn0_db=float(ebn0_db),
                                ber=bit_errors / (k * trials),
                                trials=trials,

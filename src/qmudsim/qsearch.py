@@ -109,11 +109,11 @@ def _indices(values, n: int, name: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def score_bits(table: np.ndarray, batched: bool = False) -> int:
-    """index_bits of a score table, or with batched of a stack of them;
+def score_bits(tables: np.ndarray) -> int:
+    """index_bits of a (..., 2^n) stack of score tables, or of one table;
     ValueError unless every score is finite."""
-    n = index_bits(table, "cost table", batched)
-    if not np.isfinite(table).all():
+    n = index_bits(tables, "cost table", batched=True)
+    if not np.isfinite(tables).all():
         raise ValueError("cost table scores must be finite")
     return n
 
@@ -502,7 +502,7 @@ def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
     SearchReport.
     """
     tables = np.asarray(tables, dtype=float)
-    n_states = 1 << score_bits(tables, batched=True)
+    n_states = 1 << score_bits(tables)
     shape, tables = tables.shape[:-1], tables.reshape(-1, n_states)
     final, queries, verifications, rounds = threshold_search(
         rng.integers(0, n_states, size=tables.shape[0]), n_states, rng)

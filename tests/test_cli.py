@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, CSV determinism, manifests."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -145,7 +146,38 @@ class TestGroverCommand:
                          (128, 8), (128, 8), (128, 4)]
 
 
+PINNED_BER_CONFIG = """\
+signature_kind = random_bipolar
+k_users = 6
+n_chips = 16
+sync_mode = chip-asynchronous
+gain_model = rayleigh
+detector = {detector}
+ebn0_db_list = 0,4,8
+trials = 150
+seed = 2023
+"""
+
+# SHA-256 of `ber --config PINNED_BER_CONFIG --out ...` per detector.  A
+# change that alters seeded `ber` bytes on purpose updates these and says so.
+PINNED_BER_SHA256 = {
+    "mf": "7a0a9dd057989d800e2a974db7ac3ed58568563d145bb40fafa3edbb7aa37e15",
+    "ml_exhaustive":
+        "b50438985a405f996b32688ba7c46f7ab38892850b61f80477af99345277774a",
+    "qmud": "f243e7f58d2d0052c3198634e2365a7651794c066011f588d994a21be709f03c",
+}
+
+
 class TestBerCommand:
+    @pytest.mark.parametrize("detector", sorted(PINNED_BER_SHA256))
+    def test_seeded_csv_bytes_are_pinned(self, detector, tmp_path):
+        cfg = tmp_path / "ber.cfg"
+        cfg.write_text(PINNED_BER_CONFIG.format(detector=detector))
+        out = tmp_path / "ber.csv"
+        assert cli.main(["ber", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PINNED_BER_SHA256[detector]
+
     def test_run_and_reproduce(self, tmp_path):
         cfg = tmp_path / "ber.cfg"
         cfg.write_text(BER_CONFIG)

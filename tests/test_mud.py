@@ -109,6 +109,43 @@ def reference_ber_qmud(scenario, noise_variance, trials, rng):
     return queries, rounds
 
 
+def reference_ber(scenario, detector, ebn0_db_list, trials, rng):
+    """ber_sweep's CSV text and trace text for mf or ml_exhaustive, as a
+    per-trial loop: one _draw_trial and one single-frame detector call per
+    trial."""
+    k = scenario.k_users
+    points, trace = [], io.StringIO()
+    for ebn0_db, point_rng in zip(ebn0_db_list,
+                                  rng.spawn(len(ebn0_db_list))):
+        sigma2 = cdma.ebn0_db_to_noise_variance(ebn0_db)
+        bit_errors = cf_total = 0
+        for trial in range(trials):
+            channel, bits, frame = mud._draw_trial(scenario, sigma2,
+                                                   point_rng)
+            if detector == "mf":
+                report = mud.mf_detect(
+                    cdma.matched_filter_bank(frame, scenario, channel),
+                    channel)
+            else:
+                report = mud.exhaustive_ml_detect(
+                    mud.make_mls_cost(frame, scenario, channel))
+            errors = int(np.sum(report.detected_bits != bits))
+            bit_errors += errors
+            cf_total += int(report.cf_evaluations)
+            trace.write(json.dumps({
+                "ebn0_db": float(ebn0_db), "trial": trial,
+                "true_bits": [int(b) for b in bits],
+                "detected_bits": [int(b) for b in report.detected_bits],
+                "bit_errors": errors,
+                "cf_evaluations": int(report.cf_evaluations),
+                "grover_queries": int(report.grover_queries)}) + "\n")
+        points.append(mud.BerPoint(float(ebn0_db), bit_errors / (k * trials),
+                                   trials, cf_total / trials, 0.0))
+    csv_text = io.StringIO()
+    mud.BerCurve(detector, tuple(points)).write_csv(csv_text)
+    return csv_text.getvalue(), trace.getvalue()
+
+
 def index_from_bits(bits):
     """Inverse of mud.bits_from_index: bit k of the index is set exactly
     when user k sent -1."""
@@ -400,7 +437,7 @@ class TestExhaustiveDetect:
             mud.CostFunction(np.zeros(7))
 
     @pytest.mark.parametrize("table", [np.zeros(6), np.zeros(0),
-                                       np.zeros((4, 4)), np.float64(1.0)])
+                                       np.zeros((4, 6)), np.float64(1.0)])
     def test_table_must_be_1d_of_power_of_two_length(self, table):
         with pytest.raises(ShapeError):
             mud.CostFunction(table)
@@ -605,6 +642,83 @@ class TestQmudDetect:
             assert math.isfinite(counter) and counter >= 0
 
 
+class TestStackedDetection:
+    """Each detector on a (..., K) stack gives what per-row calls give, with
+    counters and `correct` of the stack's leading shape."""
+
+    def test_mf_stack_matches_rows(self):
+        rng = np.random.default_rng(40)
+        y = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal(
+            (3, 5, 4))
+        ch = fixed_channel(np.exp(1j * rng.uniform(0, 6, (3, 5, 4))),
+                           np.zeros((3, 5, 4)))
+        truth = rng.choice((-1, 1), size=(3, 5, 4))
+        report = mud.mf_detect(y, ch, true_bits=truth)
+        for i in np.ndindex(3, 5):
+            row = mud.mf_detect(y[i], fixed_channel(ch.gains[i], ch.delay[i]),
+                                true_bits=truth[i])
+            np.testing.assert_array_equal(report.detected_bits[i],
+                                          row.detected_bits)
+            assert report.correct[i] == row.correct
+        for counter in (report.cf_evaluations, report.grover_queries):
+            np.testing.assert_array_equal(counter, np.zeros((3, 5)))
+
+    def test_ml_stack_matches_rows(self):
+        rng = np.random.default_rng(41)
+        tables = rng.standard_normal((6, 7, 64))
+        tables[0, 0] = 1.0  # a tie goes to index 0 in a stack too
+        truth = rng.choice((-1, 1), size=(6, 7, 6))
+        cf = mud.CostFunction(tables)
+        assert cf.k_users == 6
+        report = mud.exhaustive_ml_detect(cf, true_bits=truth)
+        assert cf.evaluations == 64
+        np.testing.assert_array_equal(report.cf_evaluations,
+                                      np.full((6, 7), 64))
+        np.testing.assert_array_equal(report.grover_queries,
+                                      np.zeros((6, 7)))
+        for i in np.ndindex(6, 7):
+            row = mud.exhaustive_ml_detect(mud.CostFunction(tables[i]),
+                                           true_bits=truth[i])
+            np.testing.assert_array_equal(report.detected_bits[i],
+                                          row.detected_bits)
+            assert report.correct[i] == row.correct
+            assert row.cf_evaluations == 64
+        np.testing.assert_array_equal(report.detected_bits[0, 0],
+                                      mud.bits_from_index(0, 6))
+
+    def test_evaluate_reads_every_table(self):
+        cf = mud.CostFunction(np.arange(16.0).reshape(2, 8))
+        np.testing.assert_array_equal(cf.evaluate(5), [5.0, 13.0])
+        np.testing.assert_array_equal(cf.evaluate([7, 0]),
+                                      [[7.0, 0.0], [15.0, 8.0]])
+        assert cf.evaluations == 3
+
+    def test_qmud_stack_finds_the_argmax_except_on_misses(self):
+        # a stack's searches land on each table's argmax unless they miss
+        # it, at the exact miss rate; counters take the stack's shape
+        rng = np.random.default_rng(42)
+        tables = rng.standard_normal((50, 40, 64))
+        argmax_bits = mud.exhaustive_ml_detect(
+            mud.CostFunction(tables)).detected_bits
+        report = mud.qmud_detect(mud.CostFunction(tables),
+                                 np.random.default_rng(43),
+                                 true_bits=argmax_bits)
+        assert report.detected_bits.shape == (50, 40, 6)
+        for counter in (report.cf_evaluations, report.grover_queries,
+                        report.correct):
+            assert counter.shape == (50, 40)
+        assert (report.cf_evaluations
+                >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures).all()
+        misses = int(np.count_nonzero(~report.correct))
+        p = stats.binomtest(misses, 2000,
+                            1 - exact_maximum_search(64)["agreement"]).pvalue
+        assert p > EQUIVALENCE_ALPHA
+        one = mud.qmud_detect(mud.CostFunction(tables[0, 0]),
+                              np.random.default_rng(44))
+        assert one.detected_bits.shape == (6,)
+        assert one.cf_evaluations.shape == one.grover_queries.shape == ()
+
+
 class TestBerSweep:
     def test_noiseless_ml_is_error_free(self):
         sc = cdma.make_scenario("random_bipolar", 3, 16, seed=2)
@@ -659,8 +773,8 @@ class TestBerSweep:
                                "bit_errors", "cf_evaluations", "grover_queries"}
 
     def test_detectors_see_the_same_frames(self, monkeypatch):
-        # 5 tables a search call at K = 6, so 23 trials take 5 calls, the
-        # last one short
+        # 3 trials a chunk at K = 6 and N_c = 16 (K·N_c = 96 chips), so 23
+        # trials take 8 chunks, the last one short
         monkeypatch.setattr(mud, "BER_SEARCH_SCORES", 5 << 6)
         sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
@@ -705,22 +819,59 @@ class TestBerSweep:
         assert homogeneity_p([r["cf_evaluations"] for r in new],
                              rounds) > EQUIVALENCE_ALPHA
 
-    def test_qmud_memory_does_not_grow_with_trials(self):
-        # one search call holds 256 K = 12 tables (8 MiB); all 1,200 at
-        # once would peak 29 MiB higher
-        sc = cdma.make_scenario("random_bipolar", 12, 16,
+    @pytest.mark.parametrize("detector, k_users, n_chips, trials", [
+        ("mf", 12, 16, (300, 1200)),
+        ("ml_exhaustive", 12, 16, (300, 1200)),
+        ("qmud", 12, 16, (300, 1200)),
+        ("mf", 1, 1 << 17, (8, 40)),
+    ], ids=["mf", "ml_exhaustive", "qmud", "mf-large-frames"])
+    def test_memory_does_not_grow_with_trials(self, detector, k_users,
+                                              n_chips, trials):
+        # a chunk holds 256 K = 12 tables (8 MiB; all 1,200 at once would
+        # peak 29 MiB higher), or 8 frames of 2^17 chips (16 MiB; 40 at
+        # once would peak 64 MiB higher)
+        sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=10)
         peaks = []
-        for trials in (300, 1200):
+        for n in trials:
             tracemalloc.start()
             try:
-                mud.ber_sweep(sc, "qmud", [8.0], trials,
+                mud.ber_sweep(sc, detector, [8.0], n,
                               np.random.default_rng(24))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 2**20
+
+    @pytest.mark.parametrize("detector", ["mf", "ml_exhaustive"])
+    def test_matches_per_trial_reference(self, detector, monkeypatch):
+        # 3 trials a chunk at K = 6 and N_c = 16, so 23 trials take 8
+        # chunks, the last one short; the default bound takes one
+        sc = cdma.make_scenario("random_bipolar", 6, 16,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=11)
+        expected = reference_ber(sc, detector, [0.0, 4.0, 8.0], 23,
+                                 np.random.default_rng(25))
+        for bound in (3 * 96, mud.BER_SEARCH_SCORES):
+            monkeypatch.setattr(mud, "BER_SEARCH_SCORES", bound)
+            csv_text, trace = io.StringIO(), io.StringIO()
+            mud.ber_sweep(sc, detector, [0.0, 4.0, 8.0], 23,
+                          np.random.default_rng(25),
+                          trace_fh=trace).write_csv(csv_text)
+            assert (csv_text.getvalue(), trace.getvalue()) == expected
+
+    def test_float32_ebn0_traces_as_the_float_list(self):
+        # the trace used to write the caller's float32 and fail in json
+        sc = cdma.make_scenario("walsh", 2, 2)
+        traces = []
+        for ebn0 in ([4.0, 0.5], np.array([4.0, 0.5], np.float32)):
+            buf = io.StringIO()
+            mud.ber_sweep(sc, "mf", ebn0, 3, np.random.default_rng(17),
+                          trace_fh=buf)
+            traces.append(buf.getvalue())
+        assert traces[0] == traces[1]
+        assert len(traces[0].splitlines()) == 6
 
     def test_generator_of_points(self):
         sc = cdma.make_scenario("walsh", 1, 2)
