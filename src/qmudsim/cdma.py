@@ -13,13 +13,13 @@ point that experiments sweep, so synthesize_received takes it per call.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .qsearch import _count
+from .errors import ConfigError, ShapeError, as_count, as_indices
 
 SYNCHRONOUS = "synchronous"
 CHIP_ASYNC = "chip-asynchronous"
@@ -47,20 +47,19 @@ MAX_NOISE_VARIANCE = 1e200
 @dataclass(frozen=True, eq=False)
 class ChannelState:
     """Per-user flat channel: complex gain a_k = A_k·e^{jα_k}, integer chip
-    delay τ_k; both arrays of shape (..., K)."""
+    delay τ_k; both arrays of shape (..., K).  Non-finite gains and delays
+    that are not integers >= 0 (bools included) raise ValueError."""
 
     gains: np.ndarray
     delay: np.ndarray
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=complex)
-        d = np.asarray(self.delay, dtype=int)
+        d = as_indices(self.delay, math.inf, "delays")
         if gains.shape != d.shape:
             raise ShapeError("gains and delay must share a shape")
         if not np.all(np.isfinite(gains)):
             raise ValueError("gains must be finite")
-        if np.any(d < 0):
-            raise ValueError("delays must be nonnegative chip counts")
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "delay", d)
 
@@ -146,9 +145,9 @@ def generate_signatures(kind: str, k_users: int, n_chips: int,
     """
     if kind not in SIGNATURE_KINDS:
         raise ConfigError(f"signature kind must be one of {SIGNATURE_KINDS}")
-    k_users = _count(k_users, "k_users", 1)
-    n_chips = _count(n_chips, "n_chips", 1)
-    seed = _count(seed, "seed", 0)
+    k_users = as_count(k_users, "k_users", 1)
+    n_chips = as_count(n_chips, "n_chips", 1)
+    seed = as_count(seed, "seed", 0)
     if k_users * n_chips > MAX_SIGNATURE_ENTRIES:
         raise ConfigError(f"k_users * n_chips = {k_users * n_chips} exceeds "
                           f"the cap of {MAX_SIGNATURE_ENTRIES} signature chips")
@@ -191,13 +190,15 @@ def ebn0_db_to_noise_variance(ebn0_db: float) -> float:
     Per-bit energy is E[A²] times the unit signature energy, i.e. 1 for both
     gain models, and the unit-energy matched filter passes the chip noise
     variance through unchanged, so Eb/N0 = 1/sigma².  +inf dB is the
-    noiseless channel; NaN, −inf and values whose variance exceeds
-    MAX_NOISE_VARIANCE raise ConfigError.
+    noiseless channel; NaN, −inf, values whose variance exceeds
+    MAX_NOISE_VARIANCE and values that are not numbers raise ConfigError.
     """
     try:
         sigma2 = 10.0 ** (-float(ebn0_db) / 10.0)
     except OverflowError:
-        sigma2 = float("inf")
+        sigma2 = math.inf
+    except (TypeError, ValueError):
+        sigma2 = math.nan
     if not sigma2 <= MAX_NOISE_VARIANCE:
         raise ConfigError(f"Eb/N0 of {ebn0_db!r} dB gives no noise variance "
                           f"in [0, {MAX_NOISE_VARIANCE:g}]")

@@ -24,8 +24,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, cdma, config, mud, qchannel, qsearch
-from .errors import ConfigError
+from . import __version__, cdma, config, mud, qchannel, qcore, qsearch
+from .errors import ConfigError, ShapeError, SizeError, as_count
 
 
 def _emit(args, write, subcommand: str, resolved: dict, **results) -> None:
@@ -48,26 +48,16 @@ def _emit(args, write, subcommand: str, resolved: dict, **results) -> None:
         fh.write("\n")
 
 
-def _check_search_space(n_qubits: int) -> None:
-    if n_qubits > config.MAX_QUBITS:
-        raise ConfigError(f"search space 2^{n_qubits} exceeds "
-                          f"2^{config.MAX_QUBITS} states")
-
-
 def cmd_grover(args) -> int:
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
     if args.scaling:
         return _grover_scaling(args)
+    # the library checks each flag: --n by the qcore rules and --marked by
+    # optimal_iterations (run even with --k-max), before the mask is built,
+    # and --trials and --k-max by measured_success_curve
     n = args.n
-    if n < 2 or n & (n - 1):
-        raise ConfigError(f"--n must be a power of 2 >= 2, got {n}")
-    _check_search_space(n.bit_length() - 1)
-    if not 1 <= args.marked <= n:
-        raise ConfigError(f"--marked must be in [1, {n}], got {args.marked}")
-    k_max = args.k_max
-    if k_max is None:
-        k_max = qsearch.optimal_iterations(n, args.marked)
+    qcore.check_qubits(qcore.length_qubits(n, "--n"))
+    k_optimal = qsearch.optimal_iterations(n, args.marked)
+    k_max = k_optimal if args.k_max is None else args.k_max
     rng = np.random.default_rng(args.seed)
     oracle = qsearch.MarkingOracle(np.arange(n) < args.marked)
     rows = [["k", "predicted_success", "measured_success", "trials"]]
@@ -88,14 +78,14 @@ SCALING_BATCH = 1 << 14
 
 def _grover_scaling(args) -> int:
     rng = np.random.default_rng(args.seed)
+    as_count(args.trials, "--trials", 1)
     n_min = 64 if args.n is None else args.n
-    if n_min < 2 or n_min & (n_min - 1):
-        raise ConfigError(f"--n must be a power of 2 >= 2, got {n_min}")
-    if not 1 <= args.marked <= n_min:
-        raise ConfigError(f"--marked must be in [1, {n_min}], got {args.marked}")
-    exponents = range(n_min.bit_length() - 1,
-                      max(n_min.bit_length() - 1, args.scaling_max_exp) + 1)
-    _check_search_space(exponents[-1])
+    low = qcore.length_qubits(n_min, "--n")
+    if not as_count(args.marked, "--marked", 1) <= n_min:
+        raise ConfigError(f"--marked must be at most --n = {n_min}, "
+                          f"got {args.marked}")
+    exponents = range(low, qcore.check_qubits(
+        max(low, args.scaling_max_exp)) + 1)
     rows = [["n", "mean_grover_queries", "mean_verifications",
              "exhaustive_evaluations", "trials"]]
     for exp in exponents:
@@ -156,7 +146,7 @@ def cmd_qmud_agree(args) -> int:
     # agreement and counters depend on K alone (mud.qmud_agreement), so
     # --n-chips and --ebn0 feed no computation; they are still checked and
     # recorded in the manifest, and existing command lines that pass them run
-    qsearch._count(args.n_chips, "--n-chips", 1)
+    as_count(args.n_chips, "--n-chips", 1)
     cdma.ebn0_db_to_noise_variance(args.ebn0)
     result = mud.qmud_agreement(args.k, args.trials,
                                 np.random.default_rng(args.seed))
@@ -246,7 +236,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, ShapeError, SizeError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure contract

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cdma, qsearch
 from .cdma import CdmaScenario, ChannelState, ReceivedFrame
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, SizeError, as_count, as_indices
 
 EXHAUSTIVE_K_LIMIT = 20
 
@@ -36,8 +36,8 @@ def bits_from_index(m: int, k_users: int) -> np.ndarray:
     and k_users that are not integers >= 0 raise ConfigError, and
     m >= 2^K raises ValueError.
     """
-    m = qsearch._count(m, "index", 0)
-    k_users = qsearch._count(k_users, "k_users", 0)
+    m = as_count(m, "index", 0)
+    k_users = as_count(k_users, "k_users", 0)
     if m >= 1 << k_users:
         raise ValueError(f"index {m} outside [0, {1 << k_users})")
     return _index_bits(m, k_users)
@@ -83,7 +83,7 @@ class CostFunction:
 
     def evaluate(self, m):
         """Scores of index m or an index array in every table; counted."""
-        m = qsearch._indices(m, self._table.shape[-1], "index")
+        m = as_indices(m, self._table.shape[-1], "index")
         self.evaluations += m.size
         return self._table[..., m]
 
@@ -351,7 +351,7 @@ def ber_sweep(scenario: CdmaScenario, detector: str, ebn0_db_list,
     """
     if detector not in DETECTORS:
         raise ConfigError(f"detector must be one of {DETECTORS}")
-    trials = qsearch._count(trials, "trials", 1)
+    trials = as_count(trials, "trials", 1)
     k = scenario.k_users
     if detector != "mf" and k > EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"detector {detector} supports at most "
@@ -431,8 +431,8 @@ def qmud_agreement(k_users: int, trials: int,
     search ends on rank 0.  k_users and trials that are not integers >= 1,
     and K above EXHAUSTIVE_K_LIMIT, raise ConfigError before any draw.
     """
-    k = qsearch._count(k_users, "k_users", 1)
-    trials = qsearch._count(trials, "trials", 1)
+    k = as_count(k_users, "k_users", 1)
+    trials = as_count(trials, "trials", 1)
     if k > EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"k_users must be in [1, {EXHAUSTIVE_K_LIMIT}], "
                           f"got {k}")

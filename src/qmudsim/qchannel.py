@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import qcore, qsearch
-from .errors import ConfigError
+from . import qcore
+from .errors import ConfigError, as_count
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,12 @@ def bsc_capacity(p: float) -> float:
 
 def transmit_classical(bit: int, ch: FlipChannel,
                        rng: np.random.Generator) -> int:
-    """Send a raw bit through the flip process."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+    """Send a raw bit through the flip process; a bit that is not an
+    integer >= 0 (a bool included) raises ConfigError, one above 1
+    ValueError."""
+    bit = as_count(bit, "bit", 0)
+    if bit > 1:
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
     if rng.random() < ch.p:
         return 1 - bit
     return bit
@@ -88,10 +91,8 @@ def transmit_quantum(bit: int, ch: FlipChannel,
     Encode |bit⟩ → H|bit⟩, pass it through the channel (apply X with
     probability p), decode with H, measure.  Both code states are X
     eigenstates up to a global phase, so the output equals the input for
-    every p.
+    every p.  The bit is checked as a basis index (qcore.basis_state).
     """
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
     state = qcore.apply_unitary(_H, qcore.basis_state(1, bit))
     if rng.random() < ch.p:
         state = qcore.apply_unitary(_X, state)
@@ -104,7 +105,7 @@ def run_demo(n_bits: int, p: float, rng: np.random.Generator) -> DemoReport:
 
     n_bits that is not an integer >= 1 and p outside [0, 1] raise
     ConfigError."""
-    n_bits = qsearch._count(n_bits, "n_bits", 1)
+    n_bits = as_count(n_bits, "n_bits", 1)
     ch = FlipChannel(p)
     classical_errors = 0
     quantum_errors = 0

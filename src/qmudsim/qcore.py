@@ -17,7 +17,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import ShapeError, SizeError
+from .errors import ShapeError, SizeError, as_count
+
+
+def check_qubits(n_qubits: int) -> int:
+    """n_qubits, unless it falls outside [1, config.MAX_QUBITS] (SizeError):
+    the register-size rule, checked before any register is allocated."""
+    if not 1 <= n_qubits <= config.MAX_QUBITS:
+        raise SizeError(
+            f"n_qubits={n_qubits} outside [1, {config.MAX_QUBITS}]")
+    return n_qubits
+
+
+def length_qubits(length: int, name: str) -> int:
+    """n for a length of 2^n with n >= 1, else ShapeError: the length rule
+    of every vector or table over the indices of a register."""
+    n = length.bit_length() - 1
+    if n < 1 or length != 1 << n:
+        raise ShapeError(f"{name} {length} is not 2^n with n >= 1")
+    return n
 
 
 class StateVector:
@@ -26,15 +44,13 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
-        if not 1 <= n_qubits <= config.MAX_QUBITS:
-            raise SizeError(
-                f"n_qubits={n_qubits} outside [1, {config.MAX_QUBITS}]")
+        check_qubits(n_qubits)
         amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << n_qubits,):
             raise ShapeError(
                 f"expected {1 << n_qubits} amplitudes, got {amps.shape}")
         norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm_sq - 1.0) > config.NORM_TOL:
+        if not abs(norm_sq - 1.0) <= config.NORM_TOL:
             raise ValueError(f"state norm² = {norm_sq!r}, not 1")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -77,14 +93,13 @@ class DenseUnitary(UnitaryOp):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"matrix must be square, got {m.shape}")
         dim = m.shape[0]
-        if dim & (dim - 1) or dim < 2:
-            raise ShapeError(f"dimension {dim} is not a power of 2")
+        length_qubits(dim, "matrix dimension")
         if dim > config.MAX_DENSE_DIM:
             raise SizeError(
                 f"dense form capped at dim {config.MAX_DENSE_DIM}; "
                 "use a structured unitary")
         defect = np.linalg.norm(m.conj().T @ m - np.eye(dim))
-        if defect > config.UNITARY_TOL:
+        if not defect <= config.UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (‖U†U − I‖ = {defect:.3g})")
         self.matrix = m
         self.dim = dim
@@ -98,9 +113,10 @@ class DiagonalUnitary(UnitaryOp):
 
     def __init__(self, phases: np.ndarray):
         d = np.asarray(phases, dtype=np.complex128)
-        if d.ndim != 1 or (d.size & (d.size - 1)) or d.size < 2:
-            raise ShapeError(f"need a power-of-2 length vector, got {d.shape}")
-        if np.max(np.abs(np.abs(d) - 1.0)) > config.UNITARY_TOL:
+        if d.ndim != 1:
+            raise ShapeError(f"need a 1-D phase vector, got {d.shape}")
+        length_qubits(d.size, "phase vector length")
+        if not np.max(np.abs(np.abs(d) - 1.0)) <= config.UNITARY_TOL:
             raise ValueError("diagonal entries must have unit modulus")
         self.phases = d
         self.dim = d.size
@@ -115,9 +131,12 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
-    """Register collapsed onto one computational basis state."""
-    dim = 1 << n_qubits
-    if not 0 <= index < dim:
+    """Register collapsed onto one computational basis state; a bad size
+    (check_qubits) or index (as_count; ValueError >= 2^n) raises before any
+    allocation."""
+    dim = 1 << check_qubits(n_qubits)
+    index = as_count(index, "basis index", 0)
+    if index >= dim:
         raise ValueError(f"basis index {index} outside [0, {dim})")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
@@ -126,10 +145,7 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
 
 def uniform_superposition(n_qubits: int) -> StateVector:
     """All 2^n basis states with equal real positive amplitude 1/sqrt(2^n)."""
-    if not 1 <= n_qubits <= config.MAX_QUBITS:
-        raise SizeError(
-            f"n_qubits={n_qubits} outside [1, {config.MAX_QUBITS}]")
-    dim = 1 << n_qubits
+    dim = 1 << check_qubits(n_qubits)
     amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
     return StateVector(n_qubits, amps)
 
@@ -143,10 +159,7 @@ def apply_unitary(u: UnitaryOp, s: StateVector) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Combine registers; `a` supplies the high bits, `b` the low bits."""
-    n_total = a.n_qubits + b.n_qubits
-    if n_total > config.MAX_QUBITS:
-        raise SizeError(
-            f"combined register of {n_total} qubits exceeds {config.MAX_QUBITS}")
+    n_total = check_qubits(a.n_qubits + b.n_qubits)
     return StateVector(n_total, np.kron(a.amplitudes, b.amplitudes))
 
 

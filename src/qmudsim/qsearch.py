@@ -38,25 +38,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import config, qcore
-from .errors import ConfigError, ShapeError, SizeError
-
-
-def _count(value, name: str, low: int) -> int:
-    """value as an int; ConfigError unless it is a non-bool integer >= low."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = low - 1
-    if count < low or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-    return count
+from .errors import ConfigError, ShapeError, as_count, as_indices
 
 
 class _Schedule(NamedTuple):
@@ -87,32 +75,13 @@ MAXIMUM_SEARCH_CONFIG = _Schedule(growth_factor=1.33, budget_factor=1.8,
                                   max_failures=3)
 
 
-def index_bits(values: np.ndarray, name: str, batched: bool = False) -> int:
-    """n >= 1 for a 1-D array over the 2^n register indices, or with batched
-    for a stack of them, (..., 2^n); ShapeError otherwise.  A search over
-    one index would never spend its budget: every round's j is 0 there."""
-    length = values.shape[-1] if values.ndim else 0
-    n = length.bit_length() - 1
-    if (values.ndim > 1 and not batched) or n < 1 or length != 1 << n:
-        raise ShapeError(f"{name} of shape {values.shape} is not "
-                         f"{'(..., 2^n)' if batched else '(2^n,)'}, n >= 1")
-    return n
-
-
-def _indices(values, n: int, name: str) -> np.ndarray:
-    """values as an int64 array; ValueError unless every entry is an
-    integer (not a bool) in [0, n)."""
-    values = np.asarray(values)
-    if values.size and (values.dtype.kind not in "iu" or values.min() < 0
-                        or values.max() >= n):
-        raise ValueError(f"{name} must be integers in [0, {n})")
-    return values.astype(np.int64, copy=False)
-
-
 def score_bits(tables: np.ndarray) -> int:
-    """index_bits of a (..., 2^n) stack of score tables, or of one table;
-    ValueError unless every score is finite."""
-    n = index_bits(tables, "cost table", batched=True)
+    """n for a (..., 2^n) stack of score tables, or one table: ShapeError
+    unless n >= 1 (qcore.length_qubits; a search over one index would never
+    spend its budget, as every round's j is 0), ValueError unless every
+    score is finite."""
+    n = qcore.length_qubits(tables.shape[-1] if tables.ndim else 0,
+                            "cost table length")
     if not np.isfinite(tables).all():
         raise ValueError("cost table scores must be finite")
     return n
@@ -128,7 +97,9 @@ class MarkingOracle:
 
     def __init__(self, mask: np.ndarray):
         mask = np.asarray(mask, dtype=bool)
-        self.n_qubits = index_bits(mask, "mask")
+        if mask.ndim != 1:
+            raise ShapeError(f"mask must be 1-D, got shape {mask.shape}")
+        self.n_qubits = qcore.length_qubits(mask.size, "mask length")
         self.mask = mask
         self.query_count = 0
         self.verification_count = 0
@@ -186,8 +157,8 @@ def grover_iterate(oracle: MarkingOracle, s: qcore.StateVector) -> qcore.StateVe
 
 def _grover_angle(n_states, n_marked, low: int) -> float:
     """θ = asin(sqrt(M/N)); ConfigError unless N >= 1 and M in [low, N]."""
-    n_states = _count(n_states, "n_states", 1)
-    n_marked = _count(n_marked, "n_marked", low)
+    n_states = as_count(n_states, "n_states", 1)
+    n_marked = as_count(n_marked, "n_marked", low)
     if n_marked > n_states:
         raise ConfigError(f"n_marked must be at most n_states = {n_states}, "
                           f"got {n_marked}")
@@ -205,18 +176,16 @@ def success_probability(n_states: int, n_marked: int, k: int) -> float:
     """Closed-form success probability sin²((2k+1)·asin(sqrt(M/N))) for M
     in [0, N] and k >= 0; other counts raise ConfigError."""
     theta = _grover_angle(n_states, n_marked, 0)
-    k = _count(k, "k", 0)
+    k = as_count(k, "k", 0)
     return math.sin((2 * k + 1) * theta) ** 2
 
 
 def grover_search(oracle: MarkingOracle, m_known: int,
                   rng: np.random.Generator) -> SearchReport:
-    """Search with the iteration count tuned for a known number of marked items."""
-    n = oracle.n_states
-    if not 1 <= m_known <= n:
-        raise ValueError(f"m_known={m_known} outside [1, {n}]")
+    """Search with the iteration count tuned for a known number of marked
+    items; an m_known outside [1, N] raises ConfigError (optimal_iterations)."""
+    k = optimal_iterations(oracle.n_states, m_known)
     g0, v0 = oracle.query_count, oracle.verification_count
-    k = optimal_iterations(n, m_known)
     s = qcore.uniform_superposition(oracle.n_qubits)
     for _ in range(k):
         s = grover_iterate(oracle, s)
@@ -244,11 +213,9 @@ def _schedule(n_states: int, cfg: _Schedule):
 
 def _rank_space(values, n_states, name: str, top: int):
     """(values, n_states) checked as in bbht_ranks; values < n_states + top."""
-    n_states = _count(n_states, "n_states", 2)
-    if n_states > 1 << config.MAX_QUBITS:
-        raise SizeError(f"n_states={n_states} exceeds "
-                        f"2^{config.MAX_QUBITS} states")
-    values = _indices(values, n_states + top, name)
+    n_states = as_count(n_states, "n_states", 2)
+    qcore.check_qubits((n_states - 1).bit_length())  # qubits to index N
+    values = as_indices(values, n_states + top, name)
     if values.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {values.shape}")
     return values, n_states
@@ -316,7 +283,7 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
     item exists.  confidence_rounds that is not an integer >= 1 raises
     ConfigError before any draw.
     """
-    cfg = DEFAULT_CONFIG._replace(max_failures=_count(
+    cfg = DEFAULT_CONFIG._replace(max_failures=as_count(
         confidence_rounds, "confidence_rounds", 1))
     counts, n_states = _rank_space([oracle.marked_indices().size],
                                    oracle.n_states, "counts", 1)
@@ -518,7 +485,7 @@ def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
 def _grover_steps(k, n_states: int, name: str) -> int:
     """k as an int; ConfigError unless it is a non-bool integer >= 0 and
     (k + 1)·n_states amplitude updates stay within MAX_GROVER_UPDATES."""
-    k = _count(k, name, 0)
+    k = as_count(k, name, 0)
     if (k + 1) * n_states > config.MAX_GROVER_UPDATES:
         raise ConfigError(f"{name}={k} on {n_states} states exceeds "
                           f"{config.MAX_GROVER_UPDATES} amplitude updates")
@@ -546,7 +513,7 @@ def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
     built.
     """
     k = _grover_steps(k, oracle.n_states, "k")
-    trials = _count(trials, "trials", 1)
+    trials = as_count(trials, "trials", 1)
     s = qcore.uniform_superposition(oracle.n_qubits)
     for _ in range(k):
         s = grover_iterate(oracle, s)
@@ -561,7 +528,7 @@ def measured_success_curve(oracle: MarkingOracle, k_max: int, trials: int,
     ConfigError before the register is built, as in measured_success_rate.
     """
     k_max = _grover_steps(k_max, oracle.n_states, "k_max")
-    trials = _count(trials, "trials", 1)
+    trials = as_count(trials, "trials", 1)
     s = qcore.uniform_superposition(oracle.n_qubits)
     rates = [_marked_fraction(oracle, s, trials, rng)]
     for _ in range(k_max):

@@ -189,6 +189,19 @@ class TestChannelState:
         with pytest.raises(ValueError):
             cdma.ChannelState(gains=np.ones(2), delay=[0, -1])
 
+    @pytest.mark.parametrize("delay", [[0, 1.5], [0.0, 1.0], [True, False],
+                                       np.array([0, 2], dtype=float)])
+    def test_non_integer_delays_rejected(self, delay):
+        # the index rule: integers, not bools, so nothing is truncated
+        with pytest.raises(ValueError):
+            cdma.ChannelState(gains=np.ones(2), delay=delay)
+
+    def test_integer_delays_kept(self):
+        ch = cdma.ChannelState(gains=np.ones(2),
+                               delay=np.array([0, 3], dtype=np.uint8))
+        assert ch.delay.dtype == np.int64
+        np.testing.assert_array_equal(ch.delay, [0, 3])
+
 
 class TestSynthesizeReceived:
     def test_two_user_walsh_difference(self):

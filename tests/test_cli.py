@@ -97,6 +97,20 @@ class TestGroverCommand:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_search_space_checked_before_allocation(self, monkeypatch,
+                                                    tmp_path):
+        # 2^40 states: the qubit rule answers before any mask is built, and
+        # a huge --scaling-max-exp before any 1 << exp or search
+        monkeypatch.setattr(qsearch, "MarkingOracle", None)
+        monkeypatch.setattr(qsearch, "bbht_ranks", None)
+        out = tmp_path / "g.csv"
+        assert cli.main(["grover", "--n", "1099511627776", "--trials", "1",
+                         "--out", str(out)]) == 2
+        assert cli.main(["grover", "--scaling", "--scaling-max-exp",
+                         "1000000000000000000", "--trials", "1",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["0", "-64", "48"])
     def test_scaling_n_validated(self, n, tmp_path):
         out = tmp_path / "g.csv"

@@ -1,0 +1,81 @@
+"""Module layering of src/qmudsim, read from the source with ast.
+
+The input rules sit below every module that uses them: counts and index
+arrays in `errors`, register sizes and lengths in `qcore`.  So the channel
+modules need nothing from the search module, no module reaches into
+another's private names, and one function reads the register-size limit.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qmudsim"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _imports(tree):
+    """(module, name) per imported name: `from . import x` gives
+    ("x", None), `from .x import y` gives ("x", "y")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module:
+                    yield node.module, alias.name
+                else:
+                    yield alias.name, None
+
+
+def test_every_module_parsed():
+    assert {"cdma", "cli", "config", "errors", "mud", "qchannel", "qcore",
+            "qsearch"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", ["cdma", "qchannel"])
+def test_channel_modules_import_nothing_from_qsearch(module):
+    assert "qsearch" not in {source for source, _ in
+                             _imports(MODULES[module])}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_reads_another_modules_private_names(module):
+    tree = MODULES[module]
+    siblings = set()
+    reads = []
+    for source, name in _imports(tree):
+        if name is None:
+            siblings.add(source)
+        elif _private(name):
+            reads.append(f"from .{source} import {name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            reads.append(f"{node.value.id}.{node.attr}")
+    assert reads == []
+
+
+def _limit_reads(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "MAX_QUBITS"]
+
+
+def test_one_function_reads_the_register_size_limit():
+    outside = {module: tree for module, tree in MODULES.items()
+               if module != "config"}
+    readers = [f"{module}.{func.name}" for module, tree in outside.items()
+               for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and _limit_reads(func)]
+    assert readers == ["qcore.check_qubits"]
+    # and no read outside a function
+    check_qubits = next(func for func in ast.walk(MODULES["qcore"])
+                        if isinstance(func, ast.FunctionDef)
+                        and func.name == "check_qubits")
+    assert (sum(len(_limit_reads(tree)) for tree in outside.values())
+            == len(_limit_reads(check_qubits)))

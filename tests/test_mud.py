@@ -987,3 +987,16 @@ class TestInputChecks:
             mud.ber_sweep(sc, detector, [0.0], trials, rng, trace_fh=trace)
         assert rng.bit_generator.state == state
         assert trace.getvalue() == ""
+
+    @pytest.mark.parametrize("bad", ["x", None, [], object(), 1j])
+    def test_sweep_rejects_an_eb_n0_that_is_no_number(self, bad):
+        # a point that is no number fails before any trial, even after a
+        # good point
+        sc = cdma.make_scenario("walsh", 2, 4)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        trace = io.StringIO()
+        with pytest.raises(ConfigError, match="noise variance"):
+            mud.ber_sweep(sc, "mf", [4.0, bad], 3, rng, trace_fh=trace)
+        assert rng.bit_generator.state == state
+        assert trace.getvalue() == ""

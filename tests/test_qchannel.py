@@ -64,6 +64,29 @@ class TestTransmitClassical:
                                         np.random.default_rng(0))
 
 
+# a bit is an integer in {0, 1}: bools, floats and other types are not bits
+NON_BITS = [True, False, 1.0, 0.0, 0.5, -1, "1", None]
+
+
+@pytest.mark.parametrize("transmit", [qchannel.transmit_classical,
+                                      qchannel.transmit_quantum])
+class TestBitRule:
+    @pytest.mark.parametrize("bit", NON_BITS)
+    def test_non_bits_are_config_errors(self, transmit, bit):
+        with pytest.raises(ConfigError):
+            transmit(bit, qchannel.FlipChannel(0.5), np.random.default_rng(0))
+
+    def test_above_one_rejected(self, transmit):
+        with pytest.raises(ValueError):
+            transmit(2, qchannel.FlipChannel(0.5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bit", [0, 1, np.int64(0), np.uint8(1)])
+    def test_integer_bits_come_back_as_ints(self, transmit, bit):
+        out = transmit(bit, qchannel.FlipChannel(0.0),
+                       np.random.default_rng(0))
+        assert type(out) is int and out == bit
+
+
 class TestTransmitQuantum:
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_output_equals_input(self, p):

@@ -1,13 +1,15 @@
 """State-vector simulator: operations, error paths, statistical invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qmudsim import qcore
-from qmudsim.errors import ShapeError, SizeError
+from qmudsim import config, qcore
+from qmudsim.errors import ConfigError, ShapeError, SizeError
 
 
 def random_state(n_qubits, rng):
@@ -258,3 +260,76 @@ class TestStateVectorValidation:
             s.n_qubits = 2
         with pytest.raises(ValueError):
             s.amplitudes[0] = 5
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteRejected:
+    # each check reads "not (good <= tol)", so a NaN defect fails it
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_state_vector(self, bad):
+        with pytest.raises(ValueError):
+            qcore.StateVector(1, np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_diagonal_unitary(self, bad):
+        with pytest.raises(ValueError):
+            qcore.DiagonalUnitary(np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_dense_unitary(self, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            qcore.DenseUnitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("n", [0, -1, config.MAX_QUBITS + 1, 40])
+    def test_qubit_rule_rejects(self, n):
+        with pytest.raises(SizeError):
+            qcore.check_qubits(n)
+
+    @pytest.mark.parametrize("n", [1, config.MAX_QUBITS])
+    def test_qubit_rule_accepts(self, n):
+        assert qcore.check_qubits(n) == n
+
+    @pytest.mark.parametrize("length", [-4, 0, 1, 3, 6, 100])
+    def test_length_rule_rejects(self, length):
+        with pytest.raises(ShapeError):
+            qcore.length_qubits(length, "length")
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 40])
+    def test_length_rule_accepts(self, n):
+        assert qcore.length_qubits(1 << n, "length") == n
+
+    @pytest.mark.parametrize("make", [
+        lambda: qcore.DenseUnitary(np.eye(1)),
+        lambda: qcore.DenseUnitary(np.eye(3)),
+        lambda: qcore.DiagonalUnitary(np.ones(1)),
+        lambda: qcore.DiagonalUnitary(np.ones(6)),
+        lambda: qcore.DiagonalUnitary(np.ones((2, 2))),
+    ])
+    def test_operators_follow_the_length_rule(self, make):
+        with pytest.raises(ShapeError):
+            make()
+
+    def test_basis_state_size_checked_before_allocation(self):
+        # 2^40 amplitudes would take 16 TiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                qcore.basis_state(40, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("index", [True, False, 0.5, 1.0, -1, "1", None])
+    def test_basis_index_follows_the_count_rule(self, index):
+        with pytest.raises(ConfigError):
+            qcore.basis_state(1, index)
+
+    def test_basis_index_range(self):
+        with pytest.raises(ValueError):
+            qcore.basis_state(1, 2)
+        assert qcore.probabilities(qcore.basis_state(2, np.int64(3)))[3] == 1

@@ -31,7 +31,7 @@ from scipy import stats
 
 from qmudsim import cli, config, mud, qchannel, qcore, qsearch
 from qmudsim.cdma import make_scenario
-from qmudsim.errors import ConfigError, ShapeError, SizeError
+from qmudsim.errors import ConfigError, ShapeError, SizeError, as_indices
 
 # Fixed-seed equivalence tests reject at this p-value.
 EQUIVALENCE_ALPHA = 1e-3
@@ -52,7 +52,7 @@ def rank(tables, index):
     tables, index = np.asarray(tables), np.asarray(index)
     if not tables.ndim or index.shape != tables.shape[:-1]:
         raise ShapeError(f"index shape {index.shape}, tables {tables.shape}")
-    index = qsearch._indices(index, tables.shape[-1], "index")[..., None]
+    index = as_indices(index, tables.shape[-1], "index")[..., None]
     score = np.take_along_axis(tables, index, axis=-1)
     return np.count_nonzero(np.where(np.arange(tables.shape[-1]) < index,
                                      tables >= score, tables > score), axis=-1)
