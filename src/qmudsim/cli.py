@@ -81,9 +81,8 @@ def _grover_scaling(args) -> int:
     as_count(args.trials, "--trials", 1)
     n_min = 64 if args.n is None else args.n
     low = qcore.length_qubits(n_min, "--n")
-    if not as_count(args.marked, "--marked", 1) <= n_min:
-        raise ConfigError(f"--marked must be at most --n = {n_min}, "
-                          f"got {args.marked}")
+    # bbht_ranks rejects a --marked above --n, but takes 0 (nothing marked)
+    as_count(args.marked, "--marked", 1)
     exponents = range(low, qcore.check_qubits(
         max(low, args.scaling_max_exp)) + 1)
     rows = [["n", "mean_grover_queries", "mean_verifications",

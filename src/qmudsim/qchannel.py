@@ -84,6 +84,20 @@ _H = qcore.DenseUnitary(qcore.HADAMARD)
 _X = qcore.DenseUnitary(qcore.PAULI_X)
 
 
+def _encode(bit: int) -> qcore.StateVector:
+    """The code state H|bit⟩; the bit is checked as a basis index
+    (qcore.basis_state)."""
+    return qcore.apply_unitary(_H, qcore.basis_state(1, bit))
+
+
+def _decode(state: qcore.StateVector, flipped: bool) -> qcore.StateVector:
+    """The register the receiver measures: X if the channel flipped, then
+    the decoding H."""
+    if flipped:
+        state = qcore.apply_unitary(_X, state)
+    return qcore.apply_unitary(_H, state)
+
+
 def transmit_quantum(bit: int, ch: FlipChannel,
                      rng: np.random.Generator) -> int:
     """Send a bit through the flip process under the phase-basis encoding.
@@ -93,27 +107,30 @@ def transmit_quantum(bit: int, ch: FlipChannel,
     eigenstates up to a global phase, so the output equals the input for
     every p.  The bit is checked as a basis index (qcore.basis_state).
     """
-    state = qcore.apply_unitary(_H, qcore.basis_state(1, bit))
-    if rng.random() < ch.p:
-        state = qcore.apply_unitary(_X, state)
-    state = qcore.apply_unitary(_H, state)
-    return qcore.measure(state, rng).outcome
+    state = _encode(bit)  # a bad bit raises before any draw
+    return qcore.measure(_decode(state, rng.random() < ch.p), rng).outcome
 
 
 def run_demo(n_bits: int, p: float, rng: np.random.Generator) -> DemoReport:
     """Push random bits through both transports and tally error rates.
 
-    n_bits that is not an integer >= 1 and p outside [0, 1] raise
-    ConfigError."""
+    Each bit makes the draws of rng.integers(0, 2), transmit_classical and
+    transmit_quantum, in that order, so a seed gives the same report and
+    the same final generator state as those per-bit calls.  The four
+    (bit, flip) registers are evolved once per call, and each bit samples
+    its case's outcome_cdf.  n_bits that is not an integer >= 1 and p
+    outside [0, 1] raise ConfigError."""
     n_bits = as_count(n_bits, "n_bits", 1)
     ch = FlipChannel(p)
+    cdfs = [[qcore.outcome_cdf(_decode(_encode(bit), flipped)).tolist()
+             for flipped in (False, True)] for bit in (0, 1)]
     classical_errors = 0
     quantum_errors = 0
     for _ in range(n_bits):
         bit = int(rng.integers(0, 2))
-        if transmit_classical(bit, ch, rng) != bit:
+        if rng.random() < ch.p:
             classical_errors += 1
-        if transmit_quantum(bit, ch, rng) != bit:
+        if qcore.sample_outcome(cdfs[bit][rng.random() < ch.p], rng) != bit:
             quantum_errors += 1
     return DemoReport(n_bits=n_bits,
                       classical_error_rate=classical_errors / n_bits,

@@ -12,6 +12,7 @@ in the high bits and ``b``'s in the low bits, i.e. the amplitude of
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,8 @@ class DenseUnitary(UnitaryOp):
             raise SizeError(
                 f"dense form capped at dim {config.MAX_DENSE_DIM}; "
                 "use a structured unitary")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         defect = np.linalg.norm(m.conj().T @ m - np.eye(dim))
         if not defect <= config.UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (‖U†U − I‖ = {defect:.3g})")
@@ -169,11 +172,27 @@ def probabilities(s: StateVector) -> np.ndarray:
     return a.real**2 + a.imag**2
 
 
+def outcome_cdf(s: StateVector) -> np.ndarray:
+    """The cdf that measuring `s` samples, built as rng.choice(s.dim,
+    p=pmf / pmf.sum()) builds it: the cumulative sum of the normalized pmf
+    (which absorbs float drift), divided by its last entry."""
+    p = probabilities(s)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_outcome(cdf, rng: np.random.Generator) -> int:
+    """One outcome from an outcome_cdf (or its tolist()), drawn as
+    rng.choice draws it, without its per-call checks: one rng.random() and
+    a right-side search, so the outcome and the generator state match that
+    call's."""
+    return bisect.bisect_right(cdf, rng.random())
+
+
 def measure(s: StateVector, rng: np.random.Generator) -> MeasurementOutcome:
     """Projective measurement: sample an index, collapse the register."""
-    p = probabilities(s)
-    p = p / p.sum()  # absorb float drift so the sampler sees an exact pmf
-    outcome = int(rng.choice(s.dim, p=p))
+    outcome = sample_outcome(outcome_cdf(s), rng)
     return MeasurementOutcome(outcome, basis_state(s.n_qubits, outcome))
 
 

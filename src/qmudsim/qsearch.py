@@ -215,7 +215,10 @@ def _rank_space(values, n_states, name: str, top: int):
     """(values, n_states) checked as in bbht_ranks; values < n_states + top."""
     n_states = as_count(n_states, "n_states", 2)
     qcore.check_qubits((n_states - 1).bit_length())  # qubits to index N
-    values = as_indices(values, n_states + top, name)
+    try:
+        values = as_indices(values, n_states + top, name)
+    except ValueError as exc:  # caller input, so exit 2 in the CLI
+        raise ConfigError(str(exc)) from None
     if values.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {values.shape}")
     return values, n_states
@@ -235,8 +238,8 @@ def bbht_ranks(counts, n_states: int, rng: np.random.Generator):
     int64 arrays of the rank (below M for a hit, uniform on 0..M-1; M for a
     give-up), the oracle queries and the verifications.  n_states not an
     integer >= 2 raises ConfigError, above 2^config.MAX_QUBITS SizeError,
-    and counts not a 1-D array of integers in [0, n_states] ValueError, all
-    before any allocation or draw.
+    counts that are not integers in [0, n_states] ConfigError and counts
+    that are not 1-D ValueError, all before any allocation or draw.
     """
     counts, n_states = _rank_space(counts, n_states, "counts", 1)
     hit, queries, verifications, _ = _lockstep_search(

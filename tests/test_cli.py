@@ -445,7 +445,20 @@ class TestArgvFuzz:
         assert cli.main(argv) in (0, 2), argv
 
 
+# SHA-256 of `bsc --p 0.5 --bits 5000 --seed 25 --out ...`.  A change that
+# alters seeded `bsc` bytes on purpose updates it and says so.
+PINNED_BSC_SHA256 = (
+    "8bde16810d63bb4c4c28c38836f3170183634c91ff0373162199df76582009eb")
+
+
 class TestBscCommand:
+    def test_seeded_report_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "bsc.json"
+        assert cli.main(["bsc", "--p", "0.5", "--bits", "5000", "--seed",
+                         "25", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PINNED_BSC_SHA256
+
     def test_p_half(self, capsys, tmp_path):
         out = tmp_path / "demo.json"
         rc = cli.main(["bsc", "--p", "0.5", "--bits", "5000", "--out", str(out)])

@@ -6,8 +6,9 @@
 detects on the bare matched-filter outputs; `ber_comparison_demo.py`
 sweeps all three detectors through ber_sweep and writes its CSV into the
 test's temporary directory; `quantum_register_basics.py` builds and
-measures qcore registers.  The remaining demo takes about 10 s and is left
-to manual runs.
+measures qcore registers; `zero_capacity_channel_demo.py` sends 125,000
+bits through qchannel.run_demo, which evolves its registers once per call,
+in under a second.
 """
 
 import os
@@ -24,7 +25,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                   "qmud_demo.py",
                                   "near_far_demo.py",
                                   "ber_comparison_demo.py",
-                                  "quantum_register_basics.py"])
+                                  "quantum_register_basics.py",
+                                  "zero_capacity_channel_demo.py"])
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],

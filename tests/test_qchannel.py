@@ -116,7 +116,33 @@ class TestTransmitQuantum:
             assert errors == 0
 
 
+def reference_run_demo(n_bits, p, rng):
+    """run_demo as a per-bit loop: draw a bit, then send it through
+    transmit_classical and transmit_quantum."""
+    ch = qchannel.FlipChannel(p)
+    classical_errors = quantum_errors = 0
+    for _ in range(n_bits):
+        bit = int(rng.integers(0, 2))
+        classical_errors += qchannel.transmit_classical(bit, ch, rng) != bit
+        quantum_errors += qchannel.transmit_quantum(bit, ch, rng) != bit
+    return qchannel.DemoReport(n_bits=n_bits,
+                               classical_error_rate=classical_errors / n_bits,
+                               quantum_error_rate=quantum_errors / n_bits,
+                               classical_capacity=qchannel.bsc_capacity(p))
+
+
 class TestRunDemo:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 25])
+    def test_matches_per_bit_reference(self, p, n_bits, seed):
+        # the same report and the same final generator state: run_demo
+        # makes every draw of the per-bit calls, in their order
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (qchannel.run_demo(n_bits, p, rng)
+                == reference_run_demo(n_bits, p, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_p_half(self):
         rng = np.random.default_rng(5)
         report = qchannel.run_demo(20000, 0.5, rng)

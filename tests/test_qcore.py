@@ -1,6 +1,7 @@
 """State-vector simulator: operations, error paths, statistical invariants."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,24 @@ class TestMeasure:
         rng = np.random.default_rng(7)
         outcomes = {qcore.measure(bell, rng).outcome for _ in range(1000)}
         assert outcomes == {0, 3}
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_qubits=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           zeros=st.lists(st.integers(0, 15), max_size=15))
+    def test_outcome_and_state_match_rng_choice(self, n_qubits, seed, zeros):
+        # measure draws as rng.choice(dim, p=pmf / pmf.sum()) does, so both
+        # give the same outcome and leave the generator in the same state;
+        # zeroed amplitudes put flat steps into the cdf
+        rng = np.random.default_rng(seed)
+        amps = random_state(n_qubits, rng).amplitudes.copy()
+        amps[[z for z in zeros if z < amps.size][:amps.size - 1]] = 0
+        s = qcore.StateVector(n_qubits, amps / np.linalg.norm(amps))
+        pmf = qcore.probabilities(s)
+        ours, theirs = (np.random.default_rng(seed + 1) for _ in range(2))
+        for _ in range(5):
+            expected = int(theirs.choice(s.dim, p=pmf / pmf.sum()))
+            assert qcore.measure(s, ours).outcome == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_post_state_collapsed(self):
         rng = np.random.default_rng(3)
@@ -279,8 +298,11 @@ class TestNonFiniteRejected:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_dense_unitary(self, bad):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            qcore.DenseUnitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+        # finiteness is checked before the U†U product, so no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                qcore.DenseUnitary(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestSharedRules:

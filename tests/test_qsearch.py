@@ -816,6 +816,19 @@ class TestBbhtRanks:
             qsearch.bbht_ranks(counts, n_states, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("search, values", [
+        (qsearch.bbht_ranks, [0, 17]), (qsearch.bbht_ranks, [-1]),
+        (qsearch.bbht_ranks, [1.0]), (qsearch.bbht_ranks, [True]),
+        (qsearch.threshold_search, [0, 16]),
+        (qsearch.threshold_search, [-1]),
+        (qsearch.threshold_search, [0.5])])
+    def test_entries_outside_their_range_are_config_errors(self, search,
+                                                           values):
+        # counts and first ranks are caller input, which the CLI answers
+        # with exit 2 (grover --scaling --marked above --n)
+        with pytest.raises(ConfigError):
+            search(values, 16, np.random.default_rng(0))
+
 
 def reference_existence_test(oracle, rng, confidence_rounds):
     """existence_test as one bbht_search per round, up to the first
