@@ -216,17 +216,82 @@ def sample_channel(scenario: CdmaScenario, rng: np.random.Generator,
     chip offsets in asynchronous mode, else 0.
     """
     size = tuple(shape) + (scenario.k_users,)
+    return _build_channel(size, **{
+        name: draw() for name, draw in _channel_draws(scenario, rng,
+                                                      size).items()})
+
+
+def _channel_draws(scenario: CdmaScenario, rng: np.random.Generator,
+                   size) -> dict:
+    """The draws of one sample_channel call, in order, as {variate name:
+    zero-argument draw of an array of `size`}; a model that draws nothing
+    (fixed gains, synchronous delays) has no entry."""
+    draws = {}
     if scenario.gain_model == GAIN_RAYLEIGH:
-        amplitude = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=size)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
-        gains = amplitude * np.exp(1j * phase)
-    else:
-        gains = np.ones(size, complex)
+        draws["amplitude"] = functools.partial(rng.rayleigh,
+                                               1.0 / np.sqrt(2.0), size)
+        draws["phase"] = functools.partial(rng.uniform, 0.0, 2.0 * np.pi,
+                                           size)
     if scenario.sync_mode == CHIP_ASYNC:
-        delay = rng.integers(0, scenario.n_chips, size=size)
-    else:
+        draws["delay"] = functools.partial(rng.integers, 0,
+                                           scenario.n_chips, size)
+    return draws
+
+
+def _build_channel(size, amplitude=None, phase=None,
+                   delay=None) -> ChannelState:
+    """The channels of drawn variates of `size`: gains A·e^{jα}, or 1 where
+    no amplitude was drawn, and delays 0 where none were drawn."""
+    gains = (np.ones(size, complex) if amplitude is None
+             else amplitude * np.exp(1j * phase))
+    if delay is None:
         delay = np.zeros(size, dtype=int)
     return ChannelState(gains=gains, delay=delay)
+
+
+def draw_trials(scenario: CdmaScenario, noise_variance: float, n: int,
+                rng: np.random.Generator):
+    """n random trials stacked on a leading axis: (channel, current bits,
+    received frames), of shapes (n, K), (n, K) and (n, N_c).
+
+    Each trial makes, in order, the draws of one sample_channel call, its
+    current and previous bits (one rng.integers(0, 2) call each, the same
+    draws as rng.choice((-1, 1))), and the real and imaginary parts of its
+    chip noise; noiseless trials (sigma² = 0) draw no noise.  So rng's stream
+    is that of n trials drawn one after another, whatever n is.  Only the
+    draws run per trial, each into a preallocated row: the gains, the
+    checks, the synthesis and the noise sum run once on the stack.  A sigma²
+    outside [0, MAX_NOISE_VARIANCE] raises ConfigError, and n that is not an
+    integer >= 1 ConfigError, before any draw.
+    """
+    _check_noise_variance(noise_variance)
+    n = as_count(n, "n", 1)
+    k = scenario.k_users
+    channel_draws = _channel_draws(scenario, rng, k)
+    bit = functools.partial(rng.integers, 0, 2, k)
+    draws = {**channel_draws, "bits": bit, "prev_bits": bit}
+    if noise_variance > 0:
+        noise = functools.partial(rng.standard_normal, scenario.n_chips)
+        draws.update(real=noise, imag=noise)
+    calls = list(draws.values())
+    first = [draw() for draw in calls]
+    rows = [np.empty((n,) + value.shape, value.dtype) for value in first]
+    for row, value in zip(rows, first):
+        row[0] = value
+    for i in range(1, n):
+        for row, draw in zip(rows, calls):
+            row[i] = draw()
+    drawn = dict(zip(draws, rows))
+    channel = _build_channel((n, k), **{name: drawn[name]
+                                        for name in channel_draws})
+    bits = 2 * drawn["bits"] - 1
+    frame = synthesize_received(scenario, channel, bits,
+                                2 * drawn["prev_bits"] - 1, 0.0, None)
+    if noise_variance > 0:
+        frame = ReceivedFrame(samples=_add_noise(
+            frame.samples, noise_variance, drawn["real"], drawn["imag"]),
+            prev_bits=frame.prev_bits)
+    return channel, bits, frame
 
 
 def delay_aligned(scenario: CdmaScenario, delay):
@@ -269,19 +334,29 @@ def synthesize_received(scenario: CdmaScenario, channel: ChannelState,
     channel and bit arrays, giving samples of shape (..., N_c).  A sigma²
     outside [0, MAX_NOISE_VARIANCE] raises ConfigError before any draw.
     """
-    if not 0 <= noise_variance <= MAX_NOISE_VARIANCE:
-        raise ConfigError(f"noise_variance must be in [0, "
-                          f"{MAX_NOISE_VARIANCE:g}], got {noise_variance!r}")
+    _check_noise_variance(noise_variance)
     b = _check_bipolar("bits", bits, scenario.k_users)
     b_prev = _check_bipolar("prev_bits", prev_bits, scenario.k_users)
     samples = synthesize(scenario, channel.gains, channel.delay, b, b_prev)
     if noise_variance > 0:
         if rng is None:
             raise ValueError("rng required when noise_variance > 0")
-        scale = np.sqrt(noise_variance / 2.0)
-        samples = samples + scale * (rng.standard_normal(samples.shape)
-                                     + 1j * rng.standard_normal(samples.shape))
+        samples = _add_noise(samples, noise_variance,
+                             rng.standard_normal(samples.shape),
+                             rng.standard_normal(samples.shape))
     return ReceivedFrame(samples=samples, prev_bits=b_prev)
+
+
+def _check_noise_variance(noise_variance: float) -> None:
+    if not 0 <= noise_variance <= MAX_NOISE_VARIANCE:
+        raise ConfigError(f"noise_variance must be in [0, "
+                          f"{MAX_NOISE_VARIANCE:g}], got {noise_variance!r}")
+
+
+def _add_noise(samples, noise_variance: float, real, imag) -> np.ndarray:
+    """samples plus complex noise of variance sigma² per sample, from the
+    standard normal draws of its real and imaginary parts."""
+    return samples + np.sqrt(noise_variance / 2.0) * (real + 1j * imag)
 
 
 def matched_filter_bank(frame: ReceivedFrame, scenario: CdmaScenario,

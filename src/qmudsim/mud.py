@@ -240,24 +240,6 @@ def _correct(detected: np.ndarray, true_bits):
 # ---------------------------------------------------------------------------
 # Monte-Carlo BER harness.
 
-def _draw_trial(scenario: CdmaScenario, noise_variance: float,
-                rng: np.random.Generator, shape: tuple = ()):
-    """Random instances: (channel, current bits, received frames), one per
-    index of `shape`, drawn with one batched call each.
-
-    Draws the channels, then the current and previous bits, then the noise
-    of variance noise_variance per chip.
-    """
-    channel = cdma.sample_channel(scenario, rng, shape)
-    size = tuple(shape) + (scenario.k_users,)
-    # the same draws as rng.choice((-1, 1), size=size), at half the cost
-    bits = 2 * rng.integers(0, 2, size=size) - 1
-    prev = 2 * rng.integers(0, 2, size=size) - 1
-    frame = cdma.synthesize_received(scenario, channel, bits, prev,
-                                     noise_variance, rng)
-    return channel, bits, frame
-
-
 @dataclass(frozen=True)
 class BerPoint:
     ebn0_db: float
@@ -297,16 +279,6 @@ class BerCurve:
 BER_SEARCH_SCORES = 1 << 20
 
 
-def _stacked_trials(scenario: CdmaScenario, noise_variance: float, n: int,
-                    rng: np.random.Generator):
-    """n trials drawn one at a time by _draw_trial, so rng's stream is the
-    per-trial one, stacked on a leading axis: (channel, bits, frame)."""
-    draws = [_draw_trial(scenario, noise_variance, rng) for _ in range(n)]
-    gains, delay, bits, samples, prev = (np.stack(column) for column in zip(
-        *((c.gains, c.delay, b, f.samples, f.prev_bits) for c, b, f in draws)))
-    return ChannelState(gains, delay), bits, ReceivedFrame(samples, prev)
-
-
 def _detections(detector: str, scenario: CdmaScenario, noise_variance: float,
                 trials: int, rng: np.random.Generator):
     """(true bits, DetectionReport) of each chunk of one ber_sweep point's
@@ -319,7 +291,7 @@ def _detections(detector: str, scenario: CdmaScenario, noise_variance: float,
                        // max(1 << k, k * scenario.n_chips)))
     search_rng = rng.spawn(1)[0]
     for start in range(0, trials, chunk):
-        channel, bits, frame = _stacked_trials(
+        channel, bits, frame = cdma.draw_trials(
             scenario, noise_variance, min(chunk, trials - start), rng)
         if detector == "mf":
             report = mf_detect(

@@ -257,6 +257,37 @@ class TestSynthesizeReceived:
             cdma.synthesize_received(sc, ch, [1], [1], sigma2, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("sigma2", [-0.5, float("nan"), float("inf"),
+                                        1e201])
+    def test_draw_trials_noise_variance_checked_before_any_draw(self,
+                                                                sigma2):
+        sc = cdma.make_scenario("walsh", 1, 2)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="noise_variance"):
+            cdma.draw_trials(sc, sigma2, 3, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, None])
+    def test_draw_trials_count_checked_before_any_draw(self, n):
+        sc = cdma.make_scenario("walsh", 1, 2)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="n must be"):
+            cdma.draw_trials(sc, 0.1, n, rng)
+        assert rng.bit_generator.state == state
+
+    def test_draw_trials_noiseless_frames_are_the_synthesis(self):
+        sc = cdma.make_scenario("random_bipolar", 3, 8,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=4)
+        channel, bits, frame = cdma.draw_trials(sc, 0.0, 5,
+                                                np.random.default_rng(6))
+        assert bits.shape == frame.prev_bits.shape == (5, 3)
+        assert frame.samples.shape == (5, 8)
+        np.testing.assert_array_equal(frame.samples, cdma.synthesize(
+            sc, channel.gains, channel.delay, bits, frame.prev_bits))
+
     def test_delay_out_of_window_rejected(self):
         sc = cdma.make_scenario("walsh", 1, 4)
         with pytest.raises(ValueError):

@@ -182,6 +182,58 @@ PINNED_BER_SHA256 = {
 }
 
 
+# Further seeded `ber` configs: the benchmark's ber-mf (Walsh K = 1,
+# synchronous, fixed gains) and ber-ml (K = 8, ML) configs, and a synchronous
+# Rayleigh config whose `inf` point draws no noise.
+PINNED_BER_RUNS = {
+    "ber-mf": """\
+signature_kind = walsh
+k_users = 1
+n_chips = 2
+sync_mode = synchronous
+gain_model = fixed
+detector = mf
+ebn0_db_list = 0,2,4,6,8
+trials = 500
+seed = 11
+""",
+    "ber-ml": """\
+signature_kind = random_bipolar
+k_users = 8
+n_chips = 16
+sync_mode = chip-asynchronous
+gain_model = rayleigh
+detector = ml_exhaustive
+ebn0_db_list = 0,4,8
+trials = 40
+seed = 12
+""",
+    "sync-noiseless": """\
+signature_kind = random_bipolar
+k_users = 4
+n_chips = 4
+sync_mode = synchronous
+gain_model = rayleigh
+detector = mf
+ebn0_db_list = 2,inf
+trials = 60
+seed = 13
+""",
+}
+
+# SHA-256 of the CSV bytes followed by the manifest bytes of `ber --config
+# ber.cfg --out ber.csv`, run in the config's directory so that the
+# manifest records the relative --out.
+PINNED_BER_RUN_SHA256 = {
+    "ber-mf":
+        "5f1989eacf77be732acede7a4a3f1080525221c4de2e0ca397fa9dda19229b8a",
+    "ber-ml":
+        "c64c4d77df5acbe6f20fb8ec4e4b491c9b0fff980a8e5a9f8ce2cfa44dea5560",
+    "sync-noiseless":
+        "e44701655c00afc62b9165c307eb31d7d213c87022061b6db8d9590d4c868ce9",
+}
+
+
 class TestBerCommand:
     @pytest.mark.parametrize("detector", sorted(PINNED_BER_SHA256))
     def test_seeded_csv_bytes_are_pinned(self, detector, tmp_path):
@@ -191,6 +243,17 @@ class TestBerCommand:
         assert cli.main(["ber", "--config", str(cfg), "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == PINNED_BER_SHA256[detector]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BER_RUNS))
+    def test_seeded_csv_and_manifest_bytes_are_pinned(self, name, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ber.cfg").write_text(PINNED_BER_RUNS[name])
+        assert cli.main(["ber", "--config", "ber.cfg", "--out",
+                         "ber.csv"]) == 0
+        data = ((tmp_path / "ber.csv").read_bytes()
+                + (tmp_path / "ber.csv.manifest.json").read_bytes())
+        assert hashlib.sha256(data).hexdigest() == PINNED_BER_RUN_SHA256[name]
 
     def test_run_and_reproduce(self, tmp_path):
         cfg = tmp_path / "ber.cfg"

@@ -79,3 +79,40 @@ def test_one_function_reads_the_register_size_limit():
                         and func.name == "check_qubits")
     assert (sum(len(_limit_reads(tree)) for tree in outside.values())
             == len(_limit_reads(check_qubits)))
+
+
+# Generator methods that draw, and those of them that only the channel
+# model (fading gains and chip noise) calls.
+RNG_DRAWS = {"rayleigh", "uniform", "standard_normal", "normal", "integers",
+             "random", "choice", "multinomial", "permutation", "shuffle"}
+CHANNEL_DRAWS = {"rayleigh", "uniform", "standard_normal"}
+
+
+def _draw_reads(tree, names):
+    """Reads of a draw method, called or bound (functools.partial); the
+    `np.random` module is not a draw."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id == "np")]
+
+
+def test_channel_and_noise_draws_live_in_cdma():
+    readers = sorted(module for module, tree in MODULES.items()
+                     if _draw_reads(tree, CHANNEL_DRAWS))
+    assert readers == ["cdma"]
+
+
+def test_mud_draws_no_frame_or_bit():
+    # ber trials come from cdma.draw_trials; mud's one draw is the first
+    # ranks of qmud_agreement
+    mud = MODULES["mud"]
+    drawers = [func.name for func in ast.walk(mud)
+               if isinstance(func, ast.FunctionDef)
+               and _draw_reads(func, RNG_DRAWS)]
+    assert drawers == ["qmud_agreement"]
+    assert len(_draw_reads(mud, RNG_DRAWS)) == 1
+    frame_draws = {"sample_channel", "synthesize_received"}
+    assert [node.attr for node in ast.walk(mud)
+            if isinstance(node, ast.Attribute)
+            and node.attr in frame_draws] == []

@@ -71,27 +71,75 @@ def random_instance(k_users, n_chips, sigma2, sync_mode, gain_model, seed):
     return cdma.synthesize_received(sc, ch, bits, prev, sigma2, rng), sc, ch
 
 
-@pytest.mark.parametrize("shape, seed", [((), 31), ((16,), 32),
-                                         ((3, 5), 33)])
-def test_draw_trial_bits_are_the_choice_draws(shape, seed):
-    # _draw_trial draws its bits with rng.integers; twin generators that
-    # draw them with rng.choice((-1, 1)) give the same trial and end in the
+def reference_draw_trial(scenario, noise_variance, rng):
+    """One random trial as the per-trial harness drew it: (channel, current
+    bits, received frame).  Draws the channel, then the current and previous
+    bits, then the noise of variance noise_variance per chip."""
+    channel = cdma.sample_channel(scenario, rng)
+    size = (scenario.k_users,)
+    # the same draws as rng.choice((-1, 1), size=size), at half the cost
+    bits = 2 * rng.integers(0, 2, size=size) - 1
+    prev = 2 * rng.integers(0, 2, size=size) - 1
+    frame = cdma.synthesize_received(scenario, channel, bits, prev,
+                                     noise_variance, rng)
+    return channel, bits, frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(k_users=st.integers(1, 6), n_chips=st.integers(1, 8),
+       sync_mode=st.sampled_from(cdma.SYNC_MODES),
+       gain_model=st.sampled_from(cdma.GAIN_MODELS),
+       noise_variance=st.sampled_from([0.0, 0.3, 2.5]),
+       n=st.sampled_from([1, 2, 7]), seed=st.integers(0, 2**32 - 1))
+def test_draw_trials_is_the_per_trial_loop(k_users, n_chips, sync_mode,
+                                           gain_model, noise_variance, n,
+                                           seed):
+    # the chunk source makes the per-trial draws in the per-trial order, so
+    # its stacks equal n reference_draw_trial calls bit for bit and both
+    # leave the generator in the same state
+    sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
+                            sync_mode=sync_mode, gain_model=gain_model,
+                            seed=seed)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    channel, bits, frame = cdma.draw_trials(sc, noise_variance, n, rng)
+    draws = [reference_draw_trial(sc, noise_variance, twin)
+             for _ in range(n)]
+    expected = {
+        "gains": [c.gains for c, _, _ in draws],
+        "delay": [c.delay for c, _, _ in draws],
+        "bits": [b for _, b, _ in draws],
+        "samples": [f.samples for _, _, f in draws],
+        "prev_bits": [f.prev_bits for _, _, f in draws]}
+    got = {"gains": channel.gains, "delay": channel.delay, "bits": bits,
+           "samples": frame.samples, "prev_bits": frame.prev_bits}
+    for name, rows in expected.items():
+        want = np.stack(rows)
+        assert got[name].dtype == want.dtype, name
+        np.testing.assert_array_equal(got[name], want, err_msg=name)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n, seed", [(1, 31), (16, 32), (15, 33)])
+def test_draw_trials_bits_are_the_choice_draws(n, seed):
+    # draw_trials draws its bits with rng.integers; twin generators that
+    # draw them with rng.choice((-1, 1)) give the same trials and end in the
     # same state, so seeded outputs do not depend on which form is used
     sc = cdma.make_scenario("random_bipolar", 10, 16,
                             sync_mode="chip-asynchronous",
                             gain_model="rayleigh", seed=seed)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    channel, bits, frame = mud._draw_trial(sc, 0.3, rng, shape)
-    twin_channel = cdma.sample_channel(sc, twin, shape)
-    twin_bits = twin.choice((-1, 1), size=shape + (10,))
-    twin_prev = twin.choice((-1, 1), size=shape + (10,))
-    twin_frame = cdma.synthesize_received(sc, twin_channel, twin_bits,
-                                          twin_prev, 0.3, twin)
-    assert bits.dtype == twin_bits.dtype
-    np.testing.assert_array_equal(bits, twin_bits)
-    np.testing.assert_array_equal(frame.prev_bits, twin_prev)
-    np.testing.assert_array_equal(frame.samples, twin_frame.samples)
-    np.testing.assert_array_equal(channel.gains, twin_channel.gains)
+    channel, bits, frame = cdma.draw_trials(sc, 0.3, n, rng)
+    for i in range(n):
+        twin_channel = cdma.sample_channel(sc, twin)
+        twin_bits = twin.choice((-1, 1), size=10)
+        twin_prev = twin.choice((-1, 1), size=10)
+        twin_frame = cdma.synthesize_received(sc, twin_channel, twin_bits,
+                                              twin_prev, 0.3, twin)
+        assert bits.dtype == twin_bits.dtype
+        np.testing.assert_array_equal(bits[i], twin_bits)
+        np.testing.assert_array_equal(frame.prev_bits[i], twin_prev)
+        np.testing.assert_array_equal(frame.samples[i], twin_frame.samples)
+        np.testing.assert_array_equal(channel.gains[i], twin_channel.gains)
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -101,7 +149,8 @@ def reference_ber_qmud(scenario, noise_variance, trials, rng):
     threshold loop per trial.  Returns (grover_queries, cf_evaluations)."""
     queries, rounds = [], []
     for _ in range(trials):
-        channel, _, frame = mud._draw_trial(scenario, noise_variance, rng)
+        channel, _, frame = reference_draw_trial(scenario, noise_variance,
+                                                 rng)
         report = reference_maximum_search(
             mud.make_mls_cost(frame, scenario, channel).table(), rng)
         queries.append(report.grover_queries)
@@ -111,8 +160,8 @@ def reference_ber_qmud(scenario, noise_variance, trials, rng):
 
 def reference_ber(scenario, detector, ebn0_db_list, trials, rng):
     """ber_sweep's CSV text and trace text for mf or ml_exhaustive, as a
-    per-trial loop: one _draw_trial and one single-frame detector call per
-    trial."""
+    per-trial loop: one reference_draw_trial and one single-frame detector
+    call per trial."""
     k = scenario.k_users
     points, trace = [], io.StringIO()
     for ebn0_db, point_rng in zip(ebn0_db_list,
@@ -120,8 +169,8 @@ def reference_ber(scenario, detector, ebn0_db_list, trials, rng):
         sigma2 = cdma.ebn0_db_to_noise_variance(ebn0_db)
         bit_errors = cf_total = 0
         for trial in range(trials):
-            channel, bits, frame = mud._draw_trial(scenario, sigma2,
-                                                   point_rng)
+            channel, bits, frame = reference_draw_trial(scenario, sigma2,
+                                                        point_rng)
             if detector == "mf":
                 report = mud.mf_detect(
                     cdma.matched_filter_bank(frame, scenario, channel),
@@ -289,8 +338,14 @@ class TestMlsCost:
         sc = cdma.make_scenario("random_bipolar", k_users, n_chips,
                                 sync_mode=sync_mode, gain_model=gain_model,
                                 seed=seed)
-        channel, _, frame = mud._draw_trial(sc, sigma2,
-                                            np.random.default_rng(seed), shape)
+        channel, _, frame = cdma.draw_trials(sc, sigma2, math.prod(shape),
+                                             np.random.default_rng(seed))
+        channel = cdma.ChannelState(
+            gains=channel.gains.reshape(shape + (k_users,)),
+            delay=channel.delay.reshape(shape + (k_users,)))
+        frame = cdma.ReceivedFrame(
+            samples=frame.samples.reshape(shape + (n_chips,)),
+            prev_bits=frame.prev_bits.reshape(shape + (k_users,)))
         if shared_channel:
             # one (K,) channel broadcast over every frame
             first = (0,) * len(shape)
