@@ -119,27 +119,33 @@ def test_draw_trials_is_the_per_trial_loop(k_users, n_chips, sync_mode,
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-@pytest.mark.parametrize("n, seed", [(1, 31), (16, 32), (15, 33)])
-def test_draw_trials_bits_are_the_choice_draws(n, seed):
+@pytest.mark.parametrize("shape, seed", [((), 31), ((16,), 32),
+                                         ((3, 5), 33)])
+def test_draw_trial_bits_are_the_choice_draws(shape, seed):
     # draw_trials draws its bits with rng.integers; twin generators that
     # draw them with rng.choice((-1, 1)) give the same trials and end in the
-    # same state, so seeded outputs do not depend on which form is used
+    # same state, so seeded outputs do not depend on which form is used.
+    # A stack of shape `shape` is math.prod(shape) trials in C order.
     sc = cdma.make_scenario("random_bipolar", 10, 16,
                             sync_mode="chip-asynchronous",
                             gain_model="rayleigh", seed=seed)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    channel, bits, frame = cdma.draw_trials(sc, 0.3, n, rng)
-    for i in range(n):
+    channel, bits, frame = cdma.draw_trials(sc, 0.3, math.prod(shape), rng)
+    bits = bits.reshape(shape + (10,))
+    prev_bits = frame.prev_bits.reshape(shape + (10,))
+    samples = frame.samples.reshape(shape + (16,))
+    gains = channel.gains.reshape(shape + (10,))
+    for t in np.ndindex(shape):
         twin_channel = cdma.sample_channel(sc, twin)
         twin_bits = twin.choice((-1, 1), size=10)
         twin_prev = twin.choice((-1, 1), size=10)
         twin_frame = cdma.synthesize_received(sc, twin_channel, twin_bits,
                                               twin_prev, 0.3, twin)
         assert bits.dtype == twin_bits.dtype
-        np.testing.assert_array_equal(bits[i], twin_bits)
-        np.testing.assert_array_equal(frame.prev_bits[i], twin_prev)
-        np.testing.assert_array_equal(frame.samples[i], twin_frame.samples)
-        np.testing.assert_array_equal(channel.gains[i], twin_channel.gains)
+        np.testing.assert_array_equal(bits[t], twin_bits)
+        np.testing.assert_array_equal(prev_bits[t], twin_prev)
+        np.testing.assert_array_equal(samples[t], twin_frame.samples)
+        np.testing.assert_array_equal(gains[t], twin_channel.gains)
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
