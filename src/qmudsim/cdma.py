@@ -254,43 +254,47 @@ def draw_trials(scenario: CdmaScenario, noise_variance: float, n: int,
     """n random trials stacked on a leading axis: (channel, current bits,
     received frames), of shapes (n, K), (n, K) and (n, N_c).
 
-    Each trial makes, in order, the draws of one sample_channel call, its
-    current and previous bits (one rng.integers(0, 2) call each, the same
-    draws as rng.choice((-1, 1))), and the real and imaginary parts of its
-    chip noise; noiseless trials (sigma² = 0) draw no noise.  So rng's stream
-    is that of n trials drawn one after another, whatever n is.  Only the
-    draws run per trial, each into a preallocated row: the gains, the
-    checks, the synthesis and the noise sum run once on the stack.  A sigma²
-    outside [0, MAX_NOISE_VARIANCE] raises ConfigError, and n that is not an
-    integer >= 1 ConfigError, before any draw.
+    Each trial makes, in order, the draws of one sample_channel call, one
+    rng.random call of 2K float32 words for its current then previous bits,
+    and one rng.standard_normal call of 2·N_c for the real then imaginary
+    parts of its chip noise; noiseless trials (sigma² = 0) draw no noise.  A
+    bit is +1 where its word is >= 0.5, else -1.  This word rule gives the
+    draws of rng.integers(0, 2, K), and so of rng.choice((-1, 1), K), once
+    for each bit vector: both take one 32-bit word of the bit generator per
+    value, float32 keeps its top 24 bits and integers its top bit, and the
+    bit generator holds the unused half of a 64-bit draw across calls of
+    either form.  The normals keep no state between calls, so one call of
+    2·N_c is two calls of N_c.  So rng's stream is that of n trials drawn one
+    after another, whatever n is.  Only the draws run per trial, each into a
+    preallocated row: the bits, the gains, the checks, the synthesis and the
+    noise sum run once on the stack.  A sigma² outside [0,
+    MAX_NOISE_VARIANCE] raises ConfigError, and n that is not an integer >=
+    1 ConfigError, before any draw.
     """
     _check_noise_variance(noise_variance)
     n = as_count(n, "n", 1)
-    k = scenario.k_users
+    k, n_chips = scenario.k_users, scenario.n_chips
     channel_draws = _channel_draws(scenario, rng, k)
-    bit = functools.partial(rng.integers, 0, 2, k)
-    draws = {**channel_draws, "bits": bit, "prev_bits": bit}
-    if noise_variance > 0:
-        noise = functools.partial(rng.standard_normal, scenario.n_chips)
-        draws.update(real=noise, imag=noise)
-    calls = list(draws.values())
-    first = [draw() for draw in calls]
-    rows = [np.empty((n,) + value.shape, value.dtype) for value in first]
-    for row, value in zip(rows, first):
-        row[0] = value
-    for i in range(1, n):
-        for row, draw in zip(rows, calls):
+    # rayleigh and uniform draw float64, integers int64
+    rows = {name: np.empty((n, k), np.int64 if name == "delay" else float)
+            for name in channel_draws}
+    calls = [(rows[name], draw) for name, draw in channel_draws.items()]
+    words = np.empty((n, 2 * k), np.float32)
+    noise = np.empty((n, 2 * n_chips)) if noise_variance > 0 else None
+    for i in range(n):
+        for row, draw in calls:
             row[i] = draw()
-    drawn = dict(zip(draws, rows))
-    channel = _build_channel((n, k), **{name: drawn[name]
-                                        for name in channel_draws})
-    bits = 2 * drawn["bits"] - 1
-    frame = synthesize_received(scenario, channel, bits,
-                                2 * drawn["prev_bits"] - 1, 0.0, None)
-    if noise_variance > 0:
+        rng.random(out=words[i], dtype=np.float32)
+        if noise is not None:
+            rng.standard_normal(out=noise[i])
+    channel = _build_channel((n, k), **rows)
+    bits = np.where(words >= 0.5, 1, -1)
+    bits, prev_bits = bits[:, :k], bits[:, k:]
+    frame = synthesize_received(scenario, channel, bits, prev_bits, 0.0, None)
+    if noise is not None:
         frame = ReceivedFrame(samples=_add_noise(
-            frame.samples, noise_variance, drawn["real"], drawn["imag"]),
-            prev_bits=frame.prev_bits)
+            frame.samples, noise_variance, noise[:, :n_chips],
+            noise[:, n_chips:]), prev_bits=frame.prev_bits)
     return channel, bits, frame
 
 

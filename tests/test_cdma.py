@@ -288,6 +288,27 @@ class TestSynthesizeReceived:
         np.testing.assert_array_equal(frame.samples, cdma.synthesize(
             sc, channel.gains, channel.delay, bits, frame.prev_bits))
 
+    @pytest.mark.parametrize("seed", [0, 7, 27, 2**32 - 1])
+    def test_float32_words_are_the_integer_bits(self, seed):
+        # draw_trials takes its bits as float32 words >= 0.5, where the
+        # per-trial reference calls rng.integers(0, 2).  Both take one 32-bit
+        # word of the bit generator per value (float32 keeps its top 24
+        # bits, integers its top bit) and share the half of a 64-bit draw
+        # that the bit generator keeps, so twin generators give the same
+        # bits and end in the same state, with normals and Rayleigh draws
+        # (64 bits each) in between and odd counts that leave a half-word.
+        # A numpy release that changes either form fails here.
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for m in range(1, 18):
+            for gen in (rng, twin):
+                gen.standard_normal(m)
+                gen.rayleigh(size=m)
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    rng.integers(0, 2, size=m),
+                    twin.random(m, dtype=np.float32) >= 0.5)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_delay_out_of_window_rejected(self):
         sc = cdma.make_scenario("walsh", 1, 4)
         with pytest.raises(ValueError):

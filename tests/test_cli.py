@@ -234,6 +234,39 @@ PINNED_BER_RUN_SHA256 = {
 }
 
 
+# Seeded argv of the other CSV subcommands, each pinned the same way: the
+# SHA-256 of the CSV bytes followed by the manifest bytes, run in an empty
+# directory so that the manifest records the relative --out.
+PINNED_ARGV_RUNS = {
+    "qmud-agree": ["qmud-agree", "--k", "6", "--trials", "50", "--seed", "27",
+                   "--out", "out.csv"],
+    "grover": ["grover", "--n", "64", "--marked", "2", "--trials", "200",
+               "--seed", "27", "--out", "out.csv"],
+    "grover-scaling": ["grover", "--scaling", "--n", "64",
+                       "--scaling-max-exp", "9", "--trials", "100",
+                       "--seed", "27", "--out", "out.csv"],
+}
+
+PINNED_ARGV_RUN_SHA256 = {
+    "qmud-agree":
+        "eae85b00dd9e54fd44b597fe15f8ff76c1bad45d6df3545c4349efc664c91f51",
+    "grover":
+        "e71b30aa5948033c90f584424a9e4c9dae6884b2089f70b69e0456cb15a2b92d",
+    "grover-scaling":
+        "01fa5e5e01037fc0ca2868fa9bfe0d8a84efccf555b1ee494771cabdbafb8393",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARGV_RUNS))
+def test_seeded_csv_and_manifest_bytes_are_pinned(name, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(PINNED_ARGV_RUNS[name]) == 0
+    data = ((tmp_path / "out.csv").read_bytes()
+            + (tmp_path / "out.csv.manifest.json").read_bytes())
+    assert hashlib.sha256(data).hexdigest() == PINNED_ARGV_RUN_SHA256[name]
+
+
 class TestBerCommand:
     @pytest.mark.parametrize("detector", sorted(PINNED_BER_SHA256))
     def test_seeded_csv_bytes_are_pinned(self, detector, tmp_path):

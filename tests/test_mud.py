@@ -1,5 +1,6 @@
 """Detection layer: hypothesis indexing, cost functions, detectors, harness."""
 
+import hashlib
 import io
 import json
 import math
@@ -122,9 +123,10 @@ def test_draw_trials_is_the_per_trial_loop(k_users, n_chips, sync_mode,
 @pytest.mark.parametrize("shape, seed", [((), 31), ((16,), 32),
                                          ((3, 5), 33)])
 def test_draw_trial_bits_are_the_choice_draws(shape, seed):
-    # draw_trials draws its bits with rng.integers; twin generators that
-    # draw them with rng.choice((-1, 1)) give the same trials and end in the
-    # same state, so seeded outputs do not depend on which form is used.
+    # draw_trials takes its bits as float32 words >= 0.5 (the word rule);
+    # twin generators that draw them with rng.choice((-1, 1)) give the same
+    # trials and end in the same state, so seeded outputs do not depend on
+    # which form is used.
     # A stack of shape `shape` is math.prod(shape) trials in C order.
     sc = cdma.make_scenario("random_bipolar", 10, 16,
                             sync_mode="chip-asynchronous",
@@ -821,6 +823,47 @@ class TestBerSweep:
             assert abs(pq.ber - pm.ber) <= 3 * sigma
             assert pm.mean_cf_evaluations == 256.0
             assert pq.mean_grover_queries < 256.0
+
+    def test_carried_half_word_crosses_the_chunk_boundary(self,
+                                                          monkeypatch):
+        # an asynchronous K = 11 trial takes 33 32-bit words (11 delays, 22
+        # bit words), and N_c = 187 makes a chunk 509 trials, so the bit
+        # generator carries half of a 64-bit draw into every second trial
+        # and into each point's second chunk.  The CSV, the trace and each
+        # point's final generator state were computed with rng.integers(0,
+        # 2, K) bit draws.
+        sc = cdma.make_scenario("random_bipolar", 11, 187,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=27)
+        draw_trials, calls = cdma.draw_trials, []
+
+        def recording(scenario, noise_variance, n, rng):
+            calls.append((rng, n, rng.bit_generator.state["has_uint32"]))
+            return draw_trials(scenario, noise_variance, n, rng)
+
+        monkeypatch.setattr(cdma, "draw_trials", recording)
+        trace = io.StringIO()
+        curve = mud.ber_sweep(sc, "mf", [2.0, 6.0], 600,
+                              np.random.default_rng(27), trace_fh=trace)
+        assert [(n, carry) for _, n, carry in calls] == [(509, 0),
+                                                         (91, 1)] * 2
+        csv = io.StringIO()
+        curve.write_csv(csv)
+        digests = [hashlib.sha256(buf.getvalue().encode()).hexdigest()
+                   for buf in (csv, trace)]
+        assert digests == [
+            "ba89ceddc5f7a8e14def2fcaadae665cfbc643ae9ea560f99bec490b0f4a46ba",
+            "34ab46bbcaf41f8dfca3bb2e40b0fa5a5855fd25b3708cb1c3ef8059af671a7b"]
+        assert calls[1][0] is calls[0][0] and calls[3][0] is calls[2][0]
+        assert [calls[i][0].bit_generator.state for i in (0, 2)] == [
+            {"bit_generator": "PCG64",
+             "state": {"state": 266630904303732566349294092915271672436,
+                       "inc": 91570558540468798193234679038771571897},
+             "has_uint32": 0, "uinteger": 314684874},
+            {"bit_generator": "PCG64",
+             "state": {"state": 324523967315036760773243004130274077958,
+                       "inc": 323620707328562576610107498391663508065},
+             "has_uint32": 0, "uinteger": 1900219617}]
 
     def test_trace_lines_written(self):
         sc = cdma.make_scenario("walsh", 2, 2)
