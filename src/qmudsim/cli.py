@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, cdma, config, mud, qchannel, qcore, qsearch
-from .errors import ConfigError, ShapeError, SizeError, as_count
+from .errors import ConfigError, ShapeError, SizeError, as_count, run_size
 
 
 def _emit(args, write, subcommand: str, resolved: dict, **results) -> None:
@@ -71,32 +71,27 @@ def cmd_grover(args) -> int:
     return 0
 
 
-# Most searches per bbht_ranks call in `grover --scaling` (one call per size
-# by default), which bounds its memory at a few hundred bytes per search.
-SCALING_BATCH = 1 << 14
-
-
 def _grover_scaling(args) -> int:
     rng = np.random.default_rng(args.seed)
-    as_count(args.trials, "--trials", 1)
     n_min = 64 if args.n is None else args.n
     low = qcore.length_qubits(n_min, "--n")
     # bbht_ranks rejects a --marked above --n, but takes 0 (nothing marked)
     as_count(args.marked, "--marked", 1)
     exponents = range(low, qcore.check_qubits(
         max(low, args.scaling_max_exp)) + 1)
+    trials, batch = run_size(args.trials, "--trials", 16 * len(exponents))
     rows = [["n", "mean_grover_queries", "mean_verifications",
              "exhaustive_evaluations", "trials"]]
     for exp in exponents:
         g_sum = v_sum = 0
-        for start in range(0, args.trials, SCALING_BATCH):
+        for start in range(0, trials, batch):
             _, queries, verifications = qsearch.bbht_ranks(
-                np.full(min(SCALING_BATCH, args.trials - start), args.marked),
-                1 << exp, rng)
+                np.full(min(batch, trials - start), args.marked), 1 << exp,
+                rng)
             g_sum += int(queries.sum())
             v_sum += int(verifications.sum())
-        rows.append([1 << exp, repr(g_sum / args.trials),
-                     repr(v_sum / args.trials), 1 << exp, args.trials])
+        rows.append([1 << exp, repr(g_sum / trials), repr(v_sum / trials),
+                     1 << exp, trials])
     _emit(args, lambda fh: csv.writer(fh).writerows(rows), "grover-scaling", {
         "n_min": n_min, "max_exp": args.scaling_max_exp,
         "marked": args.marked, "trials": args.trials, "seed": args.seed})

@@ -13,11 +13,17 @@ PRODUCT_TOL = 1e-9
 # Largest register the simulator will allocate (2^24 amplitudes).
 MAX_QUBITS = 24
 
-# Most amplitude updates ((k + 1)·N) a Grover register evolution may take.
-# A step with its measurement costs about 90 ns per amplitude (N = 2^16 to
-# 2^22 on a 2-vCPU VM), so this bounds a curve at about 6.5 minutes; the
-# default curve (k up to the optimal count) fits up to N = 2^21.
-MAX_GROVER_UPDATES = 1 << 32
+# Most work a call may ask for (errors.run_size).  A unit is one amplitude
+# update of a Grover step with its measurement, about 90 ns on a 2-vCPU VM,
+# so a call takes at most about 6.5 minutes; README lists each command's
+# work per item.
+MAX_WORK = 1 << 32
+
+# Most items a batch holds (errors.run_size), and most scores: a K = 20
+# table (8 MiB) fills BATCH_SCORES.  At K = 10 a qmud-agree search took 11
+# us at 200 searches a call and 6.9 us at 4,096 (medians, 2-vCPU VM).
+MAX_BATCH = 4096
+BATCH_SCORES = 1 << 20
 
 # Dense matrices above this dimension are refused; larger transforms must use
 # the diagonal phase form.

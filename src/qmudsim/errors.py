@@ -1,5 +1,5 @@
-"""Error types raised by the library, and the two input rules shared by
-every module: integer counts (as_count) and index arrays (as_indices).
+"""Error types raised by the library, and the input rules shared by every
+module: counts (as_count), run sizes (run_size) and indices (as_indices).
 
 All errors subclass ValueError so callers that only care about "bad input"
 can catch one base type.
@@ -8,6 +8,8 @@ can catch one base type.
 import operator
 
 import numpy as np
+
+from . import config
 
 
 class SizeError(ValueError):
@@ -31,6 +33,25 @@ def as_count(value, name: str, low: int) -> int:
     if count < low or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     return count
+
+
+def run_size(value, name: str, work: int, scores: int = 1, low: int = 1,
+             fixed: int = 0) -> tuple:
+    """(count, batch) of a run of `value` items of `work` units (see
+    config.MAX_WORK) and `scores` scores each.  ConfigError, for callers to
+    raise before any draw, unless value passes as_count, is below 2^63
+    (numpy's int64) and count·work + fixed is at most config.MAX_WORK.  The
+    batch, the items a caller draws and holds at once, is config.MAX_BATCH,
+    or fewer so that it holds at most config.BATCH_SCORES scores, and >= 1.
+    """
+    count = as_count(value, name, low)
+    if count >> 63:
+        raise ConfigError(f"{name} must be below 2^63, got {value!r}")
+    if count * work + fixed > config.MAX_WORK:
+        raise ConfigError(f"{name}={count} asks for {count * work + fixed} "
+                          f"units of work, above the {config.MAX_WORK} "
+                          "amplitude updates of config.MAX_WORK")
+    return count, max(1, min(config.MAX_BATCH, config.BATCH_SCORES // scores))
 
 
 def as_indices(values, n, name: str) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cdma, qsearch
 from .cdma import CdmaScenario, ChannelState, ReceivedFrame
-from .errors import ConfigError, SizeError, as_count, as_indices
+from .errors import ConfigError, SizeError, as_count, as_indices, run_size
 
 EXHAUSTIVE_K_LIMIT = 20
 
@@ -272,23 +272,13 @@ class BerCurve:
             self.write_csv(fh)
 
 
-# Most scores a ber_sweep chunk holds, counting a frame's K·N_c
-# delay-aligned chips as scores: a chunk's trials are drawn, stacked and
-# detected together, at most AGREEMENT_SEARCH_BATCH of them, and at least
-# one trial.  One K = 20 table (8 MiB) fills it.
-BER_SEARCH_SCORES = 1 << 20
-
-
 def _detections(detector: str, scenario: CdmaScenario, noise_variance: float,
-                trials: int, rng: np.random.Generator):
+                trials: int, chunk: int, rng: np.random.Generator):
     """(true bits, DetectionReport) of each chunk of one ber_sweep point's
     trials, in trial order, drawn from rng at the point's noise_variance.
-    A chunk's size depends on K and N_c alone (BER_SEARCH_SCORES), so every
-    detector reads the same frames; qmud's searches draw from
-    rng.spawn(1)[0], which leaves rng's stream as it is."""
-    k = scenario.k_users
-    chunk = max(1, min(AGREEMENT_SEARCH_BATCH, BER_SEARCH_SCORES
-                       // max(1 << k, k * scenario.n_chips)))
+    ber_sweep's chunk depends on K and N_c alone, so every detector reads
+    the same frames; qmud's searches draw from rng.spawn(1)[0], which leaves
+    rng's stream as it is."""
     search_rng = rng.spawn(1)[0]
     for start in range(0, trials, chunk):
         channel, bits, frame = cdma.draw_trials(
@@ -316,14 +306,13 @@ def ber_sweep(scenario: CdmaScenario, detector: str, ebn0_db_list,
     current and previous bits, and noise at that variance; detect them
     chunk by chunk (_detections); sum bit errors over K·trials bits and the
     work counters.  Deterministic under the passed rng.  trace_fh, when
-    given, receives one JSON line per trial.  An unknown detector, trials
-    that is not an integer >= 1, a K above EXHAUSTIVE_K_LIMIT for the table
-    detectors, an empty Eb/N0 list and a bad Eb/N0 raise ConfigError before
+    given, receives one JSON line per trial.  An unknown detector, a K
+    above EXHAUSTIVE_K_LIMIT for the table detectors, an empty or bad Eb/N0
+    list and trials that errors.run_size refuses raise ConfigError before
     any trial runs.
     """
     if detector not in DETECTORS:
         raise ConfigError(f"detector must be one of {DETECTORS}")
-    trials = as_count(trials, "trials", 1)
     k = scenario.k_users
     if detector != "mf" and k > EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"detector {detector} supports at most "
@@ -333,13 +322,19 @@ def ber_sweep(scenario: CdmaScenario, detector: str, ebn0_db_list,
         raise ConfigError("ebn0_db_list is empty")
     # convert every point first, so a bad Eb/N0 fails before any trial runs
     sigma2_list = [cdma.ebn0_db_to_noise_variance(e) for e in ebn0_db_list]
+    # a trial holds K·N_c chips or 2^K scores, whatever the detector, so all
+    # see the same frames; its work is 128 + K·N_c units, + 2^K/4 for tables
+    chips = k * scenario.n_chips
+    scores = max(1 << k, chips)
+    work = 128 + chips + (0 if detector == "mf" else (1 << k) // 4)
+    trials, chunk = run_size(trials, "trials", len(sigma2_list) * work, scores)
     points = []
     point_rngs = rng.spawn(len(ebn0_db_list))
     for ebn0_db, sigma2, point_rng in zip(ebn0_db_list, sigma2_list,
                                           point_rngs):
         bit_errors = cf_total = grover_total = trial = 0
         for bits, report in _detections(detector, scenario, sigma2, trials,
-                                        point_rng):
+                                        chunk, point_rng):
             errors = (report.detected_bits != bits).sum(axis=-1)
             bit_errors += int(errors.sum())
             cf_total += int(report.cf_evaluations.sum())
@@ -380,14 +375,6 @@ class AgreementResult:
     exhaustive_evaluations: int
 
 
-# First ranks that qmud_agreement draws and runs through
-# qsearch.threshold_search at a time, so a call's memory does not grow with
-# `trials`.  At K = 10 the search took about 11 us per search at 200
-# searches a call, 6.9 us at 4,096 and 6.3 us at 16,384 (medians of 7-15
-# calls on a 2-vCPU VM).
-AGREEMENT_SEARCH_BATCH = 4096
-
-
 def qmud_agreement(k_users: int, trials: int,
                    rng: np.random.Generator) -> AgreementResult:
     """Fraction of random K-user instances where the quantum-assisted
@@ -398,20 +385,19 @@ def qmud_agreement(k_users: int, trials: int,
     a uniform first rank, and each threshold round depends on the rank
     alone.  Agreement and counters therefore depend on K only, and no
     channel, frame or table is drawn: one rng.integers call draws the first
-    ranks of up to AGREEMENT_SEARCH_BATCH trials, one
+    ranks of a batch of trials (errors.run_size), one
     qsearch.threshold_search call runs them, and a trial agrees when its
-    search ends on rank 0.  k_users and trials that are not integers >= 1,
-    and K above EXHAUSTIVE_K_LIMIT, raise ConfigError before any draw.
+    search ends on rank 0.  k_users not in [1, EXHAUSTIVE_K_LIMIT] and
+    trials that errors.run_size refuses raise ConfigError before any draw.
     """
     k = as_count(k_users, "k_users", 1)
-    trials = as_count(trials, "trials", 1)
     if k > EXHAUSTIVE_K_LIMIT:
         raise ConfigError(f"k_users must be in [1, {EXHAUSTIVE_K_LIMIT}], "
                           f"got {k}")
+    trials, batch = run_size(trials, "trials", 32 + (1 << k // 2) // 4)
     agree = grover_total = verify_total = rounds_total = 0
-    for start in range(0, trials, AGREEMENT_SEARCH_BATCH):
-        first = rng.integers(0, 1 << k,
-                             size=min(AGREEMENT_SEARCH_BATCH, trials - start))
+    for start in range(0, trials, batch):
+        first = rng.integers(0, 1 << k, size=min(batch, trials - start))
         final, queries, verifications, rounds = qsearch.threshold_search(
             first, 1 << k, rng)
         agree += int(np.count_nonzero(final == 0))

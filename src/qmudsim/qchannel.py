@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qcore
-from .errors import ConfigError, as_count
+from .errors import ConfigError, as_count, run_size
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ def binary_entropy(p: float) -> float:
 
 
 def bsc_capacity(p: float) -> float:
-    """Shannon capacity 1 − H₂(p) of the binary symmetric channel."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability {p} outside [0, 1]")
+    """Shannon capacity 1 − H₂(p) of the binary symmetric channel; p is
+    checked by the FlipChannel rule."""
+    FlipChannel(p)
     return 1.0 - binary_entropy(p)
 
 
@@ -118,9 +118,9 @@ def run_demo(n_bits: int, p: float, rng: np.random.Generator) -> DemoReport:
     transmit_quantum, in that order, so a seed gives the same report and
     the same final generator state as those per-bit calls.  The four
     (bit, flip) registers are evolved once per call, and each bit samples
-    its case's outcome_cdf.  n_bits that is not an integer >= 1 and p
+    its case's outcome_cdf.  n_bits that errors.run_size refuses and p
     outside [0, 1] raise ConfigError."""
-    n_bits = as_count(n_bits, "n_bits", 1)
+    n_bits, _ = run_size(n_bits, "n_bits", 32)
     ch = FlipChannel(p)
     cdfs = [[qcore.outcome_cdf(_decode(_encode(bit), flipped)).tolist()
              for flipped in (False, True)] for bit in (0, 1)]

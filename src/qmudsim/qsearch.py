@@ -43,8 +43,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import config, qcore
-from .errors import ConfigError, ShapeError, as_count, as_indices
+from . import qcore
+from .errors import ConfigError, ShapeError, as_count, as_indices, run_size
 
 
 class _Schedule(NamedTuple):
@@ -283,11 +283,12 @@ def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
     verifications of the rounds it ran to the oracle's.  True is always
     correct (the hit is verified); False is wrong with a probability that
     decays geometrically in confidence_rounds when at least one marked
-    item exists.  confidence_rounds that is not an integer >= 1 raises
+    item exists.  confidence_rounds that errors.run_size refuses raises
     ConfigError before any draw.
     """
-    cfg = DEFAULT_CONFIG._replace(max_failures=as_count(
-        confidence_rounds, "confidence_rounds", 1))
+    rounds, _ = run_size(confidence_rounds, "confidence_rounds",
+                         128 * (12 + oracle.n_qubits))
+    cfg = DEFAULT_CONFIG._replace(max_failures=rounds)
     counts, n_states = _rank_space([oracle.marked_indices().size],
                                    oracle.n_states, "counts", 1)
     hit, queries, verifications, _ = _lockstep_search(counts, n_states, cfg,
@@ -485,16 +486,6 @@ def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
                         succeeded=True)
 
 
-def _grover_steps(k, n_states: int, name: str) -> int:
-    """k as an int; ConfigError unless it is a non-bool integer >= 0 and
-    (k + 1)·n_states amplitude updates stay within MAX_GROVER_UPDATES."""
-    k = as_count(k, name, 0)
-    if (k + 1) * n_states > config.MAX_GROVER_UPDATES:
-        raise ConfigError(f"{name}={k} on {n_states} states exceeds "
-                          f"{config.MAX_GROVER_UPDATES} amplitude updates")
-    return k
-
-
 def _marked_fraction(oracle: MarkingOracle, s: qcore.StateVector,
                      trials: int, rng: np.random.Generator) -> float:
     """Fraction of `trials` measurements of s that land on a marked index,
@@ -511,12 +502,12 @@ def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
     Evolves the register once and draws the outcome counts of `trials`
     measurements as one multinomial sample, so memory is O(N) for any
     `trials`; statistics are identical to re-preparing the state per trial.
-    A non-integer k or trials, k < 0, trials < 1 and (k + 1)·N above
-    config.MAX_GROVER_UPDATES raise ConfigError before the register is
-    built.
+    A non-integer k or trials, k < 0, trials < 1 or >= 2^63 and (k + 1)·N
+    amplitude updates above config.MAX_WORK raise ConfigError before the
+    register is built.
     """
-    k = _grover_steps(k, oracle.n_states, "k")
-    trials = as_count(trials, "trials", 1)
+    k, _ = run_size(k, "k", oracle.n_states, low=0, fixed=oracle.n_states)
+    trials, _ = run_size(trials, "trials", 0)
     s = qcore.uniform_superposition(oracle.n_qubits)
     for _ in range(k):
         s = grover_iterate(oracle, s)
@@ -530,8 +521,9 @@ def measured_success_curve(oracle: MarkingOracle, k_max: int, trials: int,
     k_max steps rather than about k_max²/2.  Bad k_max or trials raise
     ConfigError before the register is built, as in measured_success_rate.
     """
-    k_max = _grover_steps(k_max, oracle.n_states, "k_max")
-    trials = as_count(trials, "trials", 1)
+    k_max, _ = run_size(k_max, "k_max", oracle.n_states, low=0,
+                        fixed=oracle.n_states)
+    trials, _ = run_size(trials, "trials", 0)
     s = qcore.uniform_superposition(oracle.n_qubits)
     rates = [_marked_fraction(oracle, s, trials, rng)]
     for _ in range(k_max):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmudsim import cli, qsearch
+from qmudsim import cli, config, qsearch
 
 BER_CONFIG = """\
 signature_kind = walsh
@@ -79,10 +79,23 @@ class TestGroverCommand:
         assert not out.exists()
 
     def test_unbounded_k_max_rejected(self, tmp_path):
-        # 10^9 steps on 16 amplitudes exceed config.MAX_GROVER_UPDATES
+        # 10^9 steps on 16 amplitudes exceed config.MAX_WORK
         out = tmp_path / "g.csv"
         assert cli.main(["grover", "--n", "16", "--k-max", "1000000000",
                          "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_scaling_work_bound(self, monkeypatch, tmp_path):
+        # two sizes at 16 units a search: 5 trials fit 160 units, 6 do not,
+        # and the refusal runs no search and writes nothing
+        monkeypatch.setattr(config, "MAX_WORK", 160)
+        out = tmp_path / "s.csv"
+        argv = ["grover", "--scaling", "--n", "64", "--scaling-max-exp", "7",
+                "--out", str(out)]
+        assert cli.main(argv + ["--trials", "5"]) == 0
+        out.unlink()
+        monkeypatch.setattr(qsearch, "bbht_ranks", None)
+        assert cli.main(argv + ["--trials", "6"]) == 2
         assert not out.exists()
 
     def test_search_space_above_register_limit_rejected(self, tmp_path):
@@ -142,9 +155,9 @@ class TestGroverCommand:
 
     def test_scaling_trials_run_in_bounded_batches(self, monkeypatch,
                                                    tmp_path):
-        # a large --trials runs in bbht_ranks calls of at most SCALING_BATCH
-        # searches, so its memory does not grow with --trials
-        monkeypatch.setattr(cli, "SCALING_BATCH", 8)
+        # a large --trials runs in bbht_ranks calls of at most
+        # config.MAX_BATCH searches, so its memory does not grow with --trials
+        monkeypatch.setattr(config, "MAX_BATCH", 8)
         sizes = []
         bbht_ranks = qsearch.bbht_ranks
 
@@ -434,7 +447,8 @@ FUZZ_BASE = {"signature_kind": "walsh", "k_users": "2", "n_chips": "4",
              "seed": "5"}
 FUZZ_EXTRA_KEYS = ("sync_mode", "gain_model", "sigma2", "ebn0_db", "bogus")
 # Small integers or text without digits: no value can ask for a large
-# signature array, search space or trial count.
+# signature array or search space.  Trial counts of 2^32 to 2^70, drawn
+# apart, ask for more than config.MAX_WORK and exit 2 before any draw.
 FUZZ_VALUES = st.one_of(
     st.integers(-2, 8).map(str),
     st.sampled_from(["walsh", "random_bipolar", "mf", "ml_exhaustive", "qmud",
@@ -448,7 +462,9 @@ FUZZ_EDITS = st.lists(
         st.tuples(st.just("drop"), st.sampled_from(sorted(FUZZ_BASE)),
                   st.none()),
         st.tuples(st.just("add"), st.sampled_from(FUZZ_EXTRA_KEYS),
-                  FUZZ_VALUES)),
+                  FUZZ_VALUES),
+        st.tuples(st.just("replace"), st.just("trials"),
+                  st.integers(2**32, 2**70).map(str))),
     max_size=2)
 
 
@@ -494,16 +510,21 @@ def _mix(valid, invalid):
     return st.one_of(valid, valid, valid, invalid)
 
 
-# Sizes stay small (n <= 2^10, trials <= 50, bits <= 200, K <= 6), so no draw
-# asks for a long run or a large allocation; negative, zero, non-finite and
-# out-of-range values are drawn next to valid ones.
+# Sizes stay small (n <= 2^10, trials <= 50, bits <= 200, K <= 6), so no
+# valid draw asks for a long run or a large allocation; negative, zero,
+# non-finite and out-of-range values are drawn next to valid ones, and so are
+# counts of 2^32 to 2^70, which ask for more than config.MAX_WORK and exit 2
+# before any draw.  The grover curve takes trials up to 2^63 - 1, as one
+# multinomial draw per step costs the same for any count.
 FUZZ_SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"),
                                 -400.0, 1e308])
 FUZZ_N = _mix(st.sampled_from([1 << e for e in range(1, 11)]),
               st.integers(-4, 1024))
 FUZZ_MARKED = _mix(st.integers(1, 4), st.integers(-2, 1030))
 FUZZ_SEED = _flag("--seed", _mix(st.integers(0, 2**64), st.integers(-2, -1)))
-FUZZ_TRIALS = _flag("--trials", _mix(st.integers(1, 50), st.integers(-2, 0)),
+FUZZ_HUGE = st.integers(2**32, 2**70)
+FUZZ_TRIALS = _flag("--trials", _mix(st.integers(1, 50),
+                                     st.one_of(st.integers(-2, 0), FUZZ_HUGE)),
                     required=True)
 FUZZ_ARGV = {
     "grover": _argv(["grover"], _flag("--n", FUZZ_N, required=True),
@@ -518,7 +539,8 @@ FUZZ_ARGV = {
                                    st.one_of(st.floats(-0.5, 1.5),
                                              FUZZ_SPECIAL)), required=True),
                  _flag("--bits", _mix(st.integers(1, 200),
-                                      st.integers(-2, 0)), required=True),
+                                      st.one_of(st.integers(-2, 0),
+                                                FUZZ_HUGE)), required=True),
                  FUZZ_SEED),
     "qmud-agree": _argv(["qmud-agree"],
                         _flag("--k", _mix(st.integers(1, 6),
@@ -545,6 +567,39 @@ class TestArgvFuzz:
 # alters seeded `bsc` bytes on purpose updates it and says so.
 PINNED_BSC_SHA256 = (
     "8bde16810d63bb4c4c28c38836f3170183634c91ff0373162199df76582009eb")
+
+
+class NoDraws:
+    """A generator stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--config"],
+    ["qmud-agree", "--trials", HUGE],
+    ["bsc", "--p", "0.5", "--bits", HUGE],
+    ["grover", "--scaling", "--trials", HUGE],
+    ["grover", "--n", "64", "--trials", HUGE],
+], ids=["ber", "qmud-agree", "bsc", "grover-scaling", "grover"])
+def test_huge_counts_exit_2_before_any_draw(argv, monkeypatch, tmp_path):
+    # these ran until killed, and the grover curve exited 1 on
+    # rng.multinomial's C long; the run-size rule refuses them before the
+    # generator is used or a file is written
+    if argv[0] == "ber":
+        cfg = tmp_path / "ber.cfg"
+        cfg.write_text("signature_kind = walsh\nk_users = 1\nn_chips = 2\n"
+                       "detector = mf\nebn0_db_list = 0,4\n"
+                       "trials = 99999999999999999999\n")
+        argv = argv + [str(cfg)]
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert list(tmp_path.glob("out*")) == []
 
 
 class TestBscCommand:

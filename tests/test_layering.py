@@ -1,9 +1,10 @@
 """Module layering of src/qmudsim, read from the source with ast.
 
-The input rules sit below every module that uses them: counts and index
-arrays in `errors`, register sizes and lengths in `qcore`.  So the channel
-modules need nothing from the search module, no module reaches into
-another's private names, and one function reads the register-size limit.
+The input rules sit below every module that uses them: counts, run sizes
+and index arrays in `errors`, register sizes and lengths in `qcore`.  So the
+channel modules need nothing from the search module, no module reaches into
+another's private names, one function reads the register-size limit, and
+one function reads the work bound and the batch sizes.
 """
 
 import ast
@@ -79,6 +80,27 @@ def test_one_function_reads_the_register_size_limit():
                         and func.name == "check_qubits")
     assert (sum(len(_limit_reads(tree)) for tree in outside.values())
             == len(_limit_reads(check_qubits)))
+
+
+def _run_size_reads(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in {"MAX_WORK", "MAX_BATCH", "BATCH_SCORES"}]
+
+
+def test_one_function_reads_the_work_bound_and_batch_constants():
+    outside = {module: tree for module, tree in MODULES.items()
+               if module != "config"}
+    readers = [f"{module}.{func.name}" for module, tree in outside.items()
+               for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and _run_size_reads(func)]
+    assert readers == ["errors.run_size"]
+    # and no read outside a function
+    run_size = next(func for func in ast.walk(MODULES["errors"])
+                    if isinstance(func, ast.FunctionDef)
+                    and func.name == "run_size")
+    assert (sum(len(_run_size_reads(tree)) for tree in outside.values())
+            == len(_run_size_reads(run_size)))
 
 
 # Generator methods that draw, and those of them that only the channel

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qmudsim import cdma, mud, qsearch
+from qmudsim import cdma, config, mud, qsearch
 from qmudsim.errors import ConfigError, ShapeError, SizeError
 from test_qsearch import (EQUIVALENCE_ALPHA, SEARCH_ERRORS,
                           exact_maximum_search, homogeneity_p,
@@ -634,7 +634,7 @@ class TestQmudDetect:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # both peak at one batch of AGREEMENT_SEARCH_BATCH searches (about
+        # both peak at one batch of config.MAX_BATCH searches (about
         # 2.8 MiB at K = 2); running all 100,000 searches at once peaks
         # 47 MiB higher
         assert peaks[1] < peaks[0] + 2**20
@@ -642,7 +642,7 @@ class TestQmudDetect:
     def test_every_unique_maximum_row_takes_the_lock_step_search(
             self, monkeypatch):
         # every trial's first rank reaches threshold_search, in batches of
-        # AGREEMENT_SEARCH_BATCH, and no table is searched
+        # config.MAX_BATCH, and no table is searched
         searched = {"rows": 0, "batches": []}
         maximum_search = qsearch.maximum_search
         threshold_search = qsearch.threshold_search
@@ -657,7 +657,7 @@ class TestQmudDetect:
 
         monkeypatch.setattr(qsearch, "maximum_search", per_row)
         monkeypatch.setattr(qsearch, "threshold_search", lock_step)
-        monkeypatch.setattr(mud, "AGREEMENT_SEARCH_BATCH", 16)
+        monkeypatch.setattr(config, "MAX_BATCH", 16)
         result = mud.qmud_agreement(3, 40, np.random.default_rng(31))
         assert searched == {"rows": 0, "batches": [16, 16, 8]}
         assert result.agreement > 0.9
@@ -879,7 +879,7 @@ class TestBerSweep:
     def test_detectors_see_the_same_frames(self, monkeypatch):
         # 3 trials a chunk at K = 6 and N_c = 16 (K·N_c = 96 chips), so 23
         # trials take 8 chunks, the last one short
-        monkeypatch.setattr(mud, "BER_SEARCH_SCORES", 5 << 6)
+        monkeypatch.setattr(config, "BATCH_SCORES", 5 << 6)
         sc = cdma.make_scenario("random_bipolar", 6, 16,
                                 sync_mode=cdma.CHIP_ASYNC,
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=7)
@@ -957,8 +957,8 @@ class TestBerSweep:
                                 gain_model=cdma.GAIN_RAYLEIGH, seed=11)
         expected = reference_ber(sc, detector, [0.0, 4.0, 8.0], 23,
                                  np.random.default_rng(25))
-        for bound in (3 * 96, mud.BER_SEARCH_SCORES):
-            monkeypatch.setattr(mud, "BER_SEARCH_SCORES", bound)
+        for bound in (3 * 96, config.BATCH_SCORES):
+            monkeypatch.setattr(config, "BATCH_SCORES", bound)
             csv_text, trace = io.StringIO(), io.StringIO()
             mud.ber_sweep(sc, detector, [0.0, 4.0, 8.0], 23,
                           np.random.default_rng(25),

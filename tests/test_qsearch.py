@@ -1056,7 +1056,7 @@ class TestStatisticalInvariants:
                                       qsearch.measured_success_curve])
     def test_register_updates_capped(self, call, monkeypatch):
         # (k + 1)·N = 64 amplitude updates pass at a cap of 64, 80 do not
-        monkeypatch.setattr(config, "MAX_GROVER_UPDATES", 64)
+        monkeypatch.setattr(config, "MAX_WORK", 64)
         oracle = oracle_marking(4, [1])
         call(oracle, 3, 10, np.random.default_rng(23))
         rng = np.random.default_rng(23)
@@ -1315,4 +1315,57 @@ def test_bools_are_not_counts(call):
     state = rng.bit_generator.state
     with pytest.raises(ConfigError):
         call(rng)
+    assert rng.bit_generator.state == state
+
+
+# K = 4 users on 2 chips: a trial and point takes 128 + 8 units of work for
+# MF, and 128 + 8 + 16 / 4 for the table detectors.
+WORK_SCENARIO = make_scenario("random_bipolar", 4, 2)
+
+
+@pytest.mark.parametrize("call, work", [
+    pytest.param(lambda rng, n: mud.ber_sweep(WORK_SCENARIO, "mf", [0.0, 4.0],
+                                              n, rng),
+                 2 * (128 + 8), id="ber_sweep-mf"),
+    pytest.param(lambda rng, n: mud.ber_sweep(WORK_SCENARIO, "ml_exhaustive",
+                                              [0.0, 4.0], n, rng),
+                 2 * (128 + 12), id="ber_sweep-ml_exhaustive"),
+    pytest.param(lambda rng, n: mud.ber_sweep(WORK_SCENARIO, "qmud",
+                                              [0.0, 4.0], n, rng),
+                 2 * (128 + 12), id="ber_sweep-qmud"),
+    pytest.param(lambda rng, n: mud.qmud_agreement(2, n, rng), 32,
+                 id="qmud_agreement-trials"),
+    pytest.param(lambda rng, n: mud.qmud_agreement(10, n, rng), 32 + 8,
+                 id="qmud_agreement-trials-k10"),
+    pytest.param(lambda rng, n: qchannel.run_demo(n, 0.5, rng), 32,
+                 id="run_demo-n_bits"),
+    pytest.param(lambda rng, n: qsearch.existence_test(
+        oracle_marking(2, []), rng, n), 128 * (12 + 2),
+        id="existence_test-rounds"),
+])
+def test_work_bound_refuses_before_any_draw(call, work, monkeypatch):
+    # 3 items of `work` units fit a bound of 3·work, 4 do not, and the
+    # refusal comes before any draw
+    monkeypatch.setattr(config, "MAX_WORK", 3 * work)
+    call(np.random.default_rng(26), 3)
+    rng = np.random.default_rng(26)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="units of work"):
+        call(rng, 4)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("call", [qsearch.measured_success_rate,
+                                  qsearch.measured_success_curve])
+def test_measurement_trials_run_up_to_int64(call, monkeypatch):
+    # one multinomial draw per register costs the same for any trials, so
+    # trials take no work, and only numpy's int64 bounds them
+    monkeypatch.setattr(config, "MAX_WORK", 2 * 4)
+    oracle = oracle_marking(2, [1])
+    assert 0 <= np.min(call(oracle, 1, (1 << 63) - 1,
+                            np.random.default_rng(27))) <= 1
+    rng = np.random.default_rng(27)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="below 2\\^63"):
+        call(oracle, 1, 1 << 63, rng)
     assert rng.bit_generator.state == state
