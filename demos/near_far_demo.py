@@ -25,14 +25,16 @@ frame = cdma.synthesize_received(scenario, channel, true_bits, [1, 1], 0.0,
 y = cdma.matched_filter_bank(frame, scenario, channel)
 print("matched-filter outputs:", np.round(y.real, 3))
 
-mf = mud.mf_detect(y, channel, true_bits=true_bits)
+mf = mud.mf_detect(y, channel)
+mf_ok = np.array_equal(mf.detected_bits, true_bits)
 print(f"\nmatched-filter decision: {mf.detected_bits}  "
-      f"(transmitted {true_bits}) -> {'correct' if mf.correct else 'WRONG'}")
+      f"(transmitted {true_bits}) -> {'correct' if mf_ok else 'WRONG'}")
 
 cf = mud.make_mls_cost(frame, scenario, channel)
-ml = mud.exhaustive_ml_detect(cf, true_bits=true_bits)
+ml = mud.exhaustive_ml_detect(cf)
+ml_ok = np.array_equal(ml.detected_bits, true_bits)
 print(f"joint ML decision:       {ml.detected_bits}  "
-      f"-> {'correct' if ml.correct else 'WRONG'} "
+      f"-> {'correct' if ml_ok else 'WRONG'} "
       f"({ml.cf_evaluations} hypothesis evaluations)")
 
 print("\nscore of every hypothesis (0 = perfect reconstruction):")

@@ -30,14 +30,14 @@ frame = cdma.synthesize_received(scenario, channel, bits, prev,
                                  cdma.ebn0_db_to_noise_variance(EBN0_DB), rng)
 
 cf = mud.make_mls_cost(frame, scenario, channel)
-exhaustive = mud.exhaustive_ml_detect(cf, true_bits=bits)
+exhaustive = mud.exhaustive_ml_detect(cf)
 print(f"  exhaustive: {exhaustive.cf_evaluations} evaluations, "
-      f"correct = {exhaustive.correct}")
+      f"correct = {np.array_equal(exhaustive.detected_bits, bits)}")
 
-quantum = mud.qmud_detect(mud.make_mls_cost(frame, scenario, channel), rng,
-                          true_bits=bits)
+quantum = mud.qmud_detect(mud.make_mls_cost(frame, scenario, channel), rng)
 print(f"  quantum:    {quantum.grover_queries} oracle applications over "
-      f"{quantum.cf_evaluations} threshold rounds, correct = {quantum.correct}")
+      f"{quantum.cf_evaluations} threshold rounds, "
+      f"correct = {np.array_equal(quantum.detected_bits, bits)}")
 print(f"  same answer: {np.array_equal(exhaustive.detected_bits, quantum.detected_bits)}")
 
 # Under the one search order the indices of any table map one-to-one onto

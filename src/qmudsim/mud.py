@@ -15,7 +15,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -93,19 +92,19 @@ class CostFunction:
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
-    """Detection outcomes of (..., K) bits with their work accounting; the
-    counters and `correct` are arrays of the leading shape, 0-d for one.
+    """Detected (..., K) bits with their work accounting; the counters are
+    arrays of the leading shape, 0-d for one detection.
 
     `cf_evaluations` is the exact evaluation count for classical detectors
     and the number of oracles compiled from the table (one per threshold
     round) for the quantum-assisted detector; `grover_queries` is 0 for
-    classical detectors.  `correct` is None without the true bits.
+    classical detectors.  A caller with the true bits compares them with
+    `detected_bits` itself.
     """
 
     detected_bits: np.ndarray
     cf_evaluations: np.ndarray
     grover_queries: np.ndarray
-    correct: Optional[np.ndarray] = None
 
 
 def make_mls_cost(frame: ReceivedFrame, scenario: CdmaScenario,
@@ -192,29 +191,25 @@ def _split_half_scores(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Detectors.
 
-def mf_detect(y: np.ndarray, channel: ChannelState,
-              true_bits=None) -> DetectionReport:
+def mf_detect(y: np.ndarray, channel: ChannelState) -> DetectionReport:
     """Per-user slicer on phase-derotated (..., K) outputs; 0 slices to +1."""
     metric = np.real(np.conj(channel.gains) * y)
     detected = np.where(metric < 0, -1, 1).astype(np.int8)
     zeros = np.zeros(detected.shape[:-1], np.int64)
-    return DetectionReport(detected, zeros, zeros,
-                           _correct(detected, true_bits))
+    return DetectionReport(detected, zeros, zeros)
 
 
-def exhaustive_ml_detect(cf: CostFunction, true_bits=None) -> DetectionReport:
+def exhaustive_ml_detect(cf: CostFunction) -> DetectionReport:
     """Evaluate every hypothesis of each table; first index wins ties."""
     if cf.k_users > EXHAUSTIVE_K_LIMIT:
         raise SizeError(f"exhaustive search capped at K={EXHAUSTIVE_K_LIMIT}")
     scores = cf.evaluate(np.arange(1 << cf.k_users))
     detected = _index_bits(scores.argmax(axis=-1), cf.k_users)
     counts = np.full(scores.shape[:-1], scores.shape[-1])
-    return DetectionReport(detected, counts, 0 * counts,
-                           _correct(detected, true_bits))
+    return DetectionReport(detected, counts, 0 * counts)
 
 
-def qmud_detect(cf: CostFunction, rng: np.random.Generator,
-                true_bits=None) -> DetectionReport:
+def qmud_detect(cf: CostFunction, rng: np.random.Generator) -> DetectionReport:
     """Quantum-assisted detection via threshold maximum search.
 
     The K-qubit register holds all 2^K hypotheses at once; each threshold
@@ -227,14 +222,7 @@ def qmud_detect(cf: CostFunction, rng: np.random.Generator,
     """
     rep = qsearch.maximum_search(cf.table(), rng)
     detected = _index_bits(rep.found, cf.k_users)
-    return DetectionReport(detected, rep.iterations_used, rep.grover_queries,
-                           _correct(detected, true_bits))
-
-
-def _correct(detected: np.ndarray, true_bits):
-    if true_bits is None:
-        return None
-    return (detected == np.asarray(true_bits)).all(axis=-1)
+    return DetectionReport(detected, rep.iterations_used, rep.grover_queries)
 
 
 # ---------------------------------------------------------------------------

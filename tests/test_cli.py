@@ -568,6 +568,11 @@ class TestArgvFuzz:
 PINNED_BSC_SHA256 = (
     "8bde16810d63bb4c4c28c38836f3170183634c91ff0373162199df76582009eb")
 
+# SHA-256 of the manifest of the same run with the relative `--out bsc.json`,
+# run in an empty directory so that the manifest records that path.
+PINNED_BSC_MANIFEST_SHA256 = (
+    "59d56a2597bae95a3f889fb4d6a36c23981d0f2420799f2fa519a6b924eb55e6")
+
 
 class NoDraws:
     """A generator stand-in that fails on any use."""
@@ -603,12 +608,15 @@ def test_huge_counts_exit_2_before_any_draw(argv, monkeypatch, tmp_path):
 
 
 class TestBscCommand:
-    def test_seeded_report_bytes_are_pinned(self, tmp_path):
-        out = tmp_path / "bsc.json"
+    def test_seeded_report_bytes_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli.main(["bsc", "--p", "0.5", "--bits", "5000", "--seed",
-                         "25", "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == PINNED_BSC_SHA256
+                         "25", "--out", "bsc.json"]) == 0
+        digest = hashlib.sha256((tmp_path / "bsc.json").read_bytes())
+        assert digest.hexdigest() == PINNED_BSC_SHA256
+        manifest = (tmp_path / "bsc.json.manifest.json").read_bytes()
+        assert (hashlib.sha256(manifest).hexdigest()
+                == PINNED_BSC_MANIFEST_SHA256)
 
     def test_p_half(self, capsys, tmp_path):
         out = tmp_path / "demo.json"

@@ -439,8 +439,8 @@ class TestMfDetect:
                 frame = cdma.synthesize_received(sc, ch, bits,
                                                  np.ones(k_users), 0.0, None)
                 y = cdma.matched_filter_bank(frame, sc, ch)
-                report = mud.mf_detect(y, ch, true_bits=bits)
-                assert report.correct
+                report = mud.mf_detect(y, ch)
+                np.testing.assert_array_equal(report.detected_bits, bits)
                 assert report.cf_evaluations == 0
                 assert report.grover_queries == 0
 
@@ -454,29 +454,26 @@ class TestMfDetect:
         frame = cdma.synthesize_received(sc, ch, bits, [1, 1], 0.0, None)
         y = cdma.matched_filter_bank(frame, sc, ch)
         assert y[0] == pytest.approx(1 - 5, abs=1e-12)  # strong user swamps
-        mf_report = mud.mf_detect(y, ch, true_bits=bits)
-        assert not mf_report.correct
+        mf_report = mud.mf_detect(y, ch)
+        assert not np.array_equal(mf_report.detected_bits, bits)
         assert mf_report.detected_bits[0] == -1
-        ml_report = mud.exhaustive_ml_detect(
-            mud.make_mls_cost(frame, sc, ch), true_bits=bits)
-        assert ml_report.correct
+        ml_report = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, sc, ch))
+        np.testing.assert_array_equal(ml_report.detected_bits, bits)
 
     def test_zero_outputs_slice_to_plus_one(self):
         ch = fixed_channel([1, 1, 1], [0, 0, 0])
         y = np.zeros(3, dtype=complex)
         report = mud.mf_detect(y, ch)
         np.testing.assert_array_equal(report.detected_bits, [1, 1, 1])
-        assert report.correct is None
 
 
 class TestExhaustiveDetect:
     def test_walsh_case_and_counter(self):
         frame, sc, ch = walsh2_frame()
         cf = mud.make_mls_cost(frame, sc, ch)
-        report = mud.exhaustive_ml_detect(cf, true_bits=[1, -1])
+        report = mud.exhaustive_ml_detect(cf)
         np.testing.assert_array_equal(report.detected_bits, [1, -1])
         assert report.cf_evaluations == 4
-        assert report.correct
 
     def test_counter_exact_for_k8(self):
         rng = np.random.default_rng(7)
@@ -547,9 +544,8 @@ class TestExhaustiveDetect:
             bits = rng.choice((-1, 1), size=4)
             frame = cdma.synthesize_received(sc, ch, bits, np.ones(4), 0.0,
                                              None)
-            report = mud.exhaustive_ml_detect(
-                mud.make_mls_cost(frame, sc, ch), true_bits=bits)
-            assert report.correct
+            report = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, sc, ch))
+            np.testing.assert_array_equal(report.detected_bits, bits)
 
     def test_k_guard(self):
         cf = mud.CostFunction(np.zeros(1 << 21))
@@ -562,10 +558,8 @@ class TestQmudDetect:
         frame, sc, ch = walsh2_frame()
         rng = np.random.default_rng(9)
         for _ in range(25):
-            report = mud.qmud_detect(mud.make_mls_cost(frame, sc, ch), rng,
-                                     true_bits=[1, -1])
+            report = mud.qmud_detect(mud.make_mls_cost(frame, sc, ch), rng)
             np.testing.assert_array_equal(report.detected_bits, [1, -1])
-            assert report.correct
 
     def test_constant_cost_accepts_any_hypothesis(self):
         cf = mud.CostFunction(np.full(8, 2.5))
@@ -707,7 +701,7 @@ class TestQmudDetect:
 
 class TestStackedDetection:
     """Each detector on a (..., K) stack gives what per-row calls give, with
-    counters and `correct` of the stack's leading shape."""
+    counters of the stack's leading shape."""
 
     def test_mf_stack_matches_rows(self):
         rng = np.random.default_rng(40)
@@ -715,14 +709,11 @@ class TestStackedDetection:
             (3, 5, 4))
         ch = fixed_channel(np.exp(1j * rng.uniform(0, 6, (3, 5, 4))),
                            np.zeros((3, 5, 4)))
-        truth = rng.choice((-1, 1), size=(3, 5, 4))
-        report = mud.mf_detect(y, ch, true_bits=truth)
+        report = mud.mf_detect(y, ch)
         for i in np.ndindex(3, 5):
-            row = mud.mf_detect(y[i], fixed_channel(ch.gains[i], ch.delay[i]),
-                                true_bits=truth[i])
+            row = mud.mf_detect(y[i], fixed_channel(ch.gains[i], ch.delay[i]))
             np.testing.assert_array_equal(report.detected_bits[i],
                                           row.detected_bits)
-            assert report.correct[i] == row.correct
         for counter in (report.cf_evaluations, report.grover_queries):
             np.testing.assert_array_equal(counter, np.zeros((3, 5)))
 
@@ -730,21 +721,18 @@ class TestStackedDetection:
         rng = np.random.default_rng(41)
         tables = rng.standard_normal((6, 7, 64))
         tables[0, 0] = 1.0  # a tie goes to index 0 in a stack too
-        truth = rng.choice((-1, 1), size=(6, 7, 6))
         cf = mud.CostFunction(tables)
         assert cf.k_users == 6
-        report = mud.exhaustive_ml_detect(cf, true_bits=truth)
+        report = mud.exhaustive_ml_detect(cf)
         assert cf.evaluations == 64
         np.testing.assert_array_equal(report.cf_evaluations,
                                       np.full((6, 7), 64))
         np.testing.assert_array_equal(report.grover_queries,
                                       np.zeros((6, 7)))
         for i in np.ndindex(6, 7):
-            row = mud.exhaustive_ml_detect(mud.CostFunction(tables[i]),
-                                           true_bits=truth[i])
+            row = mud.exhaustive_ml_detect(mud.CostFunction(tables[i]))
             np.testing.assert_array_equal(report.detected_bits[i],
                                           row.detected_bits)
-            assert report.correct[i] == row.correct
             assert row.cf_evaluations == 64
         np.testing.assert_array_equal(report.detected_bits[0, 0],
                                       mud.bits_from_index(0, 6))
@@ -764,15 +752,14 @@ class TestStackedDetection:
         argmax_bits = mud.exhaustive_ml_detect(
             mud.CostFunction(tables)).detected_bits
         report = mud.qmud_detect(mud.CostFunction(tables),
-                                 np.random.default_rng(43),
-                                 true_bits=argmax_bits)
+                                 np.random.default_rng(43))
         assert report.detected_bits.shape == (50, 40, 6)
-        for counter in (report.cf_evaluations, report.grover_queries,
-                        report.correct):
+        for counter in (report.cf_evaluations, report.grover_queries):
             assert counter.shape == (50, 40)
         assert (report.cf_evaluations
                 >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures).all()
-        misses = int(np.count_nonzero(~report.correct))
+        hits = (report.detected_bits == argmax_bits).all(-1)
+        misses = int(np.count_nonzero(~hits))
         p = stats.binomtest(misses, 2000,
                             1 - exact_maximum_search(64)["agreement"]).pvalue
         assert p > EQUIVALENCE_ALPHA
