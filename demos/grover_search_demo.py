@@ -25,7 +25,7 @@ for k, measured in enumerate(curve):
 
 print("\n== fixed-count search with known M ==")
 rep = qsearch.grover_search(qsearch.MarkingOracle(np.arange(N) == 42), 1, rng)
-print(f"found index {rep.found} after {rep.iterations_used} steps "
+print(f"found index {rep.found} after {rep.grover_queries} steps "
       f"({rep.grover_queries} oracle queries, verified classically)")
 
 print("\n== unknown number of marked items ==")

@@ -77,8 +77,8 @@ def _grover_scaling(args) -> int:
     low = qcore.length_qubits(n_min, "--n")
     # bbht_ranks rejects a --marked above --n, but takes 0 (nothing marked)
     as_count(args.marked, "--marked", 1)
-    exponents = range(low, qcore.check_qubits(
-        max(low, args.scaling_max_exp)) + 1)
+    max_exp = 14 if args.scaling_max_exp is None else args.scaling_max_exp
+    exponents = range(low, qcore.check_qubits(max(low, max_exp)) + 1)
     trials, batch = run_size(args.trials, "--trials", 16 * len(exponents))
     rows = [["n", "mean_grover_queries", "mean_verifications",
              "exhaustive_evaluations", "trials"]]
@@ -93,7 +93,7 @@ def _grover_scaling(args) -> int:
         rows.append([1 << exp, repr(g_sum / trials), repr(v_sum / trials),
                      1 << exp, trials])
     _emit(args, lambda fh: csv.writer(fh).writerows(rows), "grover-scaling", {
-        "n_min": n_min, "max_exp": args.scaling_max_exp,
+        "n_min": n_min, "max_exp": max_exp,
         "marked": args.marked, "trials": args.trials, "seed": args.seed})
     return 0
 
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="top of the iteration sweep (default: optimal count)")
     g.add_argument("--scaling", action="store_true",
                    help="sweep mean queries against the search-space size")
-    g.add_argument("--scaling-max-exp", type=int, default=14,
+    g.add_argument("--scaling-max-exp", type=int, default=None,
                    help="largest exponent for --scaling (default 14)")
     add_common(g)
     g.set_defaults(func=cmd_grover)
@@ -223,8 +223,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "grover" and not args.scaling and args.n is None:
-            parser.error("grover requires --n")
+        if args.command == "grover":
+            if not args.scaling and args.n is None:
+                parser.error("grover requires --n")
+            if args.scaling and args.k_max is not None:
+                parser.error("--k-max applies only without --scaling")
+            if not args.scaling and args.scaling_max_exp is not None:
+                parser.error("--scaling-max-exp applies only with --scaling")
         if args.seed is not None and args.seed < 0:
             parser.error(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)

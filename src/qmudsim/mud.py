@@ -220,9 +220,8 @@ def qmud_detect(cf: CostFunction, rng: np.random.Generator) -> DetectionReport:
     lower index, as in exhaustive_ml_detect.  Returns the incumbent even
     when the final rounds exhaust their budgets.
     """
-    rep = qsearch.maximum_search(cf.table(), rng)
-    detected = _index_bits(rep.found, cf.k_users)
-    return DetectionReport(detected, rep.iterations_used, rep.grover_queries)
+    found, queries, _, rounds = qsearch.maximum_search(cf.table(), rng)
+    return DetectionReport(_index_bits(found, cf.k_users), rounds, queries)
 
 
 # ---------------------------------------------------------------------------

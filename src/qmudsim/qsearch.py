@@ -6,9 +6,9 @@ unknown count (giving up on a query budget), one-sided existence testing, and
 threshold-driven maximum finding.  Every oracle application to the register
 is counted; classical verifications are counted separately.
 
-The fixed-count search and `measured_success_rate` evolve a state vector step
-by step.  The randomized search samples each round's measurement from its
-closed form instead: the oracle is a ±1 diagonal and the start state is
+The fixed-count search and `measured_success_curve` evolve a state vector
+step by step.  The randomized search samples each round's measurement from
+its closed form instead: the oracle is a ±1 diagonal and the start state is
 uniform, so after j steps the outcome is marked with probability
 sin²((2j+1)θ), θ = asin(√(M/N)), and uniform within the marked or unmarked
 set (Boyer–Brassard–Høyer–Tapp, quant-ph/9605034).  The j queries are still
@@ -129,20 +129,18 @@ class MarkingOracle:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one search run; maximum_search gives int64 arrays of its
-    tables' leading shape (0-d for one table) in place of the ints.
-
-    `iterations_used` is the number of amplitude-amplification steps for the
-    fixed and randomized searches, and the number of threshold rounds for
-    maximum_search.  `succeeded` implies `found` passed classical
-    verification.
-    """
+    """Outcome of one grover_search or bbht_search run: the verified index
+    (None if the search found none), the oracle queries and the classical
+    verifications it spent."""
 
     found: Optional[int]
     grover_queries: int
     verification_queries: int
-    iterations_used: int
-    succeeded: bool
+
+    @property
+    def succeeded(self) -> bool:
+        """Whether the search found an index that passed verification."""
+        return self.found is not None
 
 
 def grover_iterate(oracle: MarkingOracle, s: qcore.StateVector) -> qcore.StateVector:
@@ -193,9 +191,7 @@ def grover_search(oracle: MarkingOracle, m_known: int,
     ok = oracle.verify(outcome)
     return SearchReport(found=outcome if ok else None,
                         grover_queries=oracle.query_count - g0,
-                        verification_queries=oracle.verification_count - v0,
-                        iterations_used=k,
-                        succeeded=ok)
+                        verification_queries=oracle.verification_count - v0)
 
 
 @functools.lru_cache(maxsize=128)
@@ -269,8 +265,7 @@ def bbht_search(oracle: MarkingOracle,
     oracle.verification_count += verifications
     found = int(marked[rank]) if rank < marked.size else None
     return SearchReport(found=found, grover_queries=queries,
-                        verification_queries=verifications,
-                        iterations_used=queries, succeeded=found is not None)
+                        verification_queries=verifications)
 
 
 def existence_test(oracle: MarkingOracle, rng: np.random.Generator,
@@ -460,7 +455,7 @@ def _lockstep_search(ranks: np.ndarray, n_states: int, cfg: _Schedule,
     return hits, jobs[3], jobs[5], jobs[4]
 
 
-def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
+def maximum_search(tables, rng: np.random.Generator):
     """Locate an index maximizing each of the (..., 2^n) score tables.
 
     Every score must be finite (ShapeError and ValueError otherwise, before
@@ -469,8 +464,10 @@ def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
     call, without reading the tables, and run through one threshold_search
     call.  Rank 0 maps to np.argmax's index; the rare search that ends
     elsewhere reads its index from a stable descending argsort of its table
-    (one argsort per table would cost more than the search).  See
-    SearchReport.
+    (one argsort per table would cost more than the search).  Returns
+    int64 arrays of the tables' leading shape (0-d for one table): the
+    found index, oracle queries, verifications and threshold rounds, as
+    threshold_search returns them with the index in place of the rank.
     """
     tables = np.asarray(tables, dtype=float)
     n_states = 1 << score_bits(tables)
@@ -481,52 +478,31 @@ def maximum_search(tables, rng: np.random.Generator) -> SearchReport:
     elsewhere = final.nonzero()[0]
     order = np.argsort(-tables[elsewhere], axis=-1, kind="stable")
     found[elsewhere] = order[np.arange(elsewhere.size), final[elsewhere]]
-    return SearchReport(found.reshape(shape), queries.reshape(shape),
-                        verifications.reshape(shape), rounds.reshape(shape),
-                        succeeded=True)
-
-
-def _marked_fraction(oracle: MarkingOracle, s: qcore.StateVector,
-                     trials: int, rng: np.random.Generator) -> float:
-    """Fraction of `trials` measurements of s that land on a marked index,
-    drawn as one multinomial sample over s's outcome distribution."""
-    p = qcore.probabilities(s)
-    counts = rng.multinomial(trials, p / p.sum())
-    return float(counts[oracle.mask].sum() / trials)
-
-
-def measured_success_rate(oracle: MarkingOracle, k: int, trials: int,
-                          rng: np.random.Generator) -> float:
-    """Fraction of measurements hitting a marked index after k iterations.
-
-    Evolves the register once and draws the outcome counts of `trials`
-    measurements as one multinomial sample, so memory is O(N) for any
-    `trials`; statistics are identical to re-preparing the state per trial.
-    A non-integer k or trials, k < 0, trials < 1 or >= 2^63 and (k + 1)·N
-    amplitude updates above config.MAX_WORK raise ConfigError before the
-    register is built.
-    """
-    k, _ = run_size(k, "k", oracle.n_states, low=0, fixed=oracle.n_states)
-    trials, _ = run_size(trials, "trials", 0)
-    s = qcore.uniform_superposition(oracle.n_qubits)
-    for _ in range(k):
-        s = grover_iterate(oracle, s)
-    return _marked_fraction(oracle, s, trials, rng)
+    return tuple(a.reshape(shape)
+                 for a in (found, queries, verifications, rounds))
 
 
 def measured_success_curve(oracle: MarkingOracle, k_max: int, trials: int,
                            rng: np.random.Generator) -> list:
-    """measured_success_rate for k = 0..k_max, from one register measured
-    after each step: the same values and draws as those calls in turn, in
-    k_max steps rather than about k_max²/2.  Bad k_max or trials raise
-    ConfigError before the register is built, as in measured_success_rate.
+    """Fraction of `trials` measurements hitting a marked index after k
+    iterations, for k = 0..k_max.
+
+    Evolves one register and measures it after each step, with one
+    multinomial sample of `trials` outcomes per k, so memory is O(N) for
+    any `trials`; the statistics, and the draws, are those of a fresh
+    register per k.  A non-integer k_max or trials, k_max < 0, trials < 1
+    or >= 2^63 and (k_max + 1)·N amplitude updates above config.MAX_WORK
+    raise ConfigError before the register is built.
     """
     k_max, _ = run_size(k_max, "k_max", oracle.n_states, low=0,
                         fixed=oracle.n_states)
     trials, _ = run_size(trials, "trials", 0)
     s = qcore.uniform_superposition(oracle.n_qubits)
-    rates = [_marked_fraction(oracle, s, trials, rng)]
-    for _ in range(k_max):
-        s = grover_iterate(oracle, s)
-        rates.append(_marked_fraction(oracle, s, trials, rng))
+    rates = []
+    for k in range(k_max + 1):
+        if k:
+            s = grover_iterate(oracle, s)
+        p = qcore.probabilities(s)
+        counts = rng.multinomial(trials, p / p.sum())
+        rates.append(float(counts[oracle.mask].sum() / trials))
     return rates

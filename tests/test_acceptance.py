@@ -73,7 +73,7 @@ def test_criterion_3_single_shot_failure_scaling():
         mask = np.zeros(n_states, dtype=bool)
         mask[:marked] = True
         oracle = qsearch.MarkingOracle(mask)
-        rate = qsearch.measured_success_rate(oracle, 0, trials, rng)
+        rate, = qsearch.measured_success_curve(oracle, 0, trials, rng)
         p = marked / n_states
         sigma = math.sqrt(p * (1 - p) / trials)
         ok = ok and abs(rate - p) <= 3 * sigma

@@ -61,6 +61,27 @@ class TestGroverCommand:
     def test_non_power_of_two_rejected(self):
         assert cli.main(["grover", "--n", "100"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["grover", "--scaling", "--n", "64", "--scaling-max-exp", "7",
+          "--k-max", "3"], "--k-max"),
+        (["grover", "--n", "16", "--scaling-max-exp", "3"],
+         "--scaling-max-exp")])
+    def test_flag_of_the_other_mode_is_usage_error(self, argv, flag,
+                                                   tmp_path, capsys):
+        # each flag feeds only one mode; the other would drop it unrecorded
+        out = tmp_path / "g.csv"
+        assert cli.main(argv + ["--trials", "5", "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scaling_max_exp_default_is_recorded(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert cli.main(["grover", "--scaling", "--n", "8192", "--trials",
+                         "2", "--out", str(out)]) == 0
+        assert [int(r[0]) for r in read_csv(out)[1:]] == [8192, 16384]
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["config"]["max_exp"] == 14
+
     def test_marked_out_of_range(self):
         assert cli.main(["grover", "--n", "16", "--marked", "17"]) == 2
 

@@ -159,10 +159,10 @@ def reference_ber_qmud(scenario, noise_variance, trials, rng):
     for _ in range(trials):
         channel, _, frame = reference_draw_trial(scenario, noise_variance,
                                                  rng)
-        report = reference_maximum_search(
+        _, grover_queries, _, threshold_rounds = reference_maximum_search(
             mud.make_mls_cost(frame, scenario, channel).table(), rng)
-        queries.append(report.grover_queries)
-        rounds.append(report.iterations_used)
+        queries.append(grover_queries)
+        rounds.append(threshold_rounds)
     return queries, rounds
 
 

@@ -14,8 +14,11 @@ rank-space searches one BBHT round per loop step; `qsearch.threshold_search`,
 which runs every level of each search's descent at once and a block of
 rounds per step, is tested against it.  `reference_existence_test` runs one
 `bbht_search` per confidence round; `qsearch.existence_test`, which runs its
-rounds as one lock-step job, is tested against it.  `rank` defines the
-search order that every maximum search follows.
+rounds as one lock-step job, is tested against it.
+`reference_success_rate` measures a fresh register after k steps;
+`qsearch.measured_success_curve`, which measures one register after each
+step, is tested against it.  `rank` defines the search order that every
+maximum search follows.
 """
 
 import functools
@@ -67,13 +70,11 @@ def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
     g0, v0 = oracle.query_count, oracle.verification_count
     uniform = qcore.uniform_superposition(oracle.n_qubits)
 
-    def report(found, succeeded):
+    def report(found):
         return qsearch.SearchReport(
             found=found,
             grover_queries=oracle.query_count - g0,
-            verification_queries=oracle.verification_count - v0,
-            iterations_used=oracle.query_count - g0,
-            succeeded=succeeded)
+            verification_queries=oracle.verification_count - v0)
 
     m = 1.0
     used = 0
@@ -86,9 +87,9 @@ def reference_bbht_search(oracle, rng, cfg=qsearch.DEFAULT_CONFIG):
         used += j
         outcome = qcore.measure(s, rng).outcome
         if oracle.verify(outcome):
-            return report(outcome, True)
+            return report(outcome)
         if used >= budget:
-            return report(None, False)
+            return report(None)
         m = min(cfg.growth_factor * m, sqrt_n)
 
 
@@ -125,12 +126,9 @@ def scalar_bbht_search(oracle, rng):
         oracle.verification_count += 1
         if used >= budget:
             break
-    queries = oracle.query_count - g0
-    return qsearch.SearchReport(found=found, grover_queries=queries,
-                                verification_queries=(
-                                    oracle.verification_count - v0),
-                                iterations_used=queries,
-                                succeeded=found is not None)
+    return qsearch.SearchReport(
+        found=found, grover_queries=oracle.query_count - g0,
+        verification_queries=oracle.verification_count - v0)
 
 
 def reference_maximum_search(table, rng, search=reference_bbht_search):
@@ -138,7 +136,9 @@ def reference_maximum_search(table, rng, search=reference_bbht_search):
     random sample; each round marks the entries ahead of it (rank's
     order) in a MarkingOracle and runs `search` on it under
     MAXIMUM_SEARCH_CONFIG.  Every verified hit becomes the incumbent, and
-    max_failures failed rounds in a row stop the search."""
+    max_failures failed rounds in a row stop the search.  Returns the
+    incumbent, queries, verifications and rounds, as maximum_search does
+    for one table."""
     cfg = qsearch.MAXIMUM_SEARCH_CONFIG
     table = np.asarray(table, dtype=float)
     incumbent = int(rng.integers(0, table.size))
@@ -157,9 +157,7 @@ def reference_maximum_search(table, rng, search=reference_bbht_search):
             incumbent, failures = rep.found, 0
         else:
             failures += 1
-    return qsearch.SearchReport(found=incumbent, grover_queries=queries,
-                                verification_queries=verifications,
-                                iterations_used=rounds, succeeded=True)
+    return incumbent, queries, verifications, rounds
 
 
 def reference_threshold_search(first_ranks, n_states, rng):
@@ -395,7 +393,6 @@ class TestGroverSearch:
         for _ in range(50):
             rep = qsearch.grover_search(oracle_marking(2, [2]), 1, rng)
             assert rep.succeeded and rep.found == 2
-            assert rep.iterations_used == 1
             assert rep.grover_queries == 1
             assert rep.verification_queries == 1
 
@@ -410,7 +407,7 @@ class TestGroverSearch:
     def test_n1024_high_success_with_25_iterations(self):
         rng = np.random.default_rng(8)
         oracle = oracle_marking(10, [777])
-        rate = qsearch.measured_success_rate(oracle, 25, 4000, rng)
+        rate = qsearch.measured_success_curve(oracle, 25, 4000, rng)[25]
         assert qsearch.success_probability(1024, 1, 25) > 0.999
         assert rate > 0.995
 
@@ -519,14 +516,13 @@ def test_maximum_search_matches_state_vector_reference():
     rng = np.random.default_rng(106)
     tables = rng.random((1500, 64))
     new = qsearch.maximum_search(tables, rng)
-    ref = [reference_maximum_search(t, rng) for t in tables]
-    for found in (new.found, [r.found for r in ref]):
+    ref = list(zip(*(reference_maximum_search(t, rng) for t in tables)))
+    for found in (new[0], ref[0]):
         agree = np.mean([t[f] == t.max() for t, f in zip(tables, found)])
         assert agree >= 0.99
-    for field in ("grover_queries", "iterations_used", "verification_queries"):
-        p = stats.ks_2samp(getattr(new, field),
-                           [getattr(r, field) for r in ref]).pvalue
-        assert p > EQUIVALENCE_ALPHA, field
+    for field, a, b in zip(("queries", "verifications", "rounds"), new[1:],
+                           ref[1:]):
+        assert stats.ks_2samp(a, b).pvalue > EQUIVALENCE_ALPHA, field
 
 
 def test_exact_reference_matches_criterion_4():
@@ -657,13 +653,12 @@ def test_maximum_search_matches_exact_means(k, seed, levels):
             np.tile(np.arange(n, dtype=float), (2000, 1)), axis=1)
     else:
         tables = rng.integers(0, levels, (2000, n)).astype(float)
-    report = qsearch.maximum_search(tables, rng)
-    final = [stable_rank(t, f) for t, f in zip(tables, report.found)]
+    found, *counters = qsearch.maximum_search(tables, rng)
+    final = [stable_rank(t, f) for t, f in zip(tables, found)]
     # rank 0 in this order is np.argmax's index
     np.testing.assert_array_equal(np.equal(final, 0),
-                                  report.found == tables.argmax(axis=1))
-    assert_matches_exact(n, final, report.grover_queries,
-                         report.verification_queries, report.iterations_used)
+                                  found == tables.argmax(axis=1))
+    assert_matches_exact(n, final, *counters)
 
 
 class TestSearchOrder:
@@ -696,7 +691,7 @@ class TestSearchOrder:
 
         def failing(oracle, rng, cfg):
             masks.append(oracle.mask)
-            return qsearch.SearchReport(None, 0, 1, 0, False)
+            return qsearch.SearchReport(None, 0, 1)
 
         for seed in range(20):
             first = np.random.default_rng(seed).integers(0, 8)
@@ -901,25 +896,19 @@ class TestMaximumSearch:
         values = np.array([1.0, 4.0, 2.0, 0.5, 3.9, 9.0, 3.0, 8.0])
         rng = np.random.default_rng(8)
         for _ in range(50):
-            rep = qsearch.maximum_search(values, rng)
-            assert rep.succeeded
-            assert rep.found == 5
+            assert qsearch.maximum_search(values, rng)[0] == 5
 
     def test_constant_cost_any_index(self):
         rng = np.random.default_rng(9)
-        rep = qsearch.maximum_search(np.zeros(16), rng)
-        assert rep.succeeded
-        assert 0 <= rep.found < 16
+        assert 0 <= qsearch.maximum_search(np.zeros(16), rng)[0] < 16
 
     def test_identity_cost(self):
         rng = np.random.default_rng(10)
-        rep = qsearch.maximum_search(np.arange(16.0), rng)
-        assert rep.found == 15
+        assert qsearch.maximum_search(np.arange(16.0), rng)[0] == 15
 
     def test_callable_cost_accepted(self):
         rng = np.random.default_rng(11)
-        rep = qsearch.maximum_search(-abs(np.arange(16) - 11), rng)
-        assert rep.found == 11
+        assert qsearch.maximum_search(-abs(np.arange(16) - 11), rng)[0] == 11
 
     def test_matches_brute_force_on_random_costs(self):
         rng = np.random.default_rng(12)
@@ -927,8 +916,8 @@ class TestMaximumSearch:
         for _ in range(500):
             n = int(rng.integers(3, 11))
             table = rng.random(1 << n)
-            rep = qsearch.maximum_search(table, rng)
-            agree += int(table[rep.found] == table.max())
+            found = qsearch.maximum_search(table, rng)[0]
+            agree += int(table[found] == table.max())
         assert agree / 500 >= 0.99
 
     @pytest.mark.parametrize("tables", [np.zeros(12), np.zeros((4, 3)),
@@ -944,19 +933,18 @@ class TestMaximumSearch:
         rng = np.random.default_rng(23)
         tables = rng.permutation(np.tile(np.arange(16.0), (2, 3, 1)), axis=2)
         report = qsearch.maximum_search(tables, rng)
-        for field in ("found", "grover_queries", "verification_queries",
-                      "iterations_used"):
-            value = getattr(report, field)
-            assert value.shape == (2, 3) and value.dtype == np.int64, field
-        np.testing.assert_array_equal(report.found, tables.argmax(axis=2))
-        one = qsearch.maximum_search(tables[0, 0], rng)
-        assert one.found.shape == () and one.found == tables[0, 0].argmax()
+        assert len(report) == 4
+        for value in report:
+            assert value.shape == (2, 3) and value.dtype == np.int64
+        np.testing.assert_array_equal(report[0], tables.argmax(axis=2))
+        one = qsearch.maximum_search(tables[0, 0], rng)[0]
+        assert one.shape == () and one == tables[0, 0].argmax()
 
     def test_no_tables_draw_nothing(self):
         rng = np.random.default_rng(24)
         state = rng.bit_generator.state
-        report = qsearch.maximum_search(np.zeros((0, 8)), rng)
-        assert report.found.shape == report.grover_queries.shape == (0,)
+        for value in qsearch.maximum_search(np.zeros((0, 8)), rng):
+            assert value.shape == (0,)
         assert rng.bit_generator.state == state
 
     def test_one_entry_rejected_before_any_draw(self):
@@ -983,10 +971,23 @@ class TestMaximumSearch:
 
     def test_reports_rounds_and_queries(self):
         rng = np.random.default_rng(13)
-        rep = qsearch.maximum_search(np.arange(64.0), rng)
-        assert rep.iterations_used >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures
-        assert rep.grover_queries > 0
-        assert rep.verification_queries > 0
+        _, queries, verifications, rounds = qsearch.maximum_search(
+            np.arange(64.0), rng)
+        assert rounds >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures
+        assert queries > 0
+        assert verifications > 0
+
+
+def reference_success_rate(oracle, k, trials, rng):
+    """One point of measured_success_curve from a fresh register: the
+    uniform superposition, k grover_iterate calls, and one multinomial
+    sample of `trials` measurements."""
+    s = qcore.uniform_superposition(oracle.n_qubits)
+    for _ in range(k):
+        s = qsearch.grover_iterate(oracle, s)
+    p = qcore.probabilities(s)
+    counts = rng.multinomial(trials, p / p.sum())
+    return float(counts[oracle.mask].sum() / trials)
 
 
 class TestStatisticalInvariants:
@@ -994,8 +995,8 @@ class TestStatisticalInvariants:
         # Lighter version of the acceptance criterion: N=64, k = 0..6.
         rng = np.random.default_rng(14)
         oracle = oracle_marking(6, [13])
-        for k in range(7):
-            rate = qsearch.measured_success_rate(oracle, k, 4000, rng)
+        curve = qsearch.measured_success_curve(oracle, 6, 4000, rng)
+        for k, rate in enumerate(curve):
             assert abs(rate - qsearch.success_probability(64, 1, k)) < 0.03
 
     @pytest.mark.parametrize("n_states", [16, 64, 256])
@@ -1005,17 +1006,16 @@ class TestStatisticalInvariants:
         oracle = oracle_marking(n_qubits, [n_states // 3])
         k_star = qsearch.optimal_iterations(n_states, 1)
         trials = 10000
-        best = qsearch.measured_success_rate(oracle, k_star, trials, rng)
+        curve = qsearch.measured_success_curve(oracle, k_star + 2, trials, rng)
         for k in (k_star - 2, k_star + 2):
             if k < 0:
                 continue
-            other = qsearch.measured_success_rate(oracle, k, trials, rng)
-            assert best >= other - 0.02
+            assert curve[k_star] >= curve[k] - 0.02
 
     def test_trial_count_does_not_bound_memory(self):
         rng = np.random.default_rng(19)
-        rate = qsearch.measured_success_rate(oracle_marking(10, [777]), 25,
-                                             10**12, rng)
+        rate = qsearch.measured_success_curve(oracle_marking(10, [777]), 25,
+                                              10**12, rng)[25]
         assert 0.0 <= rate <= 1.0
         assert rate == pytest.approx(qsearch.success_probability(1024, 1, 25),
                                      abs=1e-5)
@@ -1023,14 +1023,14 @@ class TestStatisticalInvariants:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(ConfigError):
-            qsearch.measured_success_rate(oracle_marking(3, [1]), 1, trials,
-                                          np.random.default_rng(20))
+            qsearch.measured_success_curve(oracle_marking(3, [1]), 1, trials,
+                                           np.random.default_rng(20))
 
     @pytest.mark.parametrize("k, trials", [(-1, 10), (1.5, 10), (1, 2.5)])
     def test_counts_must_be_integers_in_range(self, k, trials):
         with pytest.raises(ConfigError):
-            qsearch.measured_success_rate(oracle_marking(3, [1]), k, trials,
-                                          np.random.default_rng(21))
+            qsearch.measured_success_curve(oracle_marking(3, [1]), k, trials,
+                                           np.random.default_rng(21))
 
     def test_curve_is_the_per_k_rates_in_turn(self):
         # one register measured after each step gives the values and the
@@ -1038,7 +1038,7 @@ class TestStatisticalInvariants:
         oracle = oracle_marking(6, [13, 40])
         rng, twin = np.random.default_rng(22), np.random.default_rng(22)
         curve = qsearch.measured_success_curve(oracle, 12, 500, rng)
-        assert curve == [qsearch.measured_success_rate(oracle, k, 500, twin)
+        assert curve == [reference_success_rate(oracle, k, 500, twin)
                          for k in range(13)]
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -1052,10 +1052,9 @@ class TestStatisticalInvariants:
                                            trials, rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("call", [qsearch.measured_success_rate,
-                                      qsearch.measured_success_curve])
+    @pytest.mark.parametrize("call", [qsearch.measured_success_curve])
     def test_register_updates_capped(self, call, monkeypatch):
-        # (k + 1)·N = 64 amplitude updates pass at a cap of 64, 80 do not
+        # (k_max + 1)·N = 64 amplitude updates pass at a cap of 64, 80 do not
         monkeypatch.setattr(config, "MAX_WORK", 64)
         oracle = oracle_marking(4, [1])
         call(oracle, 3, 10, np.random.default_rng(23))
@@ -1070,7 +1069,7 @@ class TestStatisticalInvariants:
         for n_states, marked in [(64, 1), (64, 8), (256, 16)]:
             n_qubits = n_states.bit_length() - 1
             oracle = oracle_marking(n_qubits, range(marked))
-            rate = qsearch.measured_success_rate(oracle, 0, 50000, rng)
+            rate, = qsearch.measured_success_curve(oracle, 0, 50000, rng)
             p = marked / n_states
             sigma = math.sqrt(p * (1 - p) / 50000)
             assert abs(rate - p) <= 3 * sigma
@@ -1139,15 +1138,15 @@ class TestSearchFuzz:
     @given(tables=score_tables, seed=st.integers(0, 2**32 - 1))
     def test_maximum_search(self, tables, seed):
         try:
-            report = qsearch.maximum_search(tables, np.random.default_rng(seed))
+            found, *counters = qsearch.maximum_search(
+                tables, np.random.default_rng(seed))
         except SEARCH_ERRORS:
             return
         n = tables.shape[-1]
-        for counter in (report.grover_queries, report.verification_queries,
-                        report.iterations_used):
+        for counter in counters:
             assert counter.shape == tables.shape[:-1]
             assert (counter >= 0).all()
-        found = report.found.reshape(-1)
+        found = found.reshape(-1)
         assert ((found >= 0) & (found < n)).all()
         # the kernel's final ranks, replayed from the same seed: one draw of
         # first ranks, passed straight to the rank-space search
@@ -1254,25 +1253,21 @@ class TestSearchFuzz:
            k=st.one_of(st.integers(-2, 8), st.floats(-1, 8), st.booleans()),
            trials=st.one_of(st.integers(-2, 50), st.floats(-1, 50),
                             st.booleans()),
-           curve=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_measured_success(self, mask, k, trials, curve, seed):
-        # measured_success_curve with k_max = k, or measured_success_rate
+    def test_measured_success(self, mask, k, trials, seed):
+        # measured_success_curve with k_max = k
         try:
             oracle = qsearch.MarkingOracle(mask)
         except SEARCH_ERRORS:
             return
         rng = np.random.default_rng(seed)
         state = rng.bit_generator.state
-        measure = (qsearch.measured_success_curve if curve
-                   else qsearch.measured_success_rate)
         try:
-            rates = measure(oracle, k, trials, rng)
+            rates = qsearch.measured_success_curve(oracle, k, trials, rng)
         except SEARCH_ERRORS:
             assert rng.bit_generator.state == state
             return
-        rates = rates if curve else [rates]
-        assert len(rates) == (k + 1 if curve else 1)
+        assert len(rates) == k + 1
         for rate in rates:
             assert 0 <= rate <= 1 and (mask.any() or rate == 0)
         assert oracle.query_count == k
@@ -1297,11 +1292,12 @@ BOOL_SCENARIO = make_scenario("walsh", 2, 4)
                  id="success_probability-k"),
     pytest.param(lambda rng: mud.ber_sweep(BOOL_SCENARIO, "mf", [4.0], True,
                                            rng), id="ber_sweep-trials"),
-    pytest.param(lambda rng: qsearch.measured_success_rate(
-        oracle_marking(3, [1]), True, 10, rng), id="measured_success_rate-k"),
-    pytest.param(lambda rng: qsearch.measured_success_rate(
+    pytest.param(lambda rng: qsearch.measured_success_curve(
+        oracle_marking(3, [1]), True, 10, rng),
+        id="measured_success_curve-k_max"),
+    pytest.param(lambda rng: qsearch.measured_success_curve(
         oracle_marking(3, [1]), 1, np.True_, rng),
-        id="measured_success_rate-trials"),
+        id="measured_success_curve-trials"),
     pytest.param(lambda rng: qsearch.existence_test(
         oracle_marking(3, [1]), rng, True), id="existence_test-rounds"),
     pytest.param(lambda rng: qsearch.threshold_search([0], np.True_, rng),
@@ -1355,8 +1351,7 @@ def test_work_bound_refuses_before_any_draw(call, work, monkeypatch):
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("call", [qsearch.measured_success_rate,
-                                  qsearch.measured_success_curve])
+@pytest.mark.parametrize("call", [qsearch.measured_success_curve])
 def test_measurement_trials_run_up_to_int64(call, monkeypatch):
     # one multinomial draw per register costs the same for any trials, so
     # trials take no work, and only numpy's int64 bounds them
