@@ -30,8 +30,8 @@ mf_ok = np.array_equal(mf.detected_bits, true_bits)
 print(f"\nmatched-filter decision: {mf.detected_bits}  "
       f"(transmitted {true_bits}) -> {'correct' if mf_ok else 'WRONG'}")
 
-cf = mud.make_mls_cost(frame, scenario, channel)
-ml = mud.exhaustive_ml_detect(cf)
+table = mud.mls_tables(frame, scenario, channel)
+ml = mud.exhaustive_ml_detect(table)
 ml_ok = np.array_equal(ml.detected_bits, true_bits)
 print(f"joint ML decision:       {ml.detected_bits}  "
       f"-> {'correct' if ml_ok else 'WRONG'} "
@@ -40,4 +40,4 @@ print(f"joint ML decision:       {ml.detected_bits}  "
 print("\nscore of every hypothesis (0 = perfect reconstruction):")
 for m in range(4):
     bits = mud.bits_from_index(m, 2)
-    print(f"  bits {bits}: {cf.table()[m]:8.2f}")
+    print(f"  bits {bits}: {table[m]:8.2f}")

@@ -29,12 +29,12 @@ prev = rng.choice((-1, 1), size=K)
 frame = cdma.synthesize_received(scenario, channel, bits, prev,
                                  cdma.ebn0_db_to_noise_variance(EBN0_DB), rng)
 
-cf = mud.make_mls_cost(frame, scenario, channel)
-exhaustive = mud.exhaustive_ml_detect(cf)
+table = mud.mls_tables(frame, scenario, channel)
+exhaustive = mud.exhaustive_ml_detect(table)
 print(f"  exhaustive: {exhaustive.cf_evaluations} evaluations, "
       f"correct = {np.array_equal(exhaustive.detected_bits, bits)}")
 
-quantum = mud.qmud_detect(mud.make_mls_cost(frame, scenario, channel), rng)
+quantum = mud.qmud_detect(table, rng)
 print(f"  quantum:    {quantum.grover_queries} oracle applications over "
       f"{quantum.cf_evaluations} threshold rounds, "
       f"correct = {np.array_equal(quantum.detected_bits, bits)}")

@@ -266,8 +266,8 @@ def draw_trials(scenario: CdmaScenario, noise_variance: float, n: int,
     either form.  The normals keep no state between calls, so one call of
     2·N_c is two calls of N_c.  So rng's stream is that of n trials drawn one
     after another, whatever n is.  Only the draws run per trial, each into a
-    preallocated row: the bits, the gains, the checks, the synthesis and the
-    noise sum run once on the stack.  A sigma² outside [0,
+    preallocated row: the bits, the gains, the synthesis and the noise sum
+    run once on the stack, into one frame.  A sigma² outside [0,
     MAX_NOISE_VARIANCE] raises ConfigError, and n that is not an integer >=
     1 ConfigError, before any draw.
     """
@@ -289,13 +289,13 @@ def draw_trials(scenario: CdmaScenario, noise_variance: float, n: int,
             rng.standard_normal(out=noise[i])
     channel = _build_channel((n, k), **rows)
     bits = np.where(words >= 0.5, 1, -1)
-    bits, prev_bits = bits[:, :k], bits[:, k:]
-    frame = synthesize_received(scenario, channel, bits, prev_bits, 0.0, None)
+    bits, prev_bits = bits[:, :k], bits[:, k:].astype(float)
+    samples = synthesize(scenario, channel.gains, channel.delay, bits,
+                         prev_bits)
     if noise is not None:
-        frame = ReceivedFrame(samples=_add_noise(
-            frame.samples, noise_variance, noise[:, :n_chips],
-            noise[:, n_chips:]), prev_bits=frame.prev_bits)
-    return channel, bits, frame
+        samples = _add_noise(samples, noise_variance, noise[:, :n_chips],
+                             noise[:, n_chips:])
+    return channel, bits, ReceivedFrame(samples=samples, prev_bits=prev_bits)
 
 
 def delay_aligned(scenario: CdmaScenario, delay):

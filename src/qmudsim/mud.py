@@ -67,10 +67,9 @@ class CostFunction:
     table or a (..., 2^K) stack, so later writes to the caller's array do
     not reach it; K is read from the last axis's length, which must be a
     power of 2 (ShapeError), and a non-finite score raises ValueError.
-    `table` returns the scores without touching the counter, so
-    quantum-detector reports count oracles (one per threshold round)
-    instead.  `evaluate` reads scores from every table and counts one
-    evaluation per index read.
+    `table` returns the scores without touching the counter; `evaluate`
+    reads scores from every table and counts one evaluation per index read.
+    The detectors take the bare mls_tables arrays and read neither.
     """
 
     def __init__(self, table):
@@ -95,11 +94,11 @@ class DetectionReport:
     """Detected (..., K) bits with their work accounting; the counters are
     arrays of the leading shape, 0-d for one detection.
 
-    `cf_evaluations` is the exact evaluation count for classical detectors
-    and the number of oracles compiled from the table (one per threshold
-    round) for the quantum-assisted detector; `grover_queries` is 0 for
-    classical detectors.  A caller with the true bits compares them with
-    `detected_bits` itself.
+    `cf_evaluations` is 0 for the matched filter, 2^K per (..., 2^K) score
+    table for exhaustive ML, and the number of oracles compiled from the
+    table (one per threshold round) for the quantum-assisted detector;
+    `grover_queries` is 0 for classical detectors.  A caller with the true
+    bits compares them with `detected_bits` itself.
     """
 
     detected_bits: np.ndarray
@@ -199,29 +198,33 @@ def mf_detect(y: np.ndarray, channel: ChannelState) -> DetectionReport:
     return DetectionReport(detected, zeros, zeros)
 
 
-def exhaustive_ml_detect(cf: CostFunction) -> DetectionReport:
-    """Evaluate every hypothesis of each table; first index wins ties."""
-    if cf.k_users > EXHAUSTIVE_K_LIMIT:
+def exhaustive_ml_detect(tables) -> DetectionReport:
+    """Score every hypothesis of each (..., 2^K) table, 2^K evaluations per
+    table; the first index wins ties.  qsearch.score_bits checks the tables,
+    and K above EXHAUSTIVE_K_LIMIT raises SizeError."""
+    tables = np.asarray(tables, dtype=float)
+    k = qsearch.score_bits(tables)
+    if k > EXHAUSTIVE_K_LIMIT:
         raise SizeError(f"exhaustive search capped at K={EXHAUSTIVE_K_LIMIT}")
-    scores = cf.evaluate(np.arange(1 << cf.k_users))
-    detected = _index_bits(scores.argmax(axis=-1), cf.k_users)
-    counts = np.full(scores.shape[:-1], scores.shape[-1])
-    return DetectionReport(detected, counts, 0 * counts)
+    counts = np.full(tables.shape[:-1], tables.shape[-1])
+    return DetectionReport(_index_bits(tables.argmax(axis=-1), k), counts,
+                           0 * counts)
 
 
-def qmud_detect(cf: CostFunction, rng: np.random.Generator) -> DetectionReport:
+def qmud_detect(tables, rng: np.random.Generator) -> DetectionReport:
     """Quantum-assisted detection via threshold maximum search.
 
-    The K-qubit register holds all 2^K hypotheses at once; each threshold
-    round compiles the score table into one oracle (counted once per round
-    in cf_evaluations) and the randomized search amplifies the hypotheses
-    ahead of the incumbent.  One qsearch.maximum_search call runs those
-    rounds in rank space, for every table of the stack; ties go to the
-    lower index, as in exhaustive_ml_detect.  Returns the incumbent even
-    when the final rounds exhaust their budgets.
+    The K-qubit register holds all 2^K hypotheses of a (..., 2^K) table at
+    once; each threshold round compiles it into one oracle (counted once per
+    round in cf_evaluations) and the randomized search amplifies the
+    hypotheses ahead of the incumbent.  One qsearch.maximum_search call
+    checks the tables and runs those rounds in rank space, for every table
+    of the stack; ties go to the lower index, as in exhaustive_ml_detect.
+    Returns the incumbent even when the final rounds exhaust their budgets.
     """
-    found, queries, _, rounds = qsearch.maximum_search(cf.table(), rng)
-    return DetectionReport(_index_bits(found, cf.k_users), rounds, queries)
+    found, queries, _, rounds = qsearch.maximum_search(tables, rng)
+    k = np.shape(tables)[-1].bit_length() - 1
+    return DetectionReport(_index_bits(found, k), rounds, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +277,9 @@ def _detections(detector: str, scenario: CdmaScenario, noise_variance: float,
             report = mf_detect(
                 cdma.matched_filter_bank(frame, scenario, channel), channel)
         elif detector == "ml_exhaustive":
-            report = exhaustive_ml_detect(
-                make_mls_cost(frame, scenario, channel))
+            report = exhaustive_ml_detect(mls_tables(frame, scenario, channel))
         else:
-            report = qmud_detect(make_mls_cost(frame, scenario, channel),
+            report = qmud_detect(mls_tables(frame, scenario, channel),
                                  search_rng)
         del channel, frame  # so the next draw holds one chunk, not two
         yield bits, report

@@ -145,7 +145,7 @@ def test_criterion_6_detector_ordering_and_near_far():
     frame = cdma.synthesize_received(nf, channel, bits, [1, 1], 0.0, None)
     y = cdma.matched_filter_bank(frame, nf, channel)
     mf_rep = mud.mf_detect(y, channel)
-    ml_rep = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, nf, channel))
+    ml_rep = mud.exhaustive_ml_detect(mud.mls_tables(frame, nf, channel))
     near_far_ok = (abs(y[0] - (-4.0)) < 1e-12
                    and not np.array_equal(mf_rep.detected_bits, bits)
                    and mf_rep.detected_bits[0] == -1
@@ -228,8 +228,7 @@ def test_criterion_8_invariant_suites():
 
     # Exhaustive evaluation counter is exactly 2^K.
     table = rng.standard_normal(256)
-    cf = mud.CostFunction(table)
-    counter_ok = mud.exhaustive_ml_detect(cf).cf_evaluations == 256
+    counter_ok = mud.exhaustive_ml_detect(table).cf_evaluations == 256
 
     ok = (norm_ok and chi_ok and tensor_ok and round_trip_ok and product_ok
           and counter_ok)

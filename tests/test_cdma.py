@@ -1,5 +1,6 @@
 """Baseband CDMA model: signatures, channels, synthesis, matched filters."""
 
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -97,8 +98,11 @@ class TestGenerateSignatures:
         code = ("import sys, qmudsim; "
                 "print(any(m == 'scipy' or m.startswith('scipy.') "
                 "for m in sys.modules))")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
         out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True).stdout
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "False"
 
 

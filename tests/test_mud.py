@@ -153,14 +153,14 @@ def test_draw_trial_bits_are_the_choice_draws(shape, seed):
 
 def reference_ber_qmud(scenario, noise_variance, trials, rng):
     """The work counters of ber_sweep's qmud trials at one point, as a
-    per-trial loop: one draw, one make_mls_cost table and one reference
+    per-trial loop: one draw, one mls_tables table and one reference
     threshold loop per trial.  Returns (grover_queries, cf_evaluations)."""
     queries, rounds = [], []
     for _ in range(trials):
         channel, _, frame = reference_draw_trial(scenario, noise_variance,
                                                  rng)
         _, grover_queries, _, threshold_rounds = reference_maximum_search(
-            mud.make_mls_cost(frame, scenario, channel).table(), rng)
+            mud.mls_tables(frame, scenario, channel), rng)
         queries.append(grover_queries)
         rounds.append(threshold_rounds)
     return queries, rounds
@@ -185,7 +185,7 @@ def reference_ber(scenario, detector, ebn0_db_list, trials, rng):
                     channel)
             else:
                 report = mud.exhaustive_ml_detect(
-                    mud.make_mls_cost(frame, scenario, channel))
+                    mud.mls_tables(frame, scenario, channel))
             errors = int(np.sum(report.detected_bits != bits))
             bit_errors += errors
             cf_total += int(report.cf_evaluations)
@@ -420,11 +420,9 @@ class TestMlsCost:
                       lambda x: x ** 3]
         for _ in range(100):
             table = rng.standard_normal(16)
-            cf = mud.CostFunction(table)
-            base = mud.exhaustive_ml_detect(cf)
+            base = mud.exhaustive_ml_detect(table)
             for f in transforms:
-                warped = mud.CostFunction(f(table))
-                out = mud.exhaustive_ml_detect(warped)
+                out = mud.exhaustive_ml_detect(f(table))
                 np.testing.assert_array_equal(out.detected_bits,
                                               base.detected_bits)
 
@@ -457,7 +455,7 @@ class TestMfDetect:
         mf_report = mud.mf_detect(y, ch)
         assert not np.array_equal(mf_report.detected_bits, bits)
         assert mf_report.detected_bits[0] == -1
-        ml_report = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, sc, ch))
+        ml_report = mud.exhaustive_ml_detect(mud.mls_tables(frame, sc, ch))
         np.testing.assert_array_equal(ml_report.detected_bits, bits)
 
     def test_zero_outputs_slice_to_plus_one(self):
@@ -470,18 +468,14 @@ class TestMfDetect:
 class TestExhaustiveDetect:
     def test_walsh_case_and_counter(self):
         frame, sc, ch = walsh2_frame()
-        cf = mud.make_mls_cost(frame, sc, ch)
-        report = mud.exhaustive_ml_detect(cf)
+        report = mud.exhaustive_ml_detect(mud.mls_tables(frame, sc, ch))
         np.testing.assert_array_equal(report.detected_bits, [1, -1])
         assert report.cf_evaluations == 4
 
     def test_counter_exact_for_k8(self):
         rng = np.random.default_rng(7)
-        table = rng.standard_normal(256)
-        cf = mud.CostFunction(table)
-        report = mud.exhaustive_ml_detect(cf)
+        report = mud.exhaustive_ml_detect(rng.standard_normal(256))
         assert report.cf_evaluations == 256
-        assert cf.evaluations == 256
 
     def test_evaluate_reads_the_table_and_counts_each_index(self):
         table = np.arange(8.0)
@@ -500,7 +494,7 @@ class TestExhaustiveDetect:
                                        np.zeros((4, 6)), np.float64(1.0)])
     def test_table_must_be_1d_of_power_of_two_length(self, table):
         with pytest.raises(ShapeError):
-            mud.CostFunction(table)
+            mud.exhaustive_ml_detect(table)
 
     def test_keeps_a_copy_of_the_callers_scores(self):
         scores = np.arange(8.0)
@@ -508,14 +502,14 @@ class TestExhaustiveDetect:
         scores[0] = 99.0
         assert cf.table()[0] == 0.0
         np.testing.assert_array_equal(
-            mud.exhaustive_ml_detect(cf).detected_bits,
+            mud.exhaustive_ml_detect(cf.table()).detected_bits,
             mud.bits_from_index(7, 3))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_scores_rejected(self, bad):
         # a NaN first score used to win the exhaustive argmax
         with pytest.raises(ValueError, match="finite"):
-            mud.exhaustive_ml_detect(mud.CostFunction([bad, 1.0]))
+            mud.exhaustive_ml_detect([bad, 1.0])
 
     def test_table_is_read_only(self):
         cf = mud.CostFunction(np.arange(8.0))
@@ -524,16 +518,13 @@ class TestExhaustiveDetect:
         assert cf.table()[0] == 0.0
 
     def test_k_read_from_the_table(self):
-        cf = mud.CostFunction(np.arange(16.0))
-        assert cf.k_users == 4
-        report = mud.exhaustive_ml_detect(cf)
+        report = mud.exhaustive_ml_detect(np.arange(16.0))
         np.testing.assert_array_equal(report.detected_bits,
                                       mud.bits_from_index(15, 4))
         assert report.cf_evaluations == 16
 
     def test_constant_cost_ties_to_index_zero(self):
-        cf = mud.CostFunction(np.ones(8))
-        report = mud.exhaustive_ml_detect(cf)
+        report = mud.exhaustive_ml_detect(np.ones(8))
         np.testing.assert_array_equal(report.detected_bits, [1, 1, 1])
 
     def test_noiseless_detection_exact(self):
@@ -544,13 +535,12 @@ class TestExhaustiveDetect:
             bits = rng.choice((-1, 1), size=4)
             frame = cdma.synthesize_received(sc, ch, bits, np.ones(4), 0.0,
                                              None)
-            report = mud.exhaustive_ml_detect(mud.make_mls_cost(frame, sc, ch))
+            report = mud.exhaustive_ml_detect(mud.mls_tables(frame, sc, ch))
             np.testing.assert_array_equal(report.detected_bits, bits)
 
     def test_k_guard(self):
-        cf = mud.CostFunction(np.zeros(1 << 21))
         with pytest.raises(SizeError):
-            mud.exhaustive_ml_detect(cf)
+            mud.exhaustive_ml_detect(np.zeros(1 << 21))
 
 
 class TestQmudDetect:
@@ -558,26 +548,32 @@ class TestQmudDetect:
         frame, sc, ch = walsh2_frame()
         rng = np.random.default_rng(9)
         for _ in range(25):
-            report = mud.qmud_detect(mud.make_mls_cost(frame, sc, ch), rng)
+            report = mud.qmud_detect(mud.mls_tables(frame, sc, ch), rng)
             np.testing.assert_array_equal(report.detected_bits, [1, -1])
 
     def test_constant_cost_accepts_any_hypothesis(self):
-        cf = mud.CostFunction(np.full(8, 2.5))
-        report = mud.qmud_detect(cf, np.random.default_rng(10))
+        report = mud.qmud_detect(np.full(8, 2.5), np.random.default_rng(10))
         assert report.detected_bits.shape == (3,)
         assert report.cf_evaluations >= 1  # threshold rounds attempted
 
+    @pytest.mark.parametrize("table", [np.zeros(6), np.zeros((4, 6)),
+                                       np.float64(1.0), [float("nan"), 1.0]])
+    def test_bad_tables_rejected_before_any_draw(self, table):
+        rng = np.random.default_rng(15)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):  # ShapeError is a ValueError
+            mud.qmud_detect(table, rng)
+        assert rng.bit_generator.state == state
+
     def test_round_count_reported_as_cf_evaluations(self):
         rng = np.random.default_rng(11)
-        cf = mud.CostFunction(np.arange(64.0))
-        report = mud.qmud_detect(cf, rng)
+        report = mud.qmud_detect(np.arange(64.0), rng)
         rounds = report.cf_evaluations
         assert rounds >= qsearch.MAXIMUM_SEARCH_CONFIG.max_failures
         assert report.grover_queries > 0
 
     def test_bits_read_from_the_table(self):
-        report = mud.qmud_detect(mud.CostFunction(np.arange(32.0)),
-                                 np.random.default_rng(14))
+        report = mud.qmud_detect(np.arange(32.0), np.random.default_rng(14))
         np.testing.assert_array_equal(report.detected_bits,
                                       mud.bits_from_index(31, 5))
 
@@ -658,10 +654,10 @@ class TestQmudDetect:
 
     def test_tied_maximum_detected_as_exhaustive_detects_it(self):
         # every score ties: both detectors aim at index 0
-        cf = mud.CostFunction(np.zeros(8))
-        exhaustive = mud.exhaustive_ml_detect(cf).detected_bits
+        table = np.zeros(8)
+        exhaustive = mud.exhaustive_ml_detect(table).detected_bits
         same = sum(np.array_equal(
-            mud.qmud_detect(cf, np.random.default_rng(seed)).detected_bits,
+            mud.qmud_detect(table, np.random.default_rng(seed)).detected_bits,
             exhaustive) for seed in range(200))
         assert same >= 0.99 * 200
 
@@ -721,16 +717,13 @@ class TestStackedDetection:
         rng = np.random.default_rng(41)
         tables = rng.standard_normal((6, 7, 64))
         tables[0, 0] = 1.0  # a tie goes to index 0 in a stack too
-        cf = mud.CostFunction(tables)
-        assert cf.k_users == 6
-        report = mud.exhaustive_ml_detect(cf)
-        assert cf.evaluations == 64
+        report = mud.exhaustive_ml_detect(tables)
         np.testing.assert_array_equal(report.cf_evaluations,
                                       np.full((6, 7), 64))
         np.testing.assert_array_equal(report.grover_queries,
                                       np.zeros((6, 7)))
         for i in np.ndindex(6, 7):
-            row = mud.exhaustive_ml_detect(mud.CostFunction(tables[i]))
+            row = mud.exhaustive_ml_detect(tables[i])
             np.testing.assert_array_equal(report.detected_bits[i],
                                           row.detected_bits)
             assert row.cf_evaluations == 64
@@ -749,10 +742,8 @@ class TestStackedDetection:
         # it, at the exact miss rate; counters take the stack's shape
         rng = np.random.default_rng(42)
         tables = rng.standard_normal((50, 40, 64))
-        argmax_bits = mud.exhaustive_ml_detect(
-            mud.CostFunction(tables)).detected_bits
-        report = mud.qmud_detect(mud.CostFunction(tables),
-                                 np.random.default_rng(43))
+        argmax_bits = mud.exhaustive_ml_detect(tables).detected_bits
+        report = mud.qmud_detect(tables, np.random.default_rng(43))
         assert report.detected_bits.shape == (50, 40, 6)
         for counter in (report.cf_evaluations, report.grover_queries):
             assert counter.shape == (50, 40)
@@ -763,8 +754,7 @@ class TestStackedDetection:
         p = stats.binomtest(misses, 2000,
                             1 - exact_maximum_search(64)["agreement"]).pvalue
         assert p > EQUIVALENCE_ALPHA
-        one = mud.qmud_detect(mud.CostFunction(tables[0, 0]),
-                              np.random.default_rng(44))
+        one = mud.qmud_detect(tables[0, 0], np.random.default_rng(44))
         assert one.detected_bits.shape == (6,)
         assert one.cf_evaluations.shape == one.grover_queries.shape == ()
 
@@ -810,6 +800,24 @@ class TestBerSweep:
             assert abs(pq.ber - pm.ber) <= 3 * sigma
             assert pm.mean_cf_evaluations == 256.0
             assert pq.mean_grover_queries < 256.0
+
+    @pytest.mark.parametrize("detector", ["ml_exhaustive", "qmud"])
+    def test_table_detectors_hold_one_chunk_of_tables(self, detector):
+        # a K = 12 chunk is 256 trials of 4,096 scores, 8 MiB of tables;
+        # the detectors must read them in place, so a point peaks below
+        # two chunks' worth
+        sc = cdma.make_scenario("random_bipolar", 12, 16,
+                                sync_mode=cdma.CHIP_ASYNC,
+                                gain_model=cdma.GAIN_RAYLEIGH, seed=12)
+        tracemalloc.start()
+        try:
+            curve = mud.ber_sweep(sc, detector, [4.0], 300,
+                                  np.random.default_rng(23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.points[0].trials == 300
+        assert peak < 2 * 256 * 4096 * 8
 
     def test_carried_half_word_crosses_the_chunk_boundary(self,
                                                           monkeypatch):
